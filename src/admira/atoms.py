@@ -144,7 +144,7 @@ def empty_expansion(m: int, n: int) -> AtomExpansion:
     return AtomExpansion(AtomSet.empty(m, n), np.zeros(0))
 
 
-def leading_atoms(M, k: int, backend: str = "dense") -> AtomExpansion:
+def leading_atoms(M, k: int) -> AtomExpansion:
     """Best orthonormal atom selection for ``M``: its top-k singular triplets.
 
     Coefficients are the singular values. Negligible triplets are dropped,
@@ -156,7 +156,7 @@ def leading_atoms(M, k: int, backend: str = "dense") -> AtomExpansion:
     A = as_matrix(M)
     if k < 1:
         raise ValueError("k must be positive")
-    f = svd_truncated(A, min(k, min(A.shape)), backend=backend)
+    f = svd_truncated(A, min(k, min(A.shape)))
     return AtomExpansion(AtomSet(f.U, f.V), f.sigma)
 
 

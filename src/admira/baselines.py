@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import AtomExpansion, AtomSet, empty_expansion, leading_atoms, merge
-from .linalg import svd
+# the shrink keeps only triplets above tau, so a partial SVD serves it
+from .linalg import svd_truncated as svd
 from .operators import EntrySampler
 from .solver import (
     CONVERGED,
@@ -31,6 +32,10 @@ __all__ = [
     "svt_solve",
     "UnsupportedOperatorError",
 ]
+
+
+# rank increment of the SVT shrink when its predicted rank falls short
+SVT_RANK_STEP = 5
 
 
 class UnsupportedOperatorError(TypeError):
@@ -135,11 +140,22 @@ class SvtConfig:
             raise ValueError("max_iter and residual_tol must be positive")
 
 
-def _shrink_expansion(Y: np.ndarray, tau: float) -> AtomExpansion:
-    f = svd(Y)
-    shrunk = f.sigma - tau
-    keep = shrunk > 0.0
-    return AtomExpansion(AtomSet(f.U[:, keep], f.V[:, keep]), shrunk[keep])
+def _shrink_expansion(Y: np.ndarray, tau: float, s: int) -> AtomExpansion:
+    """Shrink the singular values of ``Y`` by ``tau``, dropping those <= tau.
+
+    ``s`` predicts how many exceed tau. The top ``s`` triplets are computed,
+    with ``s`` grown by ``SVT_RANK_STEP`` until the smallest is at or below
+    tau, so every surviving triplet is found.
+    """
+    kmax = min(Y.shape)
+    s = min(s, kmax)
+    while True:
+        f = svd(Y, s)
+        if f.k < s or f.sigma[-1] <= tau or s == kmax:
+            break
+        s = min(s + SVT_RANK_STEP, kmax)
+    keep = f.sigma > tau
+    return AtomExpansion(AtomSet(f.U[:, keep], f.V[:, keep]), f.sigma[keep] - tau)
 
 
 def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
@@ -167,7 +183,7 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
         return AdmiraResult(empty_expansion(m, n), [], ZERO_PROXY, algorithm="svt")
 
     data = sampler.adjoint(y)
-    sigma1 = float(np.linalg.svd(data, compute_uv=False)[0])
+    sigma1 = float(svd(data, 1).sigma[0])
     k0 = int(np.ceil(tau / (step * sigma1)))
     Y = (k0 * step) * data
 
@@ -175,7 +191,8 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     trace: list[TraceRow] = []
     stop = MAX_ITER
     for k in range(1, config.max_iter + 1):
-        exp = _shrink_expansion(Y, tau)
+        # the shrunk rank rarely grows by more than one per iteration
+        exp = _shrink_expansion(Y, tau, len(exp) + 1)
         residual = y - sampler.apply_expansion(exp)
         res = float(np.linalg.norm(residual))
         rel = res / b_norm

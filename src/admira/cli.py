@@ -44,14 +44,17 @@ def load_config(path) -> dict:
 
 
 class _Options:
-    """Registers options, filling defaults from the config file."""
+    """Registers options, filling defaults from the config file and
+    recording every option name in ``known``."""
 
-    def __init__(self, parser, cfg):
+    def __init__(self, parser, cfg, known):
         self.parser = parser
         self.cfg = cfg
+        self.known = known
 
     def add(self, name, type=str, default=None, required=False, help=None, choices=None):
         key = name.lstrip("-")
+        self.known.add(key)
         raw = self.cfg.get(key, self.cfg.get(key.replace("-", "_")))
         if raw is not None:
             # a key may be meant for a sibling subcommand with a different
@@ -186,14 +189,16 @@ def cmd_rip(args):
     return 0
 
 
-def build_parser(cfg) -> argparse.ArgumentParser:
+def build_parser(cfg, known: set) -> argparse.ArgumentParser:
+    """The ``admira`` parser; adds the name of every option that a config
+    file may set to ``known``."""
     parser = argparse.ArgumentParser(prog="admira",
                                      description="Low-rank matrix recovery toolkit")
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, *, n=False, m=False, r=False):
-        o = _Options(p, cfg)
+        o = _Options(p, cfg, known)
         p.add_argument("--config", help="key=value file supplying flag defaults")
         o.add("--n", type=int, required=n, help="matrix columns")
         o.add("--m", type=int, required=m, help="matrix rows")
@@ -276,7 +281,12 @@ def main(argv=None) -> int:
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     cfg = load_config(known.config) if known.config else {}
-    args = build_parser(cfg).parse_args(argv)
+    options: set[str] = set()
+    parser = build_parser(cfg, options)
+    for key in cfg:
+        if key.replace("_", "-") not in options:
+            raise SystemExit(f"admira: unknown key {key!r} in config file {known.config}")
+    args = parser.parse_args(argv)
     return args.func(args)
 
 

@@ -120,10 +120,10 @@ class AdmiraResult:
         return assemble(self.expansion)
 
 
-def proxy(op, b, xhat: AtomExpansion) -> np.ndarray:
-    """Proxy matrix ``A*(b - A xhat)`` steering the atom selection."""
-    y = op._check_vector(b)
-    return op.adjoint(y - op.apply_expansion(xhat))
+def proxy(op, residual) -> np.ndarray:
+    """Proxy matrix ``A*(b - A xhat)`` steering the atom selection, from the
+    residual ``b - A xhat`` the loop already holds."""
+    return op.adjoint(residual)
 
 
 def restricted_least_squares(
@@ -151,7 +151,7 @@ def admira_step(state: AdmiraState, op, b, config: AdmiraConfig) -> AdmiraState:
     progress and comes back flagged, with the iterate unchanged.
     """
     r = config.rank
-    selection = leading_atoms(proxy(op, b, state.expansion), 2 * r)
+    selection = leading_atoms(proxy(op, state.residual), 2 * r)
     if len(selection) == 0:
         return AdmiraState(state.expansion, state.iteration, state.residual, zero_proxy=True)
     merged = merge(selection.atoms, state.atom_set)
@@ -186,6 +186,14 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
     if truth is not None:
         truth = as_matrix(truth, "truth")
 
+    # iterate on b / 2^e with max|b| / 2^e in [0.5, 1), so no norm under- or
+    # overflows at any finite scale of b; a power of two scales exactly, and
+    # np.ldexp maps coefficients and norms back without rounding
+    e = int(np.frexp(np.abs(y).max())[1])
+    y = np.ldexp(y, -e)
+    if truth is not None:
+        truth = np.ldexp(truth, -e)
+
     b_norm = float(np.linalg.norm(y))
     state = AdmiraState(empty_expansion(op.m, op.n), 0, y.copy())
     trace: list[TraceRow] = []
@@ -201,7 +209,8 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
         res = float(np.linalg.norm(state.residual))
         rel = res / b_norm
         err = frobenius_norm(truth - assemble(state.expansion)) if truth is not None else None
-        trace.append(TraceRow(state.iteration, res, rel, err))
+        trace.append(TraceRow(state.iteration, float(np.ldexp(res, e)), rel,
+                              None if err is None else float(np.ldexp(err, e))))
         if rel <= config.residual_tol:
             stop = CONVERGED
             break
@@ -211,7 +220,8 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
             stop = STALLED
             break
 
-    return AdmiraResult(state.expansion, trace, stop)
+    exp = state.expansion
+    return AdmiraResult(AtomExpansion(exp.atoms, np.ldexp(exp.coeffs, e)), trace, stop)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from admira.cli import main
 from admira import fileio
@@ -89,6 +90,24 @@ class TestConfigFile:
         assert main(["sweep", "--config", str(cfg), "--trials", "2",
                      "--out", str(out3)]) == 0
         assert out3.read_bytes() != out1.read_bytes()
+
+    def test_unknown_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=16\nm=16\nr=1\nmax_iterr=5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--p-over-dr", "3",
+                  "--out", str(tmp_path / "a.csv")])
+        # a string exit code is printed to stderr and exits with status 1
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "'max_iterr'" in message
+        assert not (tmp_path / "a.csv").exists()
+
+    def test_keys_of_other_subcommands_accepted(self, tmp_path):
+        # one file may configure several subcommands; rip's key is known
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=10\nm=10\nr=1\np_over_dr=3\ntrials=1\nsamples=5\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
 
 
 class TestCompareRip:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import admira
+from admira import linalg
 from admira.linalg import (
     SvdFactors,
     frobenius_norm,
@@ -105,20 +111,6 @@ class TestSvdTruncated:
         with pytest.raises(ValueError):
             svd_truncated(np.eye(3), 0)
 
-    def test_lanczos_backend_matches_dense(self, rng):
-        M = rng.standard_normal((30, 20))
-        for k in (1, 3, 19, 20):
-            a = svd_truncated(M, k, backend="dense")
-            b = svd_truncated(M, k, backend="lanczos")
-            np.testing.assert_allclose(b.sigma, a.sigma, rtol=1e-8)
-            np.testing.assert_allclose(
-                (b.U * b.sigma) @ b.V.T, (a.U * a.sigma) @ a.V.T, atol=1e-7
-            )
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            svd_truncated(np.eye(3), 1, backend="magic")
-
     def test_eckart_young_tail(self, rng):
         # ||M - M_k||_F^2 equals the sum of the squared trailing singular values
         for _ in range(50):
@@ -129,6 +121,83 @@ class TestSvdTruncated:
                 tail = np.sum(full.sigma[k:] ** 2)
                 got = frobenius_norm(M - f.reconstruct()) ** 2
                 assert abs(got - tail) <= 1e-9 * frobenius_norm(M) ** 2
+
+
+def spectrum_matrix(rng, m, n, sigma):
+    """Random orthogonal factors around a prescribed singular spectrum."""
+    qu, _ = np.linalg.qr(rng.standard_normal((m, len(sigma))))
+    qv, _ = np.linalg.qr(rng.standard_normal((n, len(sigma))))
+    return (qu * sigma) @ qv.T
+
+
+KERNEL_CASES = {
+    "tall": (lambda rng: rng.standard_normal((40, 25)), 3),
+    "wide": (lambda rng: rng.standard_normal((25, 40)), 3),
+    "row": (lambda rng: rng.standard_normal((1, 9)), 1),
+    "column": (lambda rng: rng.standard_normal((9, 1)), 1),
+    "k_is_min": (lambda rng: rng.standard_normal((30, 20)), 20),
+    "rank_deficient": (lambda rng: rng.standard_normal((30, 4)) @ rng.standard_normal((4, 20)), 6),
+    "zero": (lambda rng: np.zeros((6, 5)), 2),
+    "repeated_leading": (
+        lambda rng: spectrum_matrix(rng, 14, 12, [3.0, 3.0, 3.0, 2.0, 1.5, 1.0, 0.5]), 4),
+    "repeated_diagonal": (lambda rng: np.diag([3.0, 3.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.1]), 4),
+    "large_gapless": (lambda rng: rng.standard_normal((200, 150)), 4),
+}
+
+
+@pytest.fixture(params=["krylov", "dense"])
+def path(request, monkeypatch):
+    """Force one of svd_truncated's two paths, whatever the matrix size."""
+    monkeypatch.setattr(linalg, "GKL_MIN_DIM", 1 if request.param == "krylov" else 10**9)
+    return request.param
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_matches_dense_svd(case, rng, path):
+    """Either path agrees with LAPACK's full SVD to 1e-12 * sigma_1."""
+    build, k = KERNEL_CASES[case]
+    M = build(rng)
+    f = svd_truncated(M, k)
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    want = int(np.sum(s[:k] > 1e-12 * s[0])) if s[0] > 0 else 0
+    assert f.k == want
+    if want == 0:
+        return
+    tol = 1e-12 * s[0]
+    assert np.abs(f.sigma - s[:want]).max() <= tol
+    dense = (U[:, :want] * s[:want]) @ Vt[:want]
+    assert np.abs(f.reconstruct() - dense).max() <= tol
+    np.testing.assert_allclose(f.U.T @ f.U, np.eye(want), atol=1e-12)
+    np.testing.assert_allclose(f.V.T @ f.V, np.eye(want), atol=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    # the library runs on NumPy alone; a fresh interpreter shows what it loads
+    src = os.path.dirname(os.path.dirname(admira.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, admira; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_repeat_calls_bit_identical(rng, path):
+    M = rng.standard_normal((40, 30))
+    f1, f2 = svd_truncated(M, 4), svd_truncated(M.copy(), 4)
+    np.testing.assert_array_equal(f1.U, f2.U)
+    np.testing.assert_array_equal(f1.sigma, f2.sigma)
+    np.testing.assert_array_equal(f1.V, f2.V)
+
+
+def test_global_random_state_untouched(rng, path):
+    M = rng.standard_normal((12, 9))
+    np.random.seed(7)
+    want = np.random.random(3)
+    np.random.seed(7)
+    svd_truncated(M, 3)
+    svd_truncated(np.zeros((4, 4)), 2)
+    svd_truncated(np.diag([2.0, 2.0, 1.0, 0.0]), 3)
+    np.testing.assert_array_equal(np.random.random(3), want)
 
 
 class TestLeastSquaresMinnorm:

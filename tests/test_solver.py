@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admira.atoms import AtomSet, assemble, empty_expansion, leading_atoms
 from admira.operators import entry_sampler, gaussian_operator
@@ -43,21 +45,20 @@ class TestProxy:
     def test_initialization_is_adjoint_of_b(self, rng):
         op = gaussian_operator(4, 4, 10, seed=1)
         b = rng.standard_normal(10)
-        np.testing.assert_allclose(
-            proxy(op, b, empty_expansion(4, 4)), op.adjoint(b), atol=1e-14
-        )
+        np.testing.assert_allclose(proxy(op, b), op.adjoint(b), atol=1e-14)
 
     def test_fixed_point_is_zero(self, rng):
         op = full_sampler(4, 4)
         X = rank_r_matrix(4, 4, 2, rng)
         b = op.apply(X)
         xhat = leading_atoms(X, 2)
-        np.testing.assert_allclose(proxy(op, b, xhat), np.zeros((4, 4)), atol=1e-12)
+        residual = b - op.apply_expansion(xhat)
+        np.testing.assert_allclose(proxy(op, residual), np.zeros((4, 4)), atol=1e-12)
 
     def test_sampler_proxy_zero_fills(self, rng):
         op = entry_sampler(5, 5, 10, seed=3)
         b = rng.standard_normal(10)
-        P = proxy(op, b, empty_expansion(5, 5))
+        P = proxy(op, b)
         mask = np.zeros((5, 5), dtype=bool)
         mask[op.rows, op.cols] = True
         assert np.all(P[~mask] == 0.0)
@@ -138,7 +139,9 @@ class TestAdmiraStep:
         from admira.atoms import merge
 
         for _ in range(5):
-            sel = leading_atoms(proxy(op, b, state.expansion), 2 * r)
+            # the step's proxy reuses the residual: it must be b - A x_hat exactly
+            np.testing.assert_array_equal(state.residual, b - op.apply_expansion(state.expansion))
+            sel = leading_atoms(proxy(op, state.residual), 2 * r)
             merged = merge(sel.atoms, state.atom_set)
             state = admira_step(state, op, b, cfg)
             assert len(sel) <= 2 * r
@@ -233,6 +236,44 @@ class TestAdmiraSolve:
         assert [t.residual_l2 for t in with_truth.trace] == [t.residual_l2 for t in without.trace]
         assert all(t.error_fro is not None for t in with_truth.trace)
         assert all(t.error_fro is None for t in without.trace)
+
+
+def scaled_problem(seed):
+    # a well-sampled (p = 4 * m * n) 10x10 rank-2 problem
+    rng = np.random.default_rng(derive_seed(seed, "x"))
+    op = gaussian_operator(10, 10, 400, seed=derive_seed(seed, "op"))
+    X = rank_r_matrix(10, 10, 2, rng)
+    return op, X, op.apply(X)
+
+
+class TestScaleEquivariance:
+    """solve(c * b) = c * solve(b): the loop's decisions are scale-free."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31), k=st.integers(-900, 900))
+    def test_power_of_two_scales_exactly(self, seed, k):
+        op, X, b = scaled_problem(seed)
+        c = 2.0 ** k
+        base = admira_solve(op, b, AdmiraConfig(rank=2), truth=X)
+        scaled = admira_solve(op, c * b, AdmiraConfig(rank=2), truth=c * X)
+        assert scaled.stop_reason == base.stop_reason
+        np.testing.assert_array_equal(scaled.expansion.atoms.left, base.expansion.atoms.left)
+        np.testing.assert_array_equal(scaled.expansion.coeffs, c * base.expansion.coeffs)
+        assert [t.residual_l2 for t in scaled.trace] == [c * t.residual_l2 for t in base.trace]
+        assert [t.rel_residual for t in scaled.trace] == [t.rel_residual for t in base.trace]
+        assert [t.error_fro for t in scaled.trace] == [c * t.error_fro for t in base.trace]
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31), c=st.sampled_from([1e-300, 1e300]))
+    def test_extreme_scales(self, seed, c):
+        op, X, b = scaled_problem(seed)
+        base = admira_solve(op, b, AdmiraConfig(rank=2, max_iter=40))
+        scaled = admira_solve(op, c * b, AdmiraConfig(rank=2, max_iter=40))
+        assert scaled.stop_reason == base.stop_reason == CONVERGED
+        err = np.linalg.norm(scaled.matrix() / c - base.matrix()) / np.linalg.norm(base.matrix())
+        assert err <= 1e-9
+        assert all(np.isfinite(t.residual_l2) and np.isfinite(t.rel_residual)
+                   for t in scaled.trace)
 
 
 class TestUnrecoverableEnergy:
