@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .atoms import AtomExpansion, AtomSet, empty_expansion, leading_atoms, merge
 # the shrink keeps only triplets above tau, so a partial SVD serves it
 from .linalg import svd_truncated as svd
@@ -145,15 +146,18 @@ def _shrink_expansion(Y: np.ndarray, tau: float, s: int) -> AtomExpansion:
 
     ``s`` predicts how many exceed tau. The top ``s`` triplets are computed,
     with ``s`` grown by ``SVT_RANK_STEP`` until the smallest is at or below
-    tau, so every surviving triplet is found.
+    tau, so every surviving triplet is found. Below ``GKL_MIN_DIM`` each
+    call is a full LAPACK SVD, so a short prediction asks for all triplets
+    at once: at most two decompositions, the second one rare.
     """
     kmax = min(Y.shape)
+    step = kmax if kmax < linalg.GKL_MIN_DIM else SVT_RANK_STEP
     s = min(s, kmax)
     while True:
         f = svd(Y, s)
         if f.k < s or f.sigma[-1] <= tau or s == kmax:
             break
-        s = min(s + SVT_RANK_STEP, kmax)
+        s = min(s + step, kmax)
     keep = f.sigma > tau
     return AtomExpansion(AtomSet(f.U[:, keep], f.V[:, keep]), f.sigma[keep] - tau)
 

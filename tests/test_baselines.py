@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from admira import baselines, harness, linalg
 from admira.atoms import leading_atoms
 from admira.baselines import (
     PursuitConfig,
@@ -11,7 +12,7 @@ from admira.baselines import (
 )
 from admira.operators import entry_sampler, gaussian_operator
 from admira.seeding import derive_seed
-from admira.solver import CONVERGED, ZERO_PROXY
+from admira.solver import CONVERGED, ZERO_PROXY, AdmiraConfig, admira_solve
 
 
 def full_sampler(m, n):
@@ -118,6 +119,15 @@ class TestSvt:
         err = np.linalg.norm(res.matrix() - X, "fro") / np.linalg.norm(X, "fro")
         assert 20 * np.log10(1.0 / err) >= 70
 
+    def test_short_prediction_below_cutoff_takes_two_svds(self, monkeypatch):
+        # each call below GKL_MIN_DIM is a full SVD, so a miss asks for all
+        calls = []
+        real = baselines.svd
+        monkeypatch.setattr(baselines, "svd", lambda Y, s: calls.append(s) or real(Y, s))
+        exp = baselines._shrink_expansion(np.diag(np.arange(20.0, 0.0, -1.0)), 0.5, 1)
+        assert calls == [1, 20]
+        np.testing.assert_allclose(exp.coeffs, np.arange(19.5, 0.0, -1.0))
+
     def test_trace_shape_matches_solver(self, rng):
         op = entry_sampler(10, 10, 60, seed=4)
         X = rng.standard_normal((10, 1)) @ rng.standard_normal((1, 10))
@@ -125,3 +135,21 @@ class TestSvt:
         assert res.algorithm == "svt"
         assert res.iterations == len(res.trace)
         assert all(np.isfinite(row.rel_residual) for row in res.trace)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda prob: admira_solve(prob.operator, prob.b, AdmiraConfig(rank=2, max_iter=150)),
+    lambda prob: svt_solve(prob.operator, prob.b),
+], ids=["admira", "svt"])
+def test_krylov_path_repeats_exactly(solve, monkeypatch):
+    # a 30x30 completion problem forced onto the Krylov kernel, solved on
+    # freshly generated copies with other allocations held in between
+    monkeypatch.setattr(linalg, "GKL_MIN_DIM", 1)
+    runs, held = [], []
+    for size in (1, 777, 4099):
+        held.append(np.empty(size))
+        res = solve(harness.gen_problem(30, 30, 2, 700, seed=3))
+        runs.append((res.stop_reason, res.matrix().tobytes(),
+                     [t.residual_l2 for t in res.trace]))
+    assert runs[0][0] == CONVERGED
+    assert runs[1] == runs[0] and runs[2] == runs[0]

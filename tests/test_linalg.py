@@ -181,12 +181,29 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_repeat_calls_bit_identical(rng, path):
-    M = rng.standard_normal((40, 30))
-    f1, f2 = svd_truncated(M, 4), svd_truncated(M.copy(), 4)
-    np.testing.assert_array_equal(f1.U, f2.U)
-    np.testing.assert_array_equal(f1.sigma, f2.sigma)
-    np.testing.assert_array_equal(f1.V, f2.V)
+def at_offset(M, words):
+    """Copy of ``M`` starting ``words`` float64s past a 64-byte boundary."""
+    buf = np.empty(M.size + 8)
+    start = (words - buf.ctypes.data // 8) % 8
+    out = buf[start:start + M.size].reshape(M.shape)
+    out[...] = M
+    return out
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (30, 40), (120, 110)])
+def test_repeat_calls_bit_identical(rng, path, shape):
+    # the input at every 8-byte offset in a cache line, with allocations of
+    # varying size in between so the kernel's own buffers land elsewhere too
+    M = rng.standard_normal(shape)
+    M[rng.random(shape) < 0.8] = 0.0
+    first = svd_truncated(M, 4)
+    held = []
+    for words in range(8):
+        held.append(np.empty(int(rng.integers(1, 5000))))
+        f = svd_truncated(at_offset(M, words), 4)
+        np.testing.assert_array_equal(f.U, first.U)
+        np.testing.assert_array_equal(f.sigma, first.sigma)
+        np.testing.assert_array_equal(f.V, first.V)
 
 
 def test_global_random_state_untouched(rng, path):
