@@ -26,6 +26,7 @@ __all__ = [
     "leading_atoms",
     "merge",
     "project",
+    "vectorize",
     "assemble",
     "truncate_expansion",
 ]
@@ -176,8 +177,8 @@ def merge(set_a: AtomSet, set_b: AtomSet) -> AtomSet:
     return AtomSet(left[:, keep], right[:, keep])
 
 
-def _vectorized_atoms(aset: AtomSet) -> np.ndarray:
-    # column j is vec(outer(u_j, v_j)) in row-major order
+def vectorize(aset: AtomSet) -> np.ndarray:
+    """(mn, t) matrix whose column j is the row-major ``vec(outer(u_j, v_j))``."""
     return np.einsum("mt,nt->mnt", aset.left, aset.right).reshape(
         aset.m * aset.n, len(aset)
     )
@@ -195,7 +196,7 @@ def project(aset: AtomSet, M) -> np.ndarray:
         raise ValueError(f"matrix shape {A.shape} does not match atom set")
     if len(aset) == 0:
         return np.zeros_like(A)
-    coeffs = least_squares_minnorm(_vectorized_atoms(aset), A.ravel())
+    coeffs = least_squares_minnorm(vectorize(aset), A.ravel())
     return (aset.left * coeffs) @ aset.right.T
 
 

@@ -24,6 +24,7 @@ from .solver import (
     AdmiraResult,
     TraceRow,
     restricted_least_squares,
+    scale_measurements,
 )
 
 __all__ = [
@@ -80,11 +81,10 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
     each iteration (residual non-increasing); the MP variant only assigns
     the new atom its correlation coefficient
     ``<residual, A psi> / ||A psi||^2`` (the single-atom least-squares fit),
-    so both variants coincide on the first iteration.
+    so both variants coincide on the first iteration. Like ``admira_solve``
+    it iterates on ``b`` scaled by a power of two, so any finite scale works.
     """
-    y = op._check_vector(b)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("measurements contain non-finite entries")
+    y, e = scale_measurements(op, b)
     b_norm = float(np.linalg.norm(y))
     exp = empty_expansion(op.m, op.n)
     residual = y.copy()
@@ -108,12 +108,13 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
         residual = y - op.apply_expansion(exp)
         res = float(np.linalg.norm(residual))
         rel = res / b_norm
-        trace.append(TraceRow(k, res, rel))
+        trace.append(TraceRow(k, float(np.ldexp(res, e)), rel))
         if rel <= config.residual_tol:
             stop = CONVERGED
             break
 
-    return AdmiraResult(exp, trace, stop, algorithm=config.variant)
+    coeffs = np.ldexp(exp.coeffs, e)
+    return AdmiraResult(AtomExpansion(exp.atoms, coeffs), trace, stop, algorithm=config.variant)
 
 
 @dataclass(frozen=True)
@@ -174,9 +175,7 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
             "singular value thresholding requires an entry-sampling operator"
         )
     config = config or SvtConfig()
-    y = sampler._check_vector(b)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("measurements contain non-finite entries")
+    y = sampler.check_measurements(b)
 
     m, n, p = sampler.m, sampler.n, sampler.p
     tau = config.tau if config.tau is not None else 5.0 * np.sqrt(m * n)

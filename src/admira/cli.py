@@ -10,13 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import fileio, harness, ripcheck
-from .baselines import PursuitConfig, SvtConfig, rank_one_pursuit, svt_solve
 from .operators import EntrySampler, entry_sampler, gaussian_operator
 from .seeding import derive_seed
-from .solver import AdmiraConfig, admira_solve
 
 __all__ = ["main"]
 
@@ -68,32 +64,11 @@ class _Options:
                                  required=required, help=help, choices=choices)
 
 
-def _solver_config(args, rank):
-    kwargs = {"rank": rank}
-    if args.max_iter is not None:
-        kwargs["max_iter"] = args.max_iter
-    if args.tol is not None:
-        kwargs["residual_tol"] = args.tol
-    return AdmiraConfig(**kwargs)
-
-
 def _run_algorithm(alg, op, b, args, rank):
-    if alg == "admira":
-        return admira_solve(op, b, _solver_config(args, rank))
-    if alg in ("omp", "mp"):
-        kwargs = {"max_atoms": args.max_iter if args.max_iter is not None else rank,
-                  "variant": alg}
-        if args.tol is not None:
-            kwargs["residual_tol"] = args.tol
-        return rank_one_pursuit(op, b, PursuitConfig(**kwargs))
-    if alg == "svt":
-        kwargs = {}
-        if args.max_iter is not None:
-            kwargs["max_iter"] = args.max_iter
-        if args.tol is not None:
-            kwargs["residual_tol"] = args.tol
-        return svt_solve(op, b, SvtConfig(**kwargs))
-    raise ValueError(f"unknown algorithm {alg!r}")
+    if not 1 <= rank <= min(op.m, op.n):
+        raise SystemExit(f"admira: --r must be in [1, {min(op.m, op.n)}] for a "
+                         f"{op.m}x{op.n} matrix, got {rank}")
+    return harness.solve(alg, op, b, harness.default_config(alg, rank, args.max_iter, args.tol))
 
 
 def _emit_solution(result, args):
@@ -137,6 +112,8 @@ def cmd_solve(args):
 
 def cmd_complete(args):
     rows, cols, values = fileio.load_observed_entries(args.obs)
+    if rows.size == 0:
+        raise SystemExit(f"admira: no observed entries in {args.obs}")
     m = args.m if args.m is not None else int(rows.max()) + 1
     n = args.n if args.n is not None else int(cols.max()) + 1
     op = EntrySampler(m, n, rows, cols)

@@ -33,6 +33,8 @@ __all__ = [
     "gen_problem",
     "snr_recon",
     "snr_meas",
+    "default_config",
+    "solve",
     "run_trial",
     "run_sweep",
     "phase_transition",
@@ -60,7 +62,6 @@ class Problem:
     r_true: int
     p: int
     seed: int
-    snr_meas_target: float | None = None
 
 
 @dataclass
@@ -140,7 +141,7 @@ def gen_problem(
             raise ValueError("cannot set a measurement SNR for zero measurements")
         g = derive_rng(seed, "noise").standard_normal(p)
         nu = g * (clean_norm / np.linalg.norm(g)) * 10.0 ** (-snr_meas_db / 20.0)
-    return Problem(x_true, op, b_clean + nu, nu, n, m, r, p, seed, snr_meas_db)
+    return Problem(x_true, op, b_clean + nu, nu, n, m, r, p, seed)
 
 
 def snr_recon(x_true, x_hat) -> float:
@@ -162,43 +163,37 @@ def snr_meas(b_clean, nu) -> float:
     return 20.0 * math.log10(float(np.linalg.norm(np.asarray(b_clean, dtype=float))) / noise)
 
 
-def _default_config(algorithm: str, problem: Problem, max_iter=None, residual_tol=None):
+def default_config(algorithm: str, rank: int, max_iter=None, residual_tol=None):
+    """Configuration of ``algorithm`` for a rank-``rank`` target. ``None``
+    keeps a parameter's default; pursuit's atom budget defaults to ``rank``."""
+    tol = {} if residual_tol is None else {"residual_tol": residual_tol}
     if algorithm == "admira":
-        kwargs = {"rank": problem.r_true}
-        if max_iter is not None:
-            kwargs["max_iter"] = max_iter
-        if residual_tol is not None:
-            kwargs["residual_tol"] = residual_tol
-        return AdmiraConfig(**kwargs)
+        return AdmiraConfig(rank=rank, max_iter=max_iter, **tol)
     if algorithm in ("omp", "mp"):
-        kwargs = {"max_atoms": max_iter if max_iter is not None else problem.r_true,
-                  "variant": algorithm}
-        if residual_tol is not None:
-            kwargs["residual_tol"] = residual_tol
-        return PursuitConfig(**kwargs)
+        return PursuitConfig(max_atoms=rank if max_iter is None else max_iter,
+                             variant=algorithm, **tol)
     if algorithm == "svt":
-        kwargs = {}
-        if max_iter is not None:
-            kwargs["max_iter"] = max_iter
-        if residual_tol is not None:
-            kwargs["residual_tol"] = residual_tol
-        return SvtConfig(**kwargs)
+        return SvtConfig(**tol) if max_iter is None else SvtConfig(max_iter=max_iter, **tol)
+    raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+
+
+def solve(algorithm: str, op, b, config) -> AdmiraResult:
+    """Run ``algorithm`` with ``config`` on the measurements ``b`` of ``op``."""
+    if algorithm == "admira":
+        return admira_solve(op, b, config)
+    if algorithm in ("omp", "mp"):
+        return rank_one_pursuit(op, b, config)
+    if algorithm == "svt":
+        return svt_solve(op, b, config)
     raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
 def run_trial(problem: Problem, algorithm: str = "admira", config=None) -> TrialReport:
     """Solve one problem with one algorithm and report the usual metrics."""
     if config is None:
-        config = _default_config(algorithm, problem)
+        config = default_config(algorithm, problem.r_true)
     start = time.perf_counter()
-    if algorithm == "admira":
-        result = admira_solve(problem.operator, problem.b, config)
-    elif algorithm in ("omp", "mp"):
-        result = rank_one_pursuit(problem.operator, problem.b, config)
-    elif algorithm == "svt":
-        result = svt_solve(problem.operator, problem.b, config)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    result = solve(algorithm, problem.operator, problem.b, config)
     wall = time.perf_counter() - start
     return TrialReport(
         algorithm=algorithm,
@@ -247,7 +242,7 @@ def run_sweep(
             def task():
                 prob = gen_problem(n, m, r, p, kind=kind, snr_meas_db=snr_meas_db,
                                    seed=derive_seed(seed, "sweep", p, t))
-                cfg = _default_config(algorithm, prob, max_iter, residual_tol)
+                cfg = default_config(algorithm, prob.r_true, max_iter, residual_tol)
                 return run_trial(prob, algorithm, cfg)
             return task
 
@@ -288,7 +283,7 @@ def phase_transition(
         def task():
             prob = gen_problem(n, m, r, p, kind="entry",
                                seed=derive_seed(seed, "phase", r, p, t))
-            cfg = _default_config("admira", prob, max_iter, residual_tol)
+            cfg = default_config("admira", prob.r_true, max_iter, residual_tol)
             return run_trial(prob, "admira", cfg)
         return task
 
@@ -332,7 +327,7 @@ def compare_table(
         for alg in algorithms:
             def one(prob):
                 def task():
-                    cfg = _default_config(alg, prob, max_iter, residual_tol)
+                    cfg = default_config(alg, prob.r_true, max_iter, residual_tol)
                     return run_trial(prob, alg, cfg)
                 return task
 

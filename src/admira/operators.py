@@ -11,7 +11,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .atoms import AtomExpansion, AtomSet, assemble
+from .atoms import AtomExpansion, AtomSet, assemble, vectorize
 
 __all__ = [
     "MeasurementOperator",
@@ -55,6 +55,13 @@ class MeasurementOperator(ABC):
             raise ValueError(f"expected measurement length {self.p}, got {w.shape[0]}")
         return w
 
+    def check_measurements(self, b) -> np.ndarray:
+        """``b`` as a length-p float vector; ValueError unless every entry is finite."""
+        y = self._check_vector(b)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("measurements contain non-finite entries")
+        return y
+
     @abstractmethod
     def apply(self, X) -> np.ndarray:
         """Measure a dense matrix: returns a length-p vector."""
@@ -67,12 +74,9 @@ class MeasurementOperator(ABC):
         """Measure an atom expansion; equals ``apply(assemble(exp))``."""
         return self.apply(assemble(exp))
 
+    @abstractmethod
     def apply_atoms(self, aset: AtomSet) -> np.ndarray:
         """(p, t) matrix whose column j is the measurement of atom j."""
-        cols = np.empty((self.p, len(aset)))
-        for j in range(len(aset)):
-            cols[:, j] = self.apply(np.outer(aset.left[:, j], aset.right[:, j]))
-        return cols
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.m}, n={self.n}, p={self.p})"
@@ -103,6 +107,11 @@ class GaussianOperator(MeasurementOperator):
 
     def adjoint(self, y) -> np.ndarray:
         return (self.matrix.T @ self._check_vector(y)).reshape(self.m, self.n)
+
+    def apply_atoms(self, aset: AtomSet) -> np.ndarray:
+        # one GEMM reads the operator once for all t atoms; the (t, mn) @ (mn, p)
+        # orientation runs about twice as fast as matrix @ (mn, t) with one BLAS thread
+        return (vectorize(aset).T @ self.matrix.T).T
 
 
 class EntrySampler(MeasurementOperator):

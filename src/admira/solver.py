@@ -34,6 +34,7 @@ __all__ = [
     "proxy",
     "admira_step",
     "restricted_least_squares",
+    "scale_measurements",
     "admira_solve",
     "unrecoverable_energy",
     "CONVERGED",
@@ -157,8 +158,21 @@ def admira_step(state: AdmiraState, op, b, config: AdmiraConfig) -> AdmiraState:
     merged = merge(selection.atoms, state.atom_set)
     fitted = restricted_least_squares(op, b, merged, config.ls_rank_tol)
     truncated = truncate_expansion(fitted, r)
-    residual = op._check_vector(b) - op.apply_expansion(truncated)
+    residual = b - op.apply_expansion(truncated)
     return AdmiraState(truncated, state.iteration + 1, residual)
+
+
+def scale_measurements(op, b) -> tuple[np.ndarray, int]:
+    """``(b / 2^e, e)`` with ``max|b / 2^e|`` in [0.5, 1); ``b`` is checked
+    against ``op`` first.
+
+    No norm of the scaled vector under- or overflows at any finite scale of
+    ``b``; a power of two scales exactly, and ``np.ldexp(., e)`` maps
+    coefficients and norms back without rounding.
+    """
+    y = op.check_measurements(b)
+    e = int(np.frexp(np.abs(y).max())[1])
+    return np.ldexp(y, -e), e
 
 
 def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
@@ -180,19 +194,9 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
         Stop reason is "converged" (relative residual <= residual_tol),
         "stalled", "max_iter", or "zero_proxy".
     """
-    y = op._check_vector(b)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("measurements contain non-finite entries")
+    y, e = scale_measurements(op, b)
     if truth is not None:
-        truth = as_matrix(truth, "truth")
-
-    # iterate on b / 2^e with max|b| / 2^e in [0.5, 1), so no norm under- or
-    # overflows at any finite scale of b; a power of two scales exactly, and
-    # np.ldexp maps coefficients and norms back without rounding
-    e = int(np.frexp(np.abs(y).max())[1])
-    y = np.ldexp(y, -e)
-    if truth is not None:
-        truth = np.ldexp(truth, -e)
+        truth = np.ldexp(as_matrix(truth, "truth"), -e)
 
     b_norm = float(np.linalg.norm(y))
     state = AdmiraState(empty_expansion(op.m, op.n), 0, y.copy())

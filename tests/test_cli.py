@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import admira
 from admira.cli import main
 from admira import fileio
 
@@ -129,3 +134,26 @@ class TestCompareRip:
         assert read_lines(out)[0] == "r,delta_hat,samples,seed"
         assert read_lines(pairs)[0] == "pair_id,lhs,rhs_sqrt2,rhs_1"
         assert len(read_lines(pairs)) == 21
+
+
+class TestUserErrors:
+    @pytest.mark.parametrize("obs_text, rank, expect", [
+        ("", "1", "no observed entries"),
+        ("1 1 1.0\n1 2 2.0\n2 1 3.0\n2 2 4.0\n", "5", "--r must be in [1, 2]"),
+    ], ids=["empty_file", "rank_above_size"])
+    def test_one_line_on_stderr_and_status_1(self, tmp_path, obs_text, rank, expect):
+        obs = tmp_path / "obs.txt"
+        obs.write_text(obs_text)
+        sol = tmp_path / "sol.csv"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(admira.__file__)))
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        run = subprocess.run(
+            [sys.executable, "-m", "admira.cli", "complete", "--obs", str(obs), "--r", rank,
+             "--out", str(sol)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1 and expect in run.stderr
+        assert not sol.exists()

@@ -158,13 +158,20 @@ class TestExpansionPaths:
         op = entry_sampler(4, 4, 9, seed=2)
         np.testing.assert_array_equal(op.apply_expansion(empty_expansion(4, 4)), np.zeros(9))
 
-    def test_apply_atoms_columns(self, rng):
-        op = entry_sampler(5, 5, 10, seed=8)
-        exp = random_expansion(5, 5, 3, rng)
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    @pytest.mark.parametrize("make_op", [
+        lambda: gaussian_operator(6, 5, 14, seed=8),
+        lambda: entry_sampler(6, 5, 14, seed=8),
+    ], ids=["gaussian", "entry"])
+    def test_apply_atoms_columns(self, make_op, t, rng):
+        op = make_op()
+        exp = random_expansion(op.m, op.n, t, rng)
         cols = op.apply_atoms(exp.atoms)
-        for j in range(3):
-            single = np.outer(exp.atoms.left[:, j], exp.atoms.right[:, j])
-            np.testing.assert_allclose(cols[:, j], op.apply(single), atol=1e-12)
+        assert cols.shape == (op.p, t)
+        for j in range(t):
+            want = op.apply(np.outer(exp.atoms.left[:, j], exp.atoms.right[:, j]))
+            scale = max(np.linalg.norm(want), 1.0)
+            assert np.abs(cols[:, j] - want).max() <= 1e-12 * scale
 
     def test_sampler_single_atom_full_sampling(self, rng):
         op = entry_sampler(3, 3, 9, seed=6)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from admira.atoms import vectorize
 from admira.operators import MeasurementOperator, entry_sampler, gaussian_operator
 from admira.ripcheck import (
     estimate_delta,
@@ -23,6 +24,9 @@ class ScaledFullSampler(MeasurementOperator):
 
     def adjoint(self, y):
         return self.c * self._check_vector(y).reshape(self.m, self.n)
+
+    def apply_atoms(self, aset):
+        return self.c * vectorize(aset)
 
 
 class TestRandomLowRank:

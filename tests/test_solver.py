@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admira.atoms import AtomSet, assemble, empty_expansion, leading_atoms
+from admira.baselines import PursuitConfig, rank_one_pursuit
 from admira.operators import entry_sampler, gaussian_operator
 from admira.seeding import derive_seed
 from admira.solver import (
@@ -270,6 +271,36 @@ class TestScaleEquivariance:
         base = admira_solve(op, b, AdmiraConfig(rank=2, max_iter=40))
         scaled = admira_solve(op, c * b, AdmiraConfig(rank=2, max_iter=40))
         assert scaled.stop_reason == base.stop_reason == CONVERGED
+        err = np.linalg.norm(scaled.matrix() / c - base.matrix()) / np.linalg.norm(base.matrix())
+        assert err <= 1e-9
+        assert all(np.isfinite(t.residual_l2) and np.isfinite(t.rel_residual)
+                   for t in scaled.trace)
+
+    @pytest.mark.parametrize("variant", ["omp", "mp"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31), k=st.integers(-900, 900))
+    def test_pursuit_power_of_two_scales_exactly(self, variant, seed, k):
+        op, _, b = scaled_problem(seed)
+        c = 2.0 ** k
+        config = PursuitConfig(max_atoms=6, variant=variant)
+        base = rank_one_pursuit(op, b, config)
+        scaled = rank_one_pursuit(op, c * b, config)
+        assert scaled.stop_reason == base.stop_reason
+        np.testing.assert_array_equal(scaled.expansion.atoms.left, base.expansion.atoms.left)
+        np.testing.assert_array_equal(scaled.expansion.coeffs, c * base.expansion.coeffs)
+        assert [t.residual_l2 for t in scaled.trace] == [c * t.residual_l2 for t in base.trace]
+        assert [t.rel_residual for t in scaled.trace] == [t.rel_residual for t in base.trace]
+
+    @pytest.mark.parametrize("variant", ["omp", "mp"])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**31), c=st.sampled_from([1e-300, 1e300]))
+    def test_pursuit_extreme_scales(self, variant, seed, c):
+        op, _, b = scaled_problem(seed)
+        config = PursuitConfig(max_atoms=6, variant=variant)
+        base = rank_one_pursuit(op, b, config)
+        scaled = rank_one_pursuit(op, c * b, config)
+        assert scaled.stop_reason == base.stop_reason
+        assert scaled.iterations == base.iterations
         err = np.linalg.norm(scaled.matrix() / c - base.matrix()) / np.linalg.norm(base.matrix())
         assert err <= 1e-9
         assert all(np.isfinite(t.residual_l2) and np.isfinite(t.rel_residual)
