@@ -181,7 +181,10 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     tau = config.tau if config.tau is not None else 5.0 * np.sqrt(m * n)
     step = config.step if config.step is not None else 1.2 * m * n / p
 
-    b_norm = float(np.linalg.norm(y))
+    # norms are taken on y·2^-e (exact) and mapped back, so none under- or
+    # overflows at any finite scale; the iteration itself runs on y
+    y_scaled, e = scale_measurements(sampler, y)
+    b_norm = float(np.linalg.norm(y_scaled))
     if b_norm == 0.0:
         return AdmiraResult(empty_expansion(m, n), [], ZERO_PROXY, algorithm="svt")
 
@@ -197,9 +200,9 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
         # the shrunk rank rarely grows by more than one per iteration
         exp = _shrink_expansion(Y, tau, len(exp) + 1)
         residual = y - sampler.apply_expansion(exp)
-        res = float(np.linalg.norm(residual))
+        res = float(np.linalg.norm(np.ldexp(residual, -e)))
         rel = res / b_norm
-        trace.append(TraceRow(k, res, rel))
+        trace.append(TraceRow(k, float(np.ldexp(res, e)), rel))
         if rel <= config.residual_tol:
             stop = CONVERGED
             break

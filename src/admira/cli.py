@@ -183,7 +183,7 @@ def build_parser(cfg, known: set) -> argparse.ArgumentParser:
         o.add("--seed", type=int, default=0, help="master seed")
         o.add("--max-iter", type=int, help="iteration / atom budget override")
         o.add("--tol", type=float, help="relative residual tolerance override")
-        o.add("--threads", type=int, default=1, help="worker threads for trials")
+        o.add("--threads", type=int, default=1, help="worker processes for trials")
         return o
 
     p = sub.add_parser("gen", help="generate a problem and write it to disk")
@@ -257,14 +257,17 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    cfg = load_config(known.config) if known.config else {}
-    options: set[str] = set()
-    parser = build_parser(cfg, options)
-    for key in cfg:
-        if key.replace("_", "-") not in options:
-            raise SystemExit(f"admira: unknown key {key!r} in config file {known.config}")
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        cfg = load_config(known.config) if known.config else {}
+        options: set[str] = set()
+        parser = build_parser(cfg, options)
+        for key in cfg:
+            if key.replace("_", "-") not in options:
+                raise SystemExit(f"admira: unknown key {key!r} in config file {known.config}")
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"admira: {' '.join(str(exc).split())}") from None
 
 
 if __name__ == "__main__":

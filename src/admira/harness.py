@@ -2,17 +2,21 @@
 phase-transition grids, and algorithm comparison tables.
 
 Every randomized quantity derives from the master seed through the
-documented splittable scheme, and per-trial results are aggregated in a
-fixed order, so any run is exactly reproducible regardless of thread
-count. All CSV output goes through :mod:`admira.fileio` at full precision.
+documented splittable scheme, trials run with BLAS pinned to one thread,
+and per-trial results are aggregated in a fixed order, so any run is
+exactly reproducible regardless of worker or core count. All CSV output
+goes through :mod:`admira.fileio` at full precision.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
+import glob
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,12 +209,58 @@ def run_trial(problem: Problem, algorithm: str = "admira", config=None) -> Trial
     )
 
 
-def _map_ordered(tasks, threads: int):
-    # results come back in task order, so aggregation is thread-count independent
-    if threads <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda task: task(), tasks))
+@functools.cache
+def _openblas():
+    """``(get, set)`` thread-count functions of NumPy's bundled OpenBLAS,
+    or ``None`` when the library or its symbols are not found."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _pin_blas() -> int | None:
+    """Pin NumPy's OpenBLAS to one thread and return its previous count
+    (``None`` when the library is not found). BLAS rounding depends on its
+    thread count, so trials pinned to one give the same bits on any machine."""
+    blas = _openblas()
+    if blas is None:
+        return None
+    old = blas[0]()
+    blas[1](1)
+    return old
+
+
+def _trial(n, m, r, p, kind, snr_meas_db, seed, algorithm, max_iter, residual_tol):
+    prob = gen_problem(n, m, r, p, kind=kind, snr_meas_db=snr_meas_db, seed=seed)
+    config = default_config(algorithm, prob.r_true, max_iter, residual_tol)
+    return run_trial(prob, algorithm, config)
+
+
+def _map_ordered(tasks, threads: int) -> list[TrialReport]:
+    """``_trial(*task)`` for every task, in task order, on up to ``threads``
+    worker processes, so aggregation does not depend on the worker count."""
+    workers = min(threads, len(tasks))
+    old = _pin_blas()
+    try:
+        if workers <= 1:
+            return [_trial(*task) for task in tasks]
+        # imported here: multiprocessing would add ~1 MB to every process
+        # that imports the harness, solves alone included
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
+            return list(pool.map(_trial, *zip(*tasks)))
+    finally:
+        if old is not None:
+            _openblas()[1](old)
 
 
 def run_sweep(
@@ -234,22 +284,15 @@ def run_sweep(
     mean_iterations]``; also written as CSV when ``out`` is given.
     """
     dr = degrees_of_freedom(n, m, r)
+    ps = [min(int(round(ratio * dr)), m * n) for ratio in p_over_dr]
+    tasks = [(n, m, r, p, kind, snr_meas_db, derive_seed(seed, "sweep", p, t),
+              algorithm, max_iter, residual_tol) for p in ps for t in range(trials)]
+    reports = _map_ordered(tasks, threads)
     rows = []
-    for ratio in p_over_dr:
-        p = min(int(round(ratio * dr)), m * n)
-
-        def one(t, p=p):
-            def task():
-                prob = gen_problem(n, m, r, p, kind=kind, snr_meas_db=snr_meas_db,
-                                   seed=derive_seed(seed, "sweep", p, t))
-                cfg = default_config(algorithm, prob.r_true, max_iter, residual_tol)
-                return run_trial(prob, algorithm, cfg)
-            return task
-
-        reports = _map_ordered([one(t) for t in range(trials)], threads)
-        mean_snr = float(np.mean([rep.snr_recon_db for rep in reports]))
-        mean_iter = float(np.mean([rep.iterations for rep in reports]))
-        rows.append([ratio, p, mean_snr, mean_iter])
+    for k, (ratio, p) in enumerate(zip(p_over_dr, ps)):
+        group = reports[k * trials:(k + 1) * trials]
+        rows.append([ratio, p, float(np.mean([rep.snr_recon_db for rep in group])),
+                     float(np.mean([rep.iterations for rep in group]))])
     if out is not None:
         write_csv(out, ["p_over_dr", "p", "mean_snr_db", "mean_iterations"], rows)
     return rows
@@ -277,22 +320,11 @@ def phase_transition(
     r_values = tuple(int(r) for r in r_grid)
     if not p_values or not r_values:
         raise ValueError("p_grid and r_grid must be non-empty")
-    successes = np.zeros((len(r_values), len(p_values)), dtype=int)
-
-    def one(r, p, t):
-        def task():
-            prob = gen_problem(n, m, r, p, kind="entry",
-                               seed=derive_seed(seed, "phase", r, p, t))
-            cfg = default_config("admira", prob.r_true, max_iter, residual_tol)
-            return run_trial(prob, "admira", cfg)
-        return task
-
-    cells = [(i, j) for i in range(len(r_values)) for j in range(len(p_values))]
-    tasks = [one(r_values[i], p_values[j], t) for i, j in cells for t in range(trials)]
-    reports = _map_ordered(tasks, threads)
-    for idx, (i, j) in enumerate(c for c in cells for _ in range(trials)):
-        if reports[idx].snr_recon_db >= threshold_db:
-            successes[i, j] += 1
+    tasks = [(n, m, r, p, "entry", None, derive_seed(seed, "phase", r, p, t), "admira",
+              max_iter, residual_tol) for r in r_values for p in p_values for t in range(trials)]
+    hits = np.array([rep.snr_recon_db >= threshold_db for rep in _map_ordered(tasks, threads)],
+                    dtype=int)
+    successes = hits.reshape(len(r_values), len(p_values), trials).sum(axis=2)
 
     grid = PhaseGrid(n, m, p_values, r_values, trials, threshold_db, successes)
     if out is not None:
@@ -318,28 +350,21 @@ def compare_table(
     Returns rows ``[r, p_over_n2, p_over_dr, alg, snr_db, iters]`` averaged
     over trials; each algorithm sees the same problems.
     """
+    cases = [(r, alg) for r in r_list for alg in algorithms]
+    tasks = [(n, m, r, p, "entry", None, derive_seed(seed, "compare", r, t), alg,
+              max_iter, residual_tol) for r, alg in cases for t in range(trials)]
+    reports = _map_ordered(tasks, threads)
     rows = []
-    for r in r_list:
-        problems = [
-            gen_problem(n, m, r, p, kind="entry", seed=derive_seed(seed, "compare", r, t))
-            for t in range(trials)
-        ]
-        for alg in algorithms:
-            def one(prob):
-                def task():
-                    cfg = default_config(alg, prob.r_true, max_iter, residual_tol)
-                    return run_trial(prob, alg, cfg)
-                return task
-
-            reports = _map_ordered([one(prob) for prob in problems], threads)
-            rows.append([
-                r,
-                p / (n * m),
-                p / degrees_of_freedom(n, m, r),
-                alg,
-                float(np.mean([rep.snr_recon_db for rep in reports])),
-                float(np.mean([rep.iterations for rep in reports])),
-            ])
+    for k, (r, alg) in enumerate(cases):
+        group = reports[k * trials:(k + 1) * trials]
+        rows.append([
+            r,
+            p / (n * m),
+            p / degrees_of_freedom(n, m, r),
+            alg,
+            float(np.mean([rep.snr_recon_db for rep in group])),
+            float(np.mean([rep.iterations for rep in group])),
+        ])
     if out is not None:
         write_csv(out, ["r", "p_over_n2", "p_over_dr", "alg", "snr_db", "iters"], rows)
     return rows

@@ -160,12 +160,14 @@ class EntrySampler(MeasurementOperator):
         return Z
 
     def apply_expansion(self, exp: AtomExpansion) -> np.ndarray:
-        # O(p * t): only the sampled positions of each rank-one term are formed
+        # O(p * t): only the sampled positions of each rank-one term are formed;
+        # np.take gathers rows several times faster than fancy indexing
         s = exp.atoms
-        return (s.left[self.rows, :] * s.right[self.cols, :]) @ exp.coeffs
+        terms = np.take(s.left, self.rows, axis=0) * np.take(s.right, self.cols, axis=0)
+        return terms @ exp.coeffs
 
     def apply_atoms(self, aset: AtomSet) -> np.ndarray:
-        return aset.left[self.rows, :] * aset.right[self.cols, :]
+        return np.take(aset.left, self.rows, axis=0) * np.take(aset.right, self.cols, axis=0)
 
 
 def gaussian_operator(m, n, p, seed, max_bytes: int = DEFAULT_MEMORY_BUDGET):

@@ -4,7 +4,7 @@ Every randomized component of an experiment draws from a substream derived
 from (master seed, key path): ``derive_seed(master, "trial", 3)``. String
 keys hash through SHA-256 to 32-bit integers, integer keys are reduced
 mod 2**32, and the resulting tuple feeds ``numpy.random.SeedSequence``.
-Derivation is order-independent across workers, so thread count never
+Derivation is order-independent across workers, so worker count never
 changes the numbers.
 """
 

@@ -136,6 +136,21 @@ class TestSvt:
         assert res.iterations == len(res.trace)
         assert all(np.isfinite(row.rel_residual) for row in res.trace)
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_scales_keep_finite_residuals(self, scale, rng):
+        op = entry_sampler(10, 10, 60, seed=4)
+        X = rng.standard_normal((10, 1)) @ rng.standard_normal((1, 10))
+        b = op.apply(X) * scale
+        res = svt_solve(op, b, SvtConfig(max_iter=20))
+        assert res.stop_reason != ZERO_PROXY and res.iterations == 20
+        assert np.isfinite([[row.rel_residual, row.residual_l2] for row in res.trace]).all()
+        # the residual recomputed on b / 2^e, where no norm under- or overflows
+        e = int(np.frexp(np.abs(b).max())[1])
+        r = np.ldexp(b - op.apply(res.matrix()), -e)
+        want = np.linalg.norm(r) / np.linalg.norm(np.ldexp(b, -e))
+        assert res.trace[-1].rel_residual == pytest.approx(want, rel=1e-9)
+        assert res.trace[-1].residual_l2 == pytest.approx(np.ldexp(np.linalg.norm(r), e), rel=1e-9)
+
 
 @pytest.mark.parametrize("solve", [
     lambda prob: admira_solve(prob.operator, prob.b, AdmiraConfig(rank=2, max_iter=150)),

@@ -136,6 +136,14 @@ class TestCompareRip:
         assert len(read_lines(pairs)) == 21
 
 
+def run_cli(*args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(admira.__file__)))
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, "-m", "admira.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestUserErrors:
     @pytest.mark.parametrize("obs_text, rank, expect", [
         ("", "1", "no observed entries"),
@@ -145,15 +153,24 @@ class TestUserErrors:
         obs = tmp_path / "obs.txt"
         obs.write_text(obs_text)
         sol = tmp_path / "sol.csv"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(admira.__file__)))
-        path = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-        run = subprocess.run(
-            [sys.executable, "-m", "admira.cli", "complete", "--obs", str(obs), "--r", rank,
-             "--out", str(sol)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        run = run_cli("complete", "--obs", str(obs), "--r", rank, "--out", str(sol))
         assert run.returncode == 1
         assert run.stdout == ""
         assert len(run.stderr.splitlines()) == 1 and expect in run.stderr
         assert not sol.exists()
+
+    @pytest.mark.parametrize("args, expect", [
+        (["gen", "--n", "2", "--m", "2", "--r", "5", "--p", "3"], "r must be in [1, 2]"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "9", "--p-over-dr", "2", "--trials", "1"],
+         "r must be in [0, 4]"),
+        (["complete", "--obs", "{tmp}/missing.txt", "--r", "1"], "No such file"),
+        (["sweep", "--config", "{tmp}/missing.cfg"], "No such file"),
+    ], ids=["gen_rank", "sweep_rank", "missing_obs", "missing_config"])
+    def test_library_errors_end_in_one_line(self, tmp_path, args, expect):
+        out = tmp_path / "out.txt"
+        run = run_cli(*[a.format(tmp=tmp_path) for a in args], "--out", str(out))
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("admira: ") and expect in run.stderr
+        assert not out.exists()

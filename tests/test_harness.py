@@ -1,8 +1,13 @@
+import concurrent.futures
+import functools
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from admira import harness
 from admira.baselines import UnsupportedOperatorError
 from admira.harness import (
     compare_table,
@@ -181,6 +186,64 @@ class TestCompareTable:
         rows = compare_table(12, 12, [1], 100, trials=2, seed=42)
         by_alg = {r[3]: r for r in rows}
         assert by_alg["admira"][2] == by_alg["svt"][2]
+
+
+class TestWorkerPool:
+    # 100x100 problems select on the Krylov path, where BLAS does the work
+    @pytest.mark.parametrize("experiment", [
+        lambda threads: run_sweep(100, 100, 2, [6.0], trials=2, seed=51, max_iter=20,
+                                  threads=threads),
+        lambda threads: phase_transition(100, 100, [2400], [2], trials=2, seed=52, max_iter=20,
+                                         threads=threads).to_rows(),
+        lambda threads: compare_table(100, 100, [2], 2400, trials=2, seed=53,
+                                      algorithms=("admira", "svt"), max_iter=20,
+                                      threads=threads),
+    ], ids=["sweep", "phase", "compare"])
+    def test_workers_give_identical_rows(self, experiment):
+        assert experiment(2) == experiment(1)
+
+    def test_blas_pinned_during_trials_and_restored(self, monkeypatch):
+        blas = harness._openblas()
+        if blas is None:
+            pytest.skip("NumPy's bundled OpenBLAS not found")
+        get, put = blas
+        seen = []
+        real = harness.run_trial
+        monkeypatch.setattr(harness, "run_trial",
+                            lambda *args: seen.append(get()) or real(*args))
+        before = get()
+        try:
+            put(2)
+            run_sweep(12, 12, 1, [4.0], trials=2, seed=54)
+            assert seen == [1, 1]
+            assert get() == 2
+        finally:
+            put(before)
+
+    def test_worker_error_reaches_caller(self):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            run_sweep(12, 12, 1, [4.0], trials=2, seed=55, algorithm="nope", threads=2)
+
+    def test_workers_capped_at_task_count(self, monkeypatch):
+        started = []
+
+        def pool(max_workers, **kwargs):
+            # refuse before starting any process, should the cap be lost
+            assert max_workers <= 2
+            started.append(max_workers)
+            return ProcessPoolExecutor(max_workers, **kwargs)
+
+        serial = run_sweep(12, 12, 1, [4.0], trials=2, seed=56)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        assert run_sweep(12, 12, 1, [4.0], trials=2, seed=56, threads=64) == serial
+        assert started == [2]
+
+    def test_spawned_workers_give_identical_rows(self, monkeypatch):
+        serial = run_sweep(12, 12, 1, [4.0, 6.0], trials=2, seed=57)
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            functools.partial(ProcessPoolExecutor, mp_context=spawn))
+        assert run_sweep(12, 12, 1, [4.0, 6.0], trials=2, seed=57, threads=2) == serial
 
 
 class TestIncrementalRankSearch:

@@ -110,6 +110,15 @@ class TestEntrySampler:
         with pytest.raises(ValueError):
             EntrySampler(2, 2, [0, 2], [0, 0])
 
+    @pytest.mark.parametrize("t", [0, 1, 6])
+    def test_gathers_equal_fancy_indexing_exactly(self, t, rng):
+        op = entry_sampler(40, 30, 500, seed=6)
+        exp = random_expansion(op.m, op.n, t, rng)
+        s = exp.atoms
+        want = s.left[op.rows, :] * s.right[op.cols, :]
+        assert np.array_equal(op.apply_atoms(s), want)
+        assert np.array_equal(op.apply_expansion(exp), want @ exp.coeffs)
+
 
 class TestAdjointPairing:
     @pytest.mark.parametrize("make_op", [
