@@ -8,9 +8,9 @@ inner products of orthogonal low-rank pairs.
 """
 
 from admira import (
-    entry_sampler,
+    EntrySampler,
+    GaussianOperator,
     estimate_delta,
-    gaussian_operator,
     restricted_orthogonality_check,
 )
 
@@ -18,18 +18,18 @@ m = n = 10
 
 print("sampled lower bounds on delta_r (gaussian operator, growing p):")
 for p in (200, 600, 2000):
-    op = gaussian_operator(m, n, p, seed=3)
+    op = GaussianOperator(m, n, p, seed=3)
     line = f"  p = {p:5d}: "
     for r in (1, 2, 3):
         est = estimate_delta(op, r, 400, seed=17)
         line += f"delta_{r} >= {est.delta_hat:.3f}  "
     print(line)
 
-full = entry_sampler(m, n, m * n, seed=0)
+full = EntrySampler.random(m, n, m * n, seed=0)
 est = estimate_delta(full, 3, 200, seed=5)
 print(f"\nexhaustive sampler is an exact isometry: delta_3 >= {est.delta_hat:.2e}")
 
-op = gaussian_operator(m, n, 600, seed=3)
+op = GaussianOperator(m, n, 600, seed=3)
 rep = restricted_orthogonality_check(op, 2, 300, seed=23)
 print(f"\northogonal-pair stress test (r = 2, 300 pairs):")
 print(f"  augmented delta_hat      = {rep.delta_hat:.3f}")

@@ -8,14 +8,12 @@ seeded experiment harness (sweeps, phase grids, comparison tables).
 """
 
 from .atoms import (
-    Atom,
     AtomExpansion,
     AtomSet,
     assemble,
     empty_expansion,
     leading_atoms,
     merge,
-    project,
     truncate_expansion,
 )
 from .baselines import (
@@ -32,7 +30,6 @@ from .harness import (
     compare_table,
     degrees_of_freedom,
     gen_problem,
-    incremental_rank_search,
     phase_transition,
     run_sweep,
     run_trial,
@@ -43,8 +40,6 @@ from .linalg import (
     SvdFactors,
     frobenius_norm,
     least_squares_minnorm,
-    nuclear_norm,
-    svd,
     svd_truncated,
 )
 from .operators import (
@@ -52,8 +47,6 @@ from .operators import (
     GaussianOperator,
     MeasurementOperator,
     MemoryBudgetExceeded,
-    entry_sampler,
-    gaussian_operator,
 )
 from .ripcheck import (
     OrthogonalityReport,
@@ -67,12 +60,10 @@ from .solver import (
     AdmiraResult,
     AdmiraState,
     TraceRow,
-    UnrecoverableEnergy,
     admira_solve,
     admira_step,
     proxy,
     restricted_least_squares,
-    unrecoverable_energy,
 )
 
 __version__ = "0.1.0"

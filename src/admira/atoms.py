@@ -11,21 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    _finalize_triplets,
-    as_matrix,
-    least_squares_minnorm,
-    svd_truncated,
-)
+from .linalg import _finalize_triplets, svd_truncated
 
 __all__ = [
-    "Atom",
     "AtomSet",
     "AtomExpansion",
     "empty_expansion",
     "leading_atoms",
     "merge",
-    "project",
     "vectorize",
     "assemble",
     "truncate_expansion",
@@ -37,34 +30,13 @@ DUPLICATE_TOL = 1e-10
 UNIT_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class Atom:
-    """Unit-norm rank-one factor pair; represents the matrix ``outer(u, v)``."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float).ravel()
-        v = np.asarray(self.v, dtype=float).ravel()
-        for name, w in (("u", u), ("v", v)):
-            if abs(np.linalg.norm(w) - 1.0) > UNIT_TOL:
-                raise ValueError(f"atom factor {name} must have unit norm")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def matrix(self) -> np.ndarray:
-        return np.outer(self.u, self.v)
-
-
 class AtomSet:
     """Ordered atom collection stored as stacked left/right factors.
 
     ``left`` is (m, t) and ``right`` is (n, t); column j of each holds atom
-    j. Columns are unit norm; the curated constructors (`from_atoms`,
-    `merge`) additionally keep atoms pairwise non-collinear, while the raw
-    constructor accepts degenerate stacks so downstream truncation can
-    collapse them.
+    j. Columns are unit norm. `merge` additionally keeps atoms pairwise
+    non-collinear, while the constructor accepts degenerate stacks so
+    downstream truncation can collapse them.
     """
 
     def __init__(self, left, right):
@@ -86,21 +58,6 @@ class AtomSet:
     def empty(cls, m: int, n: int) -> "AtomSet":
         return cls(np.zeros((m, 0)), np.zeros((n, 0)))
 
-    @classmethod
-    def from_atoms(cls, atoms, m: int | None = None, n: int | None = None) -> "AtomSet":
-        atoms = list(atoms)
-        if not atoms:
-            if m is None or n is None:
-                raise ValueError("m and n are required for an empty atom set")
-            return cls.empty(m, n)
-        left = np.column_stack([a.u for a in atoms])
-        right = np.column_stack([a.v for a in atoms])
-        inner = (left.T @ left) * (right.T @ right)
-        np.fill_diagonal(inner, 0.0)
-        if np.abs(inner).max() >= 1.0 - DUPLICATE_TOL:
-            raise ValueError("atom set contains collinear atoms")
-        return cls(left, right)
-
     @property
     def m(self) -> int:
         return self.left.shape[0]
@@ -111,10 +68,6 @@ class AtomSet:
 
     def __len__(self) -> int:
         return self.left.shape[1]
-
-    def __iter__(self):
-        for j in range(len(self)):
-            yield Atom(self.left[:, j], self.right[:, j])
 
     def inner_products(self, other: "AtomSet") -> np.ndarray:
         """Pairwise Frobenius inner products ``<psi_i, phi_j>`` as a matrix."""
@@ -154,7 +107,8 @@ def leading_atoms(M, k: int) -> AtomExpansion:
     sets of size <= k this maximizes the Frobenius norm of the projection of
     ``M``.
     """
-    A = as_matrix(M)
+    # svd_truncated checks that M is 2-d and finite; one scan of the proxy is enough
+    A = np.asarray(M, dtype=float)
     if k < 1:
         raise ValueError("k must be positive")
     f = svd_truncated(A, min(k, min(A.shape)))
@@ -182,22 +136,6 @@ def vectorize(aset: AtomSet) -> np.ndarray:
     return np.einsum("mt,nt->mnt", aset.left, aset.right).reshape(
         aset.m * aset.n, len(aset)
     )
-
-
-def project(aset: AtomSet, M) -> np.ndarray:
-    """Orthogonal projection of ``M`` onto span(aset) in Frobenius geometry.
-
-    Computed by minimum-norm least squares on the vectorized atoms, so it is
-    exact (and idempotent) for non-orthonormal sets too. An empty set
-    projects everything to zero.
-    """
-    A = as_matrix(M)
-    if A.shape != (aset.m, aset.n):
-        raise ValueError(f"matrix shape {A.shape} does not match atom set")
-    if len(aset) == 0:
-        return np.zeros_like(A)
-    coeffs = least_squares_minnorm(vectorize(aset), A.ravel())
-    return (aset.left * coeffs) @ aset.right.T
 
 
 def assemble(exp: AtomExpansion) -> np.ndarray:

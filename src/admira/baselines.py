@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .atoms import AtomExpansion, AtomSet, empty_expansion, leading_atoms, merge
+from .atoms import DUPLICATE_TOL, AtomExpansion, AtomSet, empty_expansion, leading_atoms, merge
 # the shrink keeps only triplets above tau, so a partial SVD serves it
 from .linalg import svd_truncated as svd
 from .operators import EntrySampler
@@ -64,7 +64,7 @@ def _mp_append(exp: AtomExpansion, atom_set: AtomSet, coeff: float) -> AtomExpan
     if len(exp) > 0:
         inner = exp.atoms.inner_products(atom_set)[:, 0]
         j = int(np.abs(inner).argmax())
-        if abs(inner[j]) > 1.0 - 1e-10:
+        if abs(inner[j]) > 1.0 - DUPLICATE_TOL:
             coeffs = exp.coeffs.copy()
             coeffs[j] += coeff * np.sign(inner[j])
             return AtomExpansion(exp.atoms, coeffs)
@@ -121,23 +121,19 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
 class SvtConfig:
     """Singular value thresholding parameters.
 
-    ``tau = None`` resolves to ``5 * sqrt(m * n)`` and ``step = None`` to
-    ``1.2 * m * n / p`` — the standard choices from the SVT literature (this
-    solver is a comparison subject, so its knobs are plain configuration).
-    The stopping rule mirrors the main solver's relative-residual tolerance
-    for a fair iteration-count comparison.
+    ``tau = None`` resolves to ``5 * sqrt(m * n)``; the step size is always
+    ``1.2 * m * n / p``. Both are the standard choices from the SVT
+    literature. The stopping rule mirrors the main solver's relative-residual
+    tolerance for a fair iteration-count comparison.
     """
 
     tau: float | None = None
-    step: float | None = None
     max_iter: int = 500
     residual_tol: float = 1e-7
 
     def __post_init__(self):
         if self.tau is not None and self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
         if self.max_iter < 1 or self.residual_tol <= 0:
             raise ValueError("max_iter and residual_tol must be positive")
 
@@ -179,7 +175,7 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
 
     m, n, p = sampler.m, sampler.n, sampler.p
     tau = config.tau if config.tau is not None else 5.0 * np.sqrt(m * n)
-    step = config.step if config.step is not None else 1.2 * m * n / p
+    step = 1.2 * m * n / p
 
     # norms are taken on y·2^-e (exact) and mapped back, so none under- or
     # overflows at any finite scale; the iteration itself runs on y

@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from . import fileio, harness, ripcheck
-from .operators import EntrySampler, entry_sampler, gaussian_operator
+from .baselines import UnsupportedOperatorError
+from .operators import EntrySampler, GaussianOperator, MemoryBudgetExceeded
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -150,9 +151,9 @@ def cmd_compare(args):
 
 def cmd_rip(args):
     if args.kind == "gaussian":
-        op = gaussian_operator(args.m, args.n, args.p, derive_seed(args.seed, "rip-op"))
+        op = GaussianOperator(args.m, args.n, args.p, derive_seed(args.seed, "rip-op"))
     else:
-        op = entry_sampler(args.m, args.n, args.p, derive_seed(args.seed, "rip-op"))
+        op = EntrySampler.random(args.m, args.n, args.p, derive_seed(args.seed, "rip-op"))
     estimate = ripcheck.estimate_delta(op, args.r, args.samples, args.seed)
     fileio.save_rip_estimates(args.out, [estimate])
     print(f"delta_hat(r={args.r}) >= {estimate.delta_hat:.6f} "
@@ -266,7 +267,7 @@ def main(argv=None) -> int:
                 raise SystemExit(f"admira: unknown key {key!r} in config file {known.config}")
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryBudgetExceeded, UnsupportedOperatorError) as exc:
         raise SystemExit(f"admira: {' '.join(str(exc).split())}") from None
 
 

@@ -11,7 +11,6 @@ goes through :mod:`admira.fileio` at full precision.
 from __future__ import annotations
 
 import ctypes
-import dataclasses
 import functools
 import glob
 import math
@@ -25,7 +24,7 @@ from .atoms import assemble
 from .baselines import PursuitConfig, SvtConfig, rank_one_pursuit, svt_solve
 from .fileio import write_csv
 from .linalg import frobenius_norm
-from .operators import entry_sampler, gaussian_operator
+from .operators import EntrySampler, GaussianOperator
 from .seeding import derive_rng, derive_seed
 from .solver import AdmiraConfig, AdmiraResult, admira_solve
 
@@ -43,7 +42,6 @@ __all__ = [
     "run_sweep",
     "phase_transition",
     "compare_table",
-    "incremental_rank_search",
     "ALGORITHMS",
 ]
 
@@ -130,9 +128,9 @@ def gen_problem(
 
     op_seed = derive_seed(seed, "operator")
     if kind == "entry":
-        op = entry_sampler(m, n, p, op_seed)
+        op = EntrySampler.random(m, n, p, op_seed)
     elif kind == "gaussian":
-        op = gaussian_operator(m, n, p, op_seed)
+        op = GaussianOperator(m, n, p, op_seed)
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -368,27 +366,3 @@ def compare_table(
     if out is not None:
         write_csv(out, ["r", "p_over_n2", "p_over_dr", "alg", "snr_db", "iters"], rows)
     return rows
-
-
-def incremental_rank_search(op, b, r_max: int, config: AdmiraConfig | None = None) -> AdmiraResult:
-    """Search r = 1, 2, ... for the smallest rank that fits the measurements.
-
-    Returns the first result whose relative residual meets the tolerance,
-    or the best-residual result seen up to ``r_max``. ``config`` supplies
-    tolerances; its rank is overridden (and ``max_iter = None`` keeps the
-    per-rank default).
-    """
-    if r_max < 1:
-        raise ValueError("r_max must be positive")
-    base = config if config is not None else AdmiraConfig(rank=1)
-    best = None
-    best_rel = math.inf
-    for r in range(1, r_max + 1):
-        cfg = dataclasses.replace(base, rank=r)
-        result = admira_solve(op, b, cfg)
-        rel = result.trace[-1].rel_residual if result.trace else 0.0
-        if rel <= cfg.residual_tol:
-            return result
-        if rel < best_rel:
-            best, best_rel = result, rel
-    return best

@@ -14,11 +14,9 @@ import numpy as np
 
 __all__ = [
     "SvdFactors",
-    "svd",
     "svd_truncated",
     "least_squares_minnorm",
     "frobenius_norm",
-    "nuclear_norm",
     "as_matrix",
     "fix_signs",
 ]
@@ -26,7 +24,7 @@ __all__ = [
 # singular values below NEGLIGIBLE_SIGMA * sigma_1 count as numerical noise
 NEGLIGIBLE_SIGMA = 1e-12
 
-# default relative cutoff deciding the numerical rank in least squares
+# relative cutoff deciding the numerical rank in least squares (lstsq's rcond)
 DEFAULT_RANK_TOL = 1e-10
 
 # a Krylov top-k selection takes some 35 Lanczos steps of a few NumPy calls
@@ -97,26 +95,6 @@ def fix_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             U[:, j] = -col
             V[:, j] = -V[:, j]
     return U, V
-
-
-def svd(M) -> SvdFactors:
-    """Full singular value decomposition with deterministic signs.
-
-    Parameters
-    ----------
-    M : array_like, shape (m, n)
-        Real matrix with finite entries.
-
-    Returns
-    -------
-    SvdFactors
-        Factors with ``k = min(m, n)``; ``reconstruct()`` recovers ``M`` to
-        machine precision.
-    """
-    A = as_matrix(M)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    U, V = fix_signs(U, Vt.T)
-    return SvdFactors(U, s, V)
 
 
 def _finalize_triplets(U, s, V, k):
@@ -246,13 +224,13 @@ def _gkl_topk(A, k):
     return U[:j].T @ P[:, :k], s[:k], V[:j].T @ Qt[:k].T
 
 
-def least_squares_minnorm(Phi, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def least_squares_minnorm(Phi, b) -> np.ndarray:
     """Minimum-norm least-squares solution of ``Phi @ x ~ b``.
 
-    The numerical rank is decided by singular values >= ``rank_tol`` times
-    the largest one, and the minimizer with the smallest 2-norm is returned,
-    so rank-deficient or duplicated columns are handled rather than
-    rejected. ``b = 0`` returns the zero vector.
+    The numerical rank counts the singular values >= ``DEFAULT_RANK_TOL``
+    times the largest one, and the minimizer with the smallest 2-norm is
+    returned, so rank-deficient or duplicated columns are handled rather
+    than rejected. ``b = 0`` returns the zero vector.
     """
     A = as_matrix(Phi, "Phi")
     y = np.asarray(b, dtype=float).ravel()
@@ -262,14 +240,9 @@ def least_squares_minnorm(Phi, b, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndar
         raise ValueError("b contains non-finite entries")
     if not y.any():
         return np.zeros(A.shape[1])
-    x, *_ = np.linalg.lstsq(A, y, rcond=rank_tol)
+    x, *_ = np.linalg.lstsq(A, y, rcond=DEFAULT_RANK_TOL)
     return x
 
 
 def frobenius_norm(M) -> float:
     return float(np.linalg.norm(as_matrix(M), "fro"))
-
-
-def nuclear_norm(M) -> float:
-    """Sum of all singular values of ``M``."""
-    return float(np.linalg.svd(as_matrix(M), compute_uv=False).sum())

@@ -17,8 +17,6 @@ __all__ = [
     "MeasurementOperator",
     "GaussianOperator",
     "EntrySampler",
-    "gaussian_operator",
-    "entry_sampler",
     "MemoryBudgetExceeded",
     "DEFAULT_MEMORY_BUDGET",
 ]
@@ -168,13 +166,3 @@ class EntrySampler(MeasurementOperator):
 
     def apply_atoms(self, aset: AtomSet) -> np.ndarray:
         return np.take(aset.left, self.rows, axis=0) * np.take(aset.right, self.cols, axis=0)
-
-
-def gaussian_operator(m, n, p, seed, max_bytes: int = DEFAULT_MEMORY_BUDGET):
-    """Build a dense Gaussian operator (entries i.i.d. N(0, 1/p))."""
-    return GaussianOperator(m, n, p, seed, max_bytes=max_bytes)
-
-
-def entry_sampler(m, n, p, seed):
-    """Build an entry sampler with p distinct uniform positions."""
-    return EntrySampler.random(m, n, p, seed)

@@ -23,20 +23,18 @@ from .atoms import (
     merge,
     truncate_expansion,
 )
-from .linalg import DEFAULT_RANK_TOL, as_matrix, frobenius_norm, least_squares_minnorm
+from .linalg import as_matrix, frobenius_norm, least_squares_minnorm
 
 __all__ = [
     "AdmiraConfig",
     "AdmiraState",
     "AdmiraResult",
     "TraceRow",
-    "UnrecoverableEnergy",
     "proxy",
     "admira_step",
     "restricted_least_squares",
     "scale_measurements",
     "admira_solve",
-    "unrecoverable_energy",
     "CONVERGED",
     "MAX_ITER",
     "STALLED",
@@ -48,8 +46,11 @@ MAX_ITER = "max_iter"
 STALLED = "stalled"
 ZERO_PROXY = "zero_proxy"
 
-# consecutive small relative residual changes before declaring a stall
+# STALL_WINDOW consecutive relative residual changes below STALL_TOL stop
+# the loop (operators without isometry behaviour, such as entry samplers,
+# can cycle)
 STALL_WINDOW = 3
+STALL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,24 +59,22 @@ class AdmiraConfig:
 
     ``max_iter = None`` resolves to ``6 * (rank + 1)``, the point past which
     extra iterations stop paying off. ``residual_tol`` is relative to
-    ``||b||_2``; ``stall_tol`` bounds the relative residual change that,
-    sustained over three iterations, stops the loop (measurement operators
-    without isometry behaviour, such as entry samplers, can cycle).
+    ``||b||_2``. The stall test (``STALL_TOL`` over ``STALL_WINDOW``
+    iterations) and the least-squares rank cutoff (``DEFAULT_RANK_TOL``)
+    are fixed.
     """
 
     rank: int
     max_iter: int | None = None
     residual_tol: float = 1e-7
-    stall_tol: float = 1e-6
-    ls_rank_tol: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be positive")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if min(self.residual_tol, self.stall_tol, self.ls_rank_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.residual_tol <= 0:
+            raise ValueError("residual_tol must be positive")
 
     @property
     def iteration_limit(self) -> int:
@@ -127,9 +126,7 @@ def proxy(op, residual) -> np.ndarray:
     return op.adjoint(residual)
 
 
-def restricted_least_squares(
-    op, b, aset: AtomSet, ls_rank_tol: float = DEFAULT_RANK_TOL
-) -> AtomExpansion:
+def restricted_least_squares(op, b, aset: AtomSet) -> AtomExpansion:
     """Least-squares fit of ``b`` over span(aset) in measurement space.
 
     Column j of the design matrix is the measurement of atom j; the
@@ -139,7 +136,7 @@ def restricted_least_squares(
     if len(aset) == 0:
         raise ValueError("atom set must be non-empty")
     Phi = op.apply_atoms(aset)
-    coeffs = least_squares_minnorm(Phi, b, ls_rank_tol)
+    coeffs = least_squares_minnorm(Phi, b)
     return AtomExpansion(aset, coeffs)
 
 
@@ -156,7 +153,7 @@ def admira_step(state: AdmiraState, op, b, config: AdmiraConfig) -> AdmiraState:
     if len(selection) == 0:
         return AdmiraState(state.expansion, state.iteration, state.residual, zero_proxy=True)
     merged = merge(selection.atoms, state.atom_set)
-    fitted = restricted_least_squares(op, b, merged, config.ls_rank_tol)
+    fitted = restricted_least_squares(op, b, merged)
     truncated = truncate_expansion(fitted, r)
     residual = b - op.apply_expansion(truncated)
     return AdmiraState(truncated, state.iteration + 1, residual)
@@ -220,37 +217,9 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
             break
         changes.append(abs(prev_res - res) / max(prev_res, 1e-300))
         prev_res = res
-        if len(changes) == STALL_WINDOW and max(changes) < config.stall_tol:
+        if len(changes) == STALL_WINDOW and max(changes) < STALL_TOL:
             stop = STALLED
             break
 
     exp = state.expansion
     return AdmiraResult(AtomExpansion(exp.atoms, np.ldexp(exp.coeffs, e)), trace, stop)
-
-
-@dataclass(frozen=True)
-class UnrecoverableEnergy:
-    """Inherent error floor of rank-r recovery from noisy measurements.
-
-    ``value`` is the sum of the three components: Frobenius norm of the
-    rank-r tail, nuclear norm of the tail scaled by r**-0.5, and the noise
-    2-norm. A matrix of rank <= r with clean measurements has value 0.
-    """
-
-    value: float
-    tail_frobenius: float
-    tail_nuclear_scaled: float
-    noise_l2: float
-
-
-def unrecoverable_energy(X, r: int, nu=None) -> UnrecoverableEnergy:
-    """Evaluate the error floor for approximating ``X`` at rank ``r``."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    A = as_matrix(X)
-    s = np.linalg.svd(A, compute_uv=False)
-    tail = s[r:]
-    tail_fro = float(np.linalg.norm(tail))
-    tail_nuc = float(tail.sum()) / np.sqrt(r)
-    noise = 0.0 if nu is None else float(np.linalg.norm(np.asarray(nu, dtype=float)))
-    return UnrecoverableEnergy(tail_fro + tail_nuc + noise, tail_fro, tail_nuc, noise)

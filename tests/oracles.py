@@ -45,3 +45,13 @@ def projection_norm_orthonormal(left, right, M):
     """||P_Psi M||_F for an orthonormal atom set given by stacked factors."""
     inner = np.einsum("mt,mn,nt->t", left, M, right)
     return float(np.linalg.norm(inner))
+
+
+def projection(left, right, M):
+    """Frobenius projection of M onto the span of the atoms with stacked
+    factors (left, right), by least squares on the vectorized atoms, so it
+    is exact for non-orthonormal sets too."""
+    M = np.asarray(M, dtype=float)
+    atoms = np.einsum("mt,nt->mnt", left, right).reshape(M.size, left.shape[1])
+    coeffs, *_ = np.linalg.lstsq(atoms, M.ravel(), rcond=None)
+    return (atoms @ coeffs).reshape(M.shape)

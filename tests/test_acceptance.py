@@ -28,8 +28,8 @@ from admira.harness import (
     phase_transition,
     snr_recon,
 )
-from admira.linalg import frobenius_norm, svd, svd_truncated
-from admira.operators import entry_sampler, gaussian_operator
+from admira.linalg import frobenius_norm, svd_truncated
+from admira.operators import EntrySampler, GaussianOperator
 from admira.ripcheck import restricted_orthogonality_check
 from admira.seeding import derive_seed
 from admira.solver import CONVERGED, AdmiraConfig, admira_solve
@@ -146,14 +146,14 @@ def test_gate_05_spectral_correctness():
     for _ in range(500):
         m, n = rng.integers(1, 7, size=2)
         M = rng.standard_normal((m, n))
-        got = svd(M).sigma
+        got = svd_truncated(M, min(m, n)).sigma
         want = singular_values_charpoly(M)
         worst_sigma = max(worst_sigma,
                           np.abs(got - want).max() / max(got[0], 1.0))
     worst_tail = 0.0
     for _ in range(200):
         M = rng.standard_normal((8, 8))
-        sigma = svd(M).sigma
+        sigma = svd_truncated(M, 8).sigma
         for k in (1, 2, 3):
             f = svd_truncated(M, k)
             tail = float(np.sum(sigma[k:] ** 2))
@@ -168,8 +168,8 @@ def test_gate_06_operator_correctness():
     # adjoint pairing within 1e-10 relative on 1000 probes per operator
     # kind; expansion path equals dense path within 1e-10 on 100 expansions
     rng = np.random.default_rng(SEED_OPERATORS)
-    ops = [gaussian_operator(6, 5, 17, seed=derive_seed(SEED_OPERATORS, "g")),
-           entry_sampler(6, 5, 17, seed=derive_seed(SEED_OPERATORS, "e"))]
+    ops = [GaussianOperator(6, 5, 17, seed=derive_seed(SEED_OPERATORS, "g")),
+           EntrySampler.random(6, 5, 17, seed=derive_seed(SEED_OPERATORS, "e"))]
     worst_pair = 0.0
     for op in ops:
         for _ in range(1000):
@@ -202,7 +202,7 @@ def test_gate_06_operator_correctness():
 def test_gate_07_restricted_orthogonality():
     # gaussian 10x10, p=600, r=2, 500 orthogonal pairs: zero violations of
     # the sqrt(2) bound with the augmented delta; constant-1 informational
-    op = gaussian_operator(10, 10, 600, seed=derive_seed(SEED_ORTHO, "op"))
+    op = GaussianOperator(10, 10, 600, seed=derive_seed(SEED_ORTHO, "op"))
     rep = restricted_orthogonality_check(op, 2, 500, seed=SEED_ORTHO)
     ok = rep.violations_sqrt2 == 0
     gate("7 restricted orthogonality", ok,

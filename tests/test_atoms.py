@@ -1,55 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admira.atoms import (
-    Atom,
     AtomExpansion,
     AtomSet,
     assemble,
     empty_expansion,
     leading_atoms,
     merge,
-    project,
     truncate_expansion,
 )
 from admira.linalg import frobenius_norm
 
-from oracles import projection_norm_orthonormal, random_orthonormal_atoms
+from oracles import projection, projection_norm_orthonormal, random_orthonormal_atoms
 
 RT2 = np.sqrt(2.0)
 
 
 def basis_atom(m, n, i, j):
-    u = np.zeros(m)
-    v = np.zeros(n)
-    u[i] = 1.0
-    v[j] = 1.0
-    return Atom(u, v)
+    """One-atom set holding the coordinate matrix e_i e_j^T."""
+    left = np.zeros((m, 1))
+    right = np.zeros((n, 1))
+    left[i] = right[j] = 1.0
+    return AtomSet(left, right)
 
 
 class TestTypes:
-    def test_atom_requires_unit_norm(self):
+    def test_set_requires_unit_norm(self):
         with pytest.raises(ValueError):
-            Atom(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
-
-    def test_atom_matrix(self):
-        a = basis_atom(2, 3, 0, 1)
-        assert a.matrix()[0, 1] == 1.0 and a.matrix().sum() == 1.0
-
-    def test_set_rejects_collinear(self):
-        a = basis_atom(2, 2, 0, 0)
+            AtomSet([[2.0], [0.0]], [[1.0], [0.0]])
         with pytest.raises(ValueError):
-            AtomSet.from_atoms([a, a])
+            AtomSet([[1.0], [0.0]], [[0.6], [0.0]])
 
     def test_expansion_coeff_count(self):
-        aset = AtomSet.from_atoms([basis_atom(2, 2, 0, 0)])
         with pytest.raises(ValueError):
-            AtomExpansion(aset, np.zeros(2))
-
-    def test_iteration(self):
-        aset = AtomSet.from_atoms([basis_atom(3, 3, 0, 0), basis_atom(3, 3, 1, 1)])
-        assert len(aset) == 2
-        assert all(isinstance(a, Atom) for a in aset)
+            AtomExpansion(basis_atom(2, 2, 0, 0), np.zeros(2))
 
 
 class TestLeadingAtoms:
@@ -92,22 +79,19 @@ class TestLeadingAtoms:
 
 class TestMerge:
     def test_empty_identity(self):
-        aset = AtomSet.from_atoms([basis_atom(2, 2, 0, 0)])
-        merged = merge(aset, AtomSet.empty(2, 2))
+        merged = merge(basis_atom(2, 2, 0, 0), AtomSet.empty(2, 2))
         assert len(merged) == 1
 
     def test_duplicate_dropped(self):
-        a = AtomSet.from_atoms([basis_atom(2, 2, 0, 0)])
+        a = basis_atom(2, 2, 0, 0)
         assert len(merge(a, a)) == 1
 
     def test_orthogonal_union(self):
-        a = AtomSet.from_atoms([basis_atom(2, 2, 0, 0)])
-        b = AtomSet.from_atoms([basis_atom(2, 2, 1, 1)])
-        assert len(merge(a, b)) == 2
+        assert len(merge(basis_atom(2, 2, 0, 0), basis_atom(2, 2, 1, 1))) == 2
 
     def test_sign_flipped_duplicate_dropped(self):
-        a = AtomSet.from_atoms([Atom([1.0, 0.0], [0.0, 1.0])])
-        b = AtomSet.from_atoms([Atom([-1.0, 0.0], [0.0, 1.0])])
+        a = AtomSet([[1.0], [0.0]], [[0.0], [1.0]])
+        b = AtomSet([[-1.0], [0.0]], [[0.0], [1.0]])
         assert len(merge(a, b)) == 1
 
     def test_never_reduces_span(self, rng):
@@ -119,48 +103,9 @@ class TestMerge:
             coeffs = rng.standard_normal(2)
             M = (qu * coeffs) @ qv.T  # lies in span(a)
             merged = merge(a, b)
-            err_merged = frobenius_norm(project(merged, M) - M)
-            err_a = frobenius_norm(project(a, M) - M)
+            err_merged = frobenius_norm(projection(merged.left, merged.right, M) - M)
+            err_a = frobenius_norm(projection(qu, qv, M) - M)
             assert err_merged <= err_a + 1e-10
-
-
-class TestProject:
-    def test_coordinate_projection(self):
-        aset = AtomSet.from_atoms([basis_atom(2, 2, 0, 0)])
-        got = project(aset, np.array([[5.0, 1.0], [2.0, 3.0]]))
-        np.testing.assert_allclose(got, [[5.0, 0.0], [0.0, 0.0]])
-
-    def test_projects_to_itself_in_span(self, rng):
-        qu, qv = random_orthonormal_atoms(5, 5, 3, rng)
-        aset = AtomSet(qu, qv)
-        M = (qu * rng.standard_normal(3)) @ qv.T
-        np.testing.assert_allclose(project(aset, M), M, atol=1e-10)
-
-    def test_one_dimensional_formula(self, rng):
-        # projection on a single atom is <M, psi> psi
-        u = rng.standard_normal(4)
-        v = rng.standard_normal(6)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        aset = AtomSet.from_atoms([Atom(u, v)])
-        M = rng.standard_normal((4, 6))
-        np.testing.assert_allclose(project(aset, M), (u @ M @ v) * np.outer(u, v), atol=1e-12)
-
-    def test_idempotent(self, rng):
-        for _ in range(20):
-            qu, qv = random_orthonormal_atoms(6, 4, 2, rng)
-            # make the set non-orthonormal by mixing directions
-            left = np.column_stack([qu[:, 0], (qu[:, 0] + qu[:, 1]) / np.sqrt(2.0)])
-            aset = AtomSet(left, qv)
-            M = rng.standard_normal((6, 4))
-            once = project(aset, M)
-            twice = project(aset, once)
-            assert frobenius_norm(twice - once) <= 1e-10 * max(frobenius_norm(M), 1.0)
-
-    def test_empty_set(self):
-        np.testing.assert_array_equal(
-            project(AtomSet.empty(2, 3), np.ones((2, 3))), np.zeros((2, 3))
-        )
 
 
 class TestAssemble:
@@ -168,7 +113,7 @@ class TestAssemble:
         np.testing.assert_array_equal(assemble(empty_expansion(2, 3)), np.zeros((2, 3)))
 
     def test_single_atom(self):
-        exp = AtomExpansion(AtomSet.from_atoms([basis_atom(2, 3, 0, 1)]), [7.0])
+        exp = AtomExpansion(basis_atom(2, 3, 0, 1), [7.0])
         want = np.zeros((2, 3))
         want[0, 1] = 7.0
         np.testing.assert_array_equal(assemble(exp), want)
@@ -208,17 +153,22 @@ class TestTruncateExpansion:
             want = assemble(leading_atoms(dense, 2))
             assert frobenius_norm(assemble(out) - want) <= 1e-8
 
-    def test_eckart_young_tail(self, rng):
-        left = rng.standard_normal((8, 5))
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 8), n=st.integers(1, 8), t=st.integers(1, 10),
+           r=st.integers(1, 10), seed=st.integers(0, 2**31))
+    def test_eckart_young_tail(self, m, n, t, r, seed):
+        # ||E - trunc_r(E)||_F^2 = sum_{j>r} sigma_j^2, with t > min(m, n)
+        # atoms (a degenerate stack) included
+        rng = np.random.default_rng(seed)
+        left = rng.standard_normal((m, t))
         left /= np.linalg.norm(left, axis=0)
-        right = rng.standard_normal((8, 5))
+        right = rng.standard_normal((n, t))
         right /= np.linalg.norm(right, axis=0)
-        exp = AtomExpansion(AtomSet(left, right), rng.standard_normal(5))
+        exp = AtomExpansion(AtomSet(left, right), rng.standard_normal(t))
         dense = assemble(exp)
         s = np.linalg.svd(dense, compute_uv=False)
-        for r in (1, 2, 3):
-            err = frobenius_norm(assemble(truncate_expansion(exp, r)) - dense)
-            assert abs(err - np.linalg.norm(s[r:])) <= 1e-8
+        err = frobenius_norm(assemble(truncate_expansion(exp, r)) - dense)
+        assert abs(err**2 - np.sum(s[r:] ** 2)) <= 1e-10 * np.sum(np.abs(exp.coeffs)) ** 2
 
     def test_rank_bound(self, rng):
         left = rng.standard_normal((6, 4))

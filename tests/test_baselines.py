@@ -10,13 +10,13 @@ from admira.baselines import (
     rank_one_pursuit,
     svt_solve,
 )
-from admira.operators import entry_sampler, gaussian_operator
+from admira.operators import EntrySampler, GaussianOperator
 from admira.seeding import derive_seed
 from admira.solver import CONVERGED, ZERO_PROXY, AdmiraConfig, admira_solve
 
 
 def full_sampler(m, n):
-    return entry_sampler(m, n, m * n, seed=0)
+    return EntrySampler.random(m, n, m * n, seed=0)
 
 
 class TestRankOnePursuit:
@@ -42,7 +42,7 @@ class TestRankOnePursuit:
         for t in range(10):
             seed = derive_seed(555, t)
             rng = np.random.default_rng(derive_seed(seed, "x"))
-            op = gaussian_operator(10, 10, 120, seed=derive_seed(seed, "op"))
+            op = GaussianOperator(10, 10, 120, seed=derive_seed(seed, "op"))
             X = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 10))
             b = op.apply(X)
             res = rank_one_pursuit(op, b, PursuitConfig(max_atoms=8))
@@ -50,7 +50,7 @@ class TestRankOnePursuit:
             assert all(rels[i + 1] <= rels[i] + 1e-10 for i in range(len(rels) - 1))
 
     def test_omp_strictly_decreasing_noiseless(self, rng):
-        op = gaussian_operator(8, 8, 100, seed=3)
+        op = GaussianOperator(8, 8, 100, seed=3)
         X = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
         b = op.apply(X)
         res = rank_one_pursuit(op, b, PursuitConfig(max_atoms=2))
@@ -58,7 +58,7 @@ class TestRankOnePursuit:
         assert all(rels[i + 1] < rels[i] for i in range(len(rels) - 1))
 
     def test_mp_and_omp_agree_on_first_iteration(self, rng):
-        op = gaussian_operator(7, 7, 60, seed=5)
+        op = GaussianOperator(7, 7, 60, seed=5)
         b = rng.standard_normal(60)
         omp = rank_one_pursuit(op, b, PursuitConfig(max_atoms=1, variant="omp"))
         mp = rank_one_pursuit(op, b, PursuitConfig(max_atoms=1, variant="mp"))
@@ -66,7 +66,7 @@ class TestRankOnePursuit:
 
     def test_first_atom_matches_two_r_selection(self, rng):
         # same proxy, same decomposition: pursuit's first atom is the top of the 2r set
-        op = gaussian_operator(6, 6, 40, seed=7)
+        op = GaussianOperator(6, 6, 40, seed=7)
         b = rng.standard_normal(40)
         top1 = leading_atoms(op.adjoint(b), 1)
         top4 = leading_atoms(op.adjoint(b), 4)
@@ -90,12 +90,12 @@ class TestRankOnePursuit:
 
 class TestSvt:
     def test_requires_sampler(self):
-        op = gaussian_operator(4, 4, 10, seed=1)
+        op = GaussianOperator(4, 4, 10, seed=1)
         with pytest.raises(UnsupportedOperatorError):
             svt_solve(op, np.zeros(10))
 
     def test_zero_measurements(self):
-        op = entry_sampler(4, 4, 8, seed=2)
+        op = EntrySampler.random(4, 4, 8, seed=2)
         res = svt_solve(op, np.zeros(8))
         assert res.stop_reason == ZERO_PROXY
         np.testing.assert_array_equal(res.matrix(), np.zeros((4, 4)))
@@ -112,7 +112,7 @@ class TestSvt:
         # recorded-seed regression: desk-scale completion succeeds
         seed = derive_seed(888, 0)
         rng = np.random.default_rng(derive_seed(seed, "x"))
-        op = entry_sampler(60, 60, 1800, seed=derive_seed(seed, "op"))
+        op = EntrySampler.random(60, 60, 1800, seed=derive_seed(seed, "op"))
         X = rng.standard_normal((60, 2)) @ rng.standard_normal((2, 60))
         b = op.apply(X)
         res = svt_solve(op, b, SvtConfig(max_iter=600))
@@ -129,7 +129,7 @@ class TestSvt:
         np.testing.assert_allclose(exp.coeffs, np.arange(19.5, 0.0, -1.0))
 
     def test_trace_shape_matches_solver(self, rng):
-        op = entry_sampler(10, 10, 60, seed=4)
+        op = EntrySampler.random(10, 10, 60, seed=4)
         X = rng.standard_normal((10, 1)) @ rng.standard_normal((1, 10))
         res = svt_solve(op, op.apply(X), SvtConfig(max_iter=20))
         assert res.algorithm == "svt"
@@ -138,7 +138,7 @@ class TestSvt:
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
     def test_extreme_scales_keep_finite_residuals(self, scale, rng):
-        op = entry_sampler(10, 10, 60, seed=4)
+        op = EntrySampler.random(10, 10, 60, seed=4)
         X = rng.standard_normal((10, 1)) @ rng.standard_normal((1, 10))
         b = op.apply(X) * scale
         res = svt_solve(op, b, SvtConfig(max_iter=20))

@@ -165,7 +165,12 @@ class TestUserErrors:
          "r must be in [0, 4]"),
         (["complete", "--obs", "{tmp}/missing.txt", "--r", "1"], "No such file"),
         (["sweep", "--config", "{tmp}/missing.cfg"], "No such file"),
-    ], ids=["gen_rank", "sweep_rank", "missing_obs", "missing_config"])
+        (["gen", "--kind", "gaussian", "--n", "200", "--m", "200", "--r", "2", "--p", "10000"],
+         "dense operator needs"),
+        (["sweep", "--n", "10", "--m", "10", "--r", "1", "--p-over-dr", "3", "--trials", "1",
+          "--kind", "gaussian", "--alg", "svt"], "requires an entry-sampling operator"),
+    ], ids=["gen_rank", "sweep_rank", "missing_obs", "missing_config", "gen_memory_budget",
+            "sweep_svt_gaussian"])
     def test_library_errors_end_in_one_line(self, tmp_path, args, expect):
         out = tmp_path / "out.txt"
         run = run_cli(*[a.format(tmp=tmp_path) for a in args], "--out", str(out))

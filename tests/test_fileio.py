@@ -5,7 +5,7 @@ import pytest
 
 from admira import fileio
 from admira.harness import gen_problem
-from admira.operators import EntrySampler, entry_sampler, gaussian_operator
+from admira.operators import EntrySampler, GaussianOperator
 from admira.ripcheck import estimate_delta, restricted_orthogonality_check
 from admira.solver import AdmiraConfig, admira_solve
 
@@ -25,7 +25,7 @@ class TestFormatting:
 
 class TestObservedEntries:
     def test_roundtrip(self, tmp_path, rng):
-        op = entry_sampler(6, 5, 12, seed=3)
+        op = EntrySampler.random(6, 5, 12, seed=3)
         values = rng.standard_normal(12)
         path = tmp_path / "obs.txt"
         fileio.save_observed_entries(path, op, values)
@@ -57,7 +57,7 @@ class TestObservedEntries:
             fileio.load_observed_entries(path)
 
     def test_value_count_mismatch(self, tmp_path):
-        op = entry_sampler(3, 3, 4, seed=0)
+        op = EntrySampler.random(3, 3, 4, seed=0)
         with pytest.raises(ValueError):
             fileio.save_observed_entries(tmp_path / "x.txt", op, [1.0])
 
@@ -72,7 +72,7 @@ class TestProblemFiles:
         np.testing.assert_array_equal(op.matrix, prob.operator.matrix)
 
     def test_sampler_rejected(self, tmp_path):
-        op = entry_sampler(3, 3, 4, seed=0)
+        op = EntrySampler.random(3, 3, 4, seed=0)
         with pytest.raises(ValueError):
             fileio.save_problem(tmp_path / "p.txt", op, np.zeros(4))
 
@@ -103,7 +103,7 @@ class TestTraceExport:
 
 class TestReportExports:
     def test_rip_estimate_csv(self, tmp_path):
-        op = gaussian_operator(6, 6, 100, seed=2)
+        op = GaussianOperator(6, 6, 100, seed=2)
         est = estimate_delta(op, 2, 50, seed=3)
         path = tmp_path / "rip.csv"
         fileio.save_rip_estimates(path, [est])
@@ -114,7 +114,7 @@ class TestReportExports:
         assert float(fields[1]) == est.delta_hat
 
     def test_pairs_csv(self, tmp_path):
-        op = gaussian_operator(6, 6, 150, seed=4)
+        op = GaussianOperator(6, 6, 150, seed=4)
         rep = restricted_orthogonality_check(op, 2, 10, seed=5, num_delta_samples=50)
         path = tmp_path / "pairs.csv"
         fileio.save_orthogonality_pairs(path, rep)

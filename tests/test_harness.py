@@ -13,16 +13,13 @@ from admira.harness import (
     compare_table,
     degrees_of_freedom,
     gen_problem,
-    incremental_rank_search,
     phase_transition,
     run_sweep,
     run_trial,
     snr_meas,
     snr_recon,
 )
-from admira.operators import entry_sampler
 from admira.seeding import derive_rng, derive_seed
-from admira.solver import AdmiraConfig, ZERO_PROXY, admira_solve
 
 
 class TestDegreesOfFreedom:
@@ -244,34 +241,6 @@ class TestWorkerPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             functools.partial(ProcessPoolExecutor, mp_context=spawn))
         assert run_sweep(12, 12, 1, [4.0, 6.0], trials=2, seed=57, threads=2) == serial
-
-
-class TestIncrementalRankSearch:
-    def test_finds_true_rank(self):
-        # recorded seed, well-sampled Gaussian problem
-        prob = gen_problem(12, 12, 2, 576, kind="gaussian", seed=51)
-        res = incremental_rank_search(prob.operator, prob.b, 4,
-                                      AdmiraConfig(rank=1, max_iter=40))
-        assert len(res.expansion) == 2
-        assert res.trace[-1].rel_residual <= 1e-7
-
-    def test_zero_measurements(self):
-        op = entry_sampler(5, 5, 25, seed=52)
-        res = incremental_rank_search(op, np.zeros(25), 3)
-        assert res.stop_reason == ZERO_PROXY
-        np.testing.assert_array_equal(res.matrix(), np.zeros((5, 5)))
-
-    def test_invalid_budget(self):
-        op = entry_sampler(4, 4, 8, seed=53)
-        with pytest.raises(ValueError):
-            incremental_rank_search(op, np.zeros(8), 0)
-
-    def test_returns_best_when_none_converge(self):
-        prob = gen_problem(14, 14, 3, 50, kind="entry", seed=54)
-        res = incremental_rank_search(prob.operator, prob.b, 2,
-                                      AdmiraConfig(rank=1, max_iter=5))
-        assert res is not None
-        assert len(res.expansion) <= 2
 
 
 class TestSeeding:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admira.atoms import AtomExpansion, AtomSet, assemble, empty_expansion
 from admira.operators import (
     EntrySampler,
     GaussianOperator,
     MemoryBudgetExceeded,
-    entry_sampler,
-    gaussian_operator,
 )
 
 
@@ -21,25 +21,25 @@ def random_expansion(m, n, t, rng):
 
 class TestGaussianOperator:
     def test_deterministic_for_seed(self):
-        a = gaussian_operator(3, 4, 6, seed=42)
-        b = gaussian_operator(3, 4, 6, seed=42)
+        a = GaussianOperator(3, 4, 6, seed=42)
+        b = GaussianOperator(3, 4, 6, seed=42)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_linearity_on_zero(self):
-        op = gaussian_operator(3, 3, 5, seed=0)
+        op = GaussianOperator(3, 3, 5, seed=0)
         np.testing.assert_array_equal(op.apply(np.zeros((3, 3))), np.zeros(5))
 
     def test_mean_energy_near_isometry(self):
         # E||A X||^2 = ||X||_F^2 under entry variance 1/p
         vals = [
-            np.sum(gaussian_operator(2, 2, 4, seed=s).apply(np.eye(2)) ** 2)
+            np.sum(GaussianOperator(2, 2, 4, seed=s).apply(np.eye(2)) ** 2)
             for s in range(100)
         ]
         assert abs(np.mean(vals) - 2.0) <= 0.4  # within 20% of ||I||_F^2 = 2
 
     def test_empirical_isometry_rank1(self, rng):
         m = n = 8
-        op = gaussian_operator(m, n, 10 * (m + n), seed=7)
+        op = GaussianOperator(m, n, 10 * (m + n), seed=7)
         vals = []
         for _ in range(500):
             u = rng.standard_normal(m)
@@ -49,16 +49,16 @@ class TestGaussianOperator:
         assert 0.9 <= np.mean(vals) <= 1.1
 
     def test_apply_is_matrix_times_vec(self, rng):
-        op = gaussian_operator(3, 4, 7, seed=1)
+        op = GaussianOperator(3, 4, 7, seed=1)
         X = rng.standard_normal((3, 4))
         np.testing.assert_allclose(op.apply(X), op.matrix @ X.ravel())
 
     def test_memory_budget(self):
         with pytest.raises(MemoryBudgetExceeded):
-            gaussian_operator(100, 100, 1000, seed=0, max_bytes=10_000)
+            GaussianOperator(100, 100, 1000, seed=0, max_bytes=10_000)
 
     def test_shape_validation(self):
-        op = gaussian_operator(3, 4, 5, seed=0)
+        op = GaussianOperator(3, 4, 5, seed=0)
         with pytest.raises(ValueError):
             op.apply(np.zeros((4, 3)))
         with pytest.raises(ValueError):
@@ -67,40 +67,40 @@ class TestGaussianOperator:
 
 class TestEntrySampler:
     def test_exhaustive_sampling(self):
-        op = entry_sampler(2, 2, 4, seed=3)
+        op = EntrySampler.random(2, 2, 4, seed=3)
         assert sorted(zip(op.rows, op.cols)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_apply_adjoint_identity_on_measurements(self, rng):
-        op = entry_sampler(5, 6, 12, seed=1)
+        op = EntrySampler.random(5, 6, 12, seed=1)
         y = rng.standard_normal(12)
         np.testing.assert_allclose(op.apply(op.adjoint(y)), y)
 
     def test_adjoint_apply_masks(self, rng):
-        op = entry_sampler(4, 4, 16, seed=2)
+        op = EntrySampler.random(4, 4, 16, seed=2)
         X = rng.standard_normal((4, 4))
         np.testing.assert_allclose(op.adjoint(op.apply(X)), X)
 
     def test_adjoint_support(self, rng):
-        op = entry_sampler(5, 5, 7, seed=4)
+        op = EntrySampler.random(5, 5, 7, seed=4)
         Z = op.adjoint(rng.standard_normal(7))
         mask = np.zeros((5, 5), dtype=bool)
         mask[op.rows, op.cols] = True
         assert np.all(Z[~mask] == 0.0)
 
     def test_apply_order_matches_omega(self, rng):
-        op = entry_sampler(6, 3, 9, seed=5)
+        op = EntrySampler.random(6, 3, 9, seed=5)
         X = rng.standard_normal((6, 3))
         np.testing.assert_array_equal(op.apply(X), X[op.rows, op.cols])
 
     def test_deterministic_for_seed(self):
-        a = entry_sampler(8, 8, 20, seed=11)
-        b = entry_sampler(8, 8, 20, seed=11)
+        a = EntrySampler.random(8, 8, 20, seed=11)
+        b = EntrySampler.random(8, 8, 20, seed=11)
         np.testing.assert_array_equal(a.rows, b.rows)
         np.testing.assert_array_equal(a.cols, b.cols)
 
     def test_oversampling_rejected(self):
         with pytest.raises(ValueError):
-            entry_sampler(2, 2, 5, seed=0)
+            EntrySampler.random(2, 2, 5, seed=0)
 
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ValueError):
@@ -112,7 +112,7 @@ class TestEntrySampler:
 
     @pytest.mark.parametrize("t", [0, 1, 6])
     def test_gathers_equal_fancy_indexing_exactly(self, t, rng):
-        op = entry_sampler(40, 30, 500, seed=6)
+        op = EntrySampler.random(40, 30, 500, seed=6)
         exp = random_expansion(op.m, op.n, t, rng)
         s = exp.atoms
         want = s.left[op.rows, :] * s.right[op.cols, :]
@@ -120,24 +120,36 @@ class TestEntrySampler:
         assert np.array_equal(op.apply_expansion(exp), want @ exp.coeffs)
 
 
+@st.composite
+def pairing_cases(draw):
+    """(m, n, p, rank, seed) with p <= mn, so an entry sampler exists too."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    return (m, n, draw(st.integers(1, m * n)), draw(st.integers(1, min(m, n))),
+            draw(st.integers(0, 2**31)))
+
+
 class TestAdjointPairing:
     @pytest.mark.parametrize("make_op", [
-        lambda: gaussian_operator(6, 5, 17, seed=9),
-        lambda: entry_sampler(6, 5, 17, seed=9),
+        lambda m, n, p, seed: GaussianOperator(m, n, p, seed),
+        lambda m, n, p, seed: EntrySampler.random(m, n, p, seed),
     ])
-    def test_pairing(self, make_op, rng):
-        op = make_op()
-        for _ in range(1000):
-            X = rng.standard_normal((op.m, op.n))
-            y = rng.standard_normal(op.p)
-            lhs = op.apply(X) @ y
-            rhs = np.sum(X * op.adjoint(y))
-            scale = np.linalg.norm(op.apply(X)) * np.linalg.norm(y) + 1e-30
-            assert abs(lhs - rhs) <= 1e-10 * scale
+    @settings(max_examples=100, deadline=None)
+    @given(case=pairing_cases())
+    def test_pairing(self, make_op, case):
+        # <A X, y> == <X, A* y>_F on rank-r matrices of any shape
+        m, n, p, r, seed = case
+        op = make_op(m, n, p, seed)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        y = rng.standard_normal(p)
+        lhs = op.apply(X) @ y
+        rhs = np.sum(X * op.adjoint(y))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(y) * np.sqrt(m * n)
 
     @pytest.mark.parametrize("make_op", [
-        lambda: gaussian_operator(7, 4, 11, seed=13),
-        lambda: entry_sampler(7, 4, 11, seed=13),
+        lambda: GaussianOperator(7, 4, 11, seed=13),
+        lambda: EntrySampler.random(7, 4, 11, seed=13),
     ])
     def test_linearity(self, make_op, rng):
         op = make_op()
@@ -151,8 +163,8 @@ class TestAdjointPairing:
 
 class TestExpansionPaths:
     @pytest.mark.parametrize("make_op", [
-        lambda: gaussian_operator(6, 5, 14, seed=21),
-        lambda: entry_sampler(6, 5, 14, seed=21),
+        lambda: GaussianOperator(6, 5, 14, seed=21),
+        lambda: EntrySampler.random(6, 5, 14, seed=21),
     ])
     def test_apply_expansion_matches_dense(self, make_op, rng):
         op = make_op()
@@ -164,13 +176,13 @@ class TestExpansionPaths:
             assert np.abs(got - want).max() <= 1e-10 * scale
 
     def test_empty_expansion(self):
-        op = entry_sampler(4, 4, 9, seed=2)
+        op = EntrySampler.random(4, 4, 9, seed=2)
         np.testing.assert_array_equal(op.apply_expansion(empty_expansion(4, 4)), np.zeros(9))
 
     @pytest.mark.parametrize("t", [0, 1, 3])
     @pytest.mark.parametrize("make_op", [
-        lambda: gaussian_operator(6, 5, 14, seed=8),
-        lambda: entry_sampler(6, 5, 14, seed=8),
+        lambda: GaussianOperator(6, 5, 14, seed=8),
+        lambda: EntrySampler.random(6, 5, 14, seed=8),
     ], ids=["gaussian", "entry"])
     def test_apply_atoms_columns(self, make_op, t, rng):
         op = make_op()
@@ -183,7 +195,7 @@ class TestExpansionPaths:
             assert np.abs(cols[:, j] - want).max() <= 1e-12 * scale
 
     def test_sampler_single_atom_full_sampling(self, rng):
-        op = entry_sampler(3, 3, 9, seed=6)
+        op = EntrySampler.random(3, 3, 9, seed=6)
         exp = random_expansion(3, 3, 1, rng)
         np.testing.assert_allclose(
             op.apply_expansion(exp), assemble(exp)[op.rows, op.cols], atol=1e-14

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from admira.atoms import vectorize
-from admira.operators import MeasurementOperator, entry_sampler, gaussian_operator
+from admira.operators import EntrySampler, GaussianOperator, MeasurementOperator
 from admira.ripcheck import (
     estimate_delta,
     random_low_rank,
@@ -39,7 +39,7 @@ class TestRandomLowRank:
 
 class TestEstimateDelta:
     def test_exact_isometry(self):
-        op = entry_sampler(4, 4, 16, seed=0)
+        op = EntrySampler.random(4, 4, 16, seed=0)
         for r in (1, 2, 4):
             est = estimate_delta(op, r, 100, seed=1)
             assert est.delta_hat <= 1e-12
@@ -52,24 +52,24 @@ class TestEstimateDelta:
 
     def test_gaussian_concentration(self):
         # recorded seed: heavily oversampled rank-1 isometry constant stays small
-        op = gaussian_operator(10, 10, 600, seed=31)
+        op = GaussianOperator(10, 10, 600, seed=31)
         est = estimate_delta(op, 1, 2000, seed=32)
         assert est.delta_hat < 0.5
 
     def test_monotone_in_r(self):
-        op = gaussian_operator(8, 8, 200, seed=5)
+        op = GaussianOperator(8, 8, 200, seed=5)
         deltas = [estimate_delta(op, r, 100, seed=6).delta_hat for r in (1, 2, 3, 4)]
         assert all(deltas[i + 1] >= deltas[i] for i in range(3))
 
     def test_deterministic(self):
-        op = gaussian_operator(6, 6, 100, seed=7)
+        op = GaussianOperator(6, 6, 100, seed=7)
         a = estimate_delta(op, 2, 200, seed=8)
         b = estimate_delta(op, 2, 200, seed=8)
         assert a.delta_hat == b.delta_hat
         assert (a.worst_rank, a.worst_index) == (b.worst_rank, b.worst_index)
 
     def test_samples_used_counts_all_ranks(self):
-        op = gaussian_operator(6, 6, 100, seed=9)
+        op = GaussianOperator(6, 6, 100, seed=9)
         est = estimate_delta(op, 3, 50, seed=10)
         assert est.samples_used == 150
 
@@ -82,7 +82,7 @@ class TestEstimateDelta:
         assert spiked.samples_used == base.samples_used + 1
 
     def test_invalid_rank(self):
-        op = gaussian_operator(4, 4, 10, seed=0)
+        op = GaussianOperator(4, 4, 10, seed=0)
         with pytest.raises(ValueError):
             estimate_delta(op, 5, 10, seed=0)
 
@@ -90,14 +90,14 @@ class TestEstimateDelta:
 class TestRestrictedOrthogonality:
     def test_full_sampler_exact_orthogonality(self):
         # isometry preserves orthogonality: measured inner products vanish
-        op = entry_sampler(6, 6, 36, seed=1)
+        op = EntrySampler.random(6, 6, 36, seed=1)
         rep = restricted_orthogonality_check(op, 2, 50, seed=2)
         assert rep.violations_sqrt2 == 0
         assert rep.max_ratio <= 1e-6 or rep.delta_hat <= 1e-10
 
     def test_gaussian_no_sqrt2_violations(self):
         # recorded seed; the augmented sample set makes the bound airtight
-        op = gaussian_operator(10, 10, 600, seed=41)
+        op = GaussianOperator(10, 10, 600, seed=41)
         rep = restricted_orthogonality_check(op, 2, 100, seed=42)
         assert rep.violations_sqrt2 == 0
         assert rep.trials == 100
@@ -114,12 +114,12 @@ class TestRestrictedOrthogonality:
             assert np.linalg.matrix_rank(Y) <= 1
 
     def test_requires_r_at_least_two(self):
-        op = gaussian_operator(4, 4, 20, seed=3)
+        op = GaussianOperator(4, 4, 20, seed=3)
         with pytest.raises(ValueError):
             restricted_orthogonality_check(op, 1, 10, seed=4)
 
     def test_bound_holds_pairwise(self):
-        op = gaussian_operator(8, 8, 300, seed=51)
+        op = GaussianOperator(8, 8, 300, seed=51)
         rep = restricted_orthogonality_check(op, 2, 50, seed=52)
         for check in rep.pairs:
             assert check.lhs <= check.rhs_sqrt2

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from admira.atoms import AtomSet, assemble, empty_expansion, leading_atoms
 from admira.baselines import PursuitConfig, rank_one_pursuit
-from admira.operators import entry_sampler, gaussian_operator
+from admira.operators import EntrySampler, GaussianOperator
 from admira.seeding import derive_seed
 from admira.solver import (
     CONVERGED,
@@ -16,12 +16,11 @@ from admira.solver import (
     admira_step,
     proxy,
     restricted_least_squares,
-    unrecoverable_energy,
 )
 
 
 def full_sampler(m, n):
-    return entry_sampler(m, n, m * n, seed=0)
+    return EntrySampler.random(m, n, m * n, seed=0)
 
 
 def rank_r_matrix(m, n, r, rng):
@@ -44,7 +43,7 @@ class TestConfig:
 
 class TestProxy:
     def test_initialization_is_adjoint_of_b(self, rng):
-        op = gaussian_operator(4, 4, 10, seed=1)
+        op = GaussianOperator(4, 4, 10, seed=1)
         b = rng.standard_normal(10)
         np.testing.assert_allclose(proxy(op, b), op.adjoint(b), atol=1e-14)
 
@@ -57,7 +56,7 @@ class TestProxy:
         np.testing.assert_allclose(proxy(op, residual), np.zeros((4, 4)), atol=1e-12)
 
     def test_sampler_proxy_zero_fills(self, rng):
-        op = entry_sampler(5, 5, 10, seed=3)
+        op = EntrySampler.random(5, 5, 10, seed=3)
         b = rng.standard_normal(10)
         P = proxy(op, b)
         mask = np.zeros((5, 5), dtype=bool)
@@ -68,7 +67,7 @@ class TestProxy:
 
 class TestRestrictedLeastSquares:
     def test_consistent_system(self, rng):
-        op = gaussian_operator(5, 5, 30, seed=2)
+        op = GaussianOperator(5, 5, 30, seed=2)
         X = rank_r_matrix(5, 5, 2, rng)
         b = op.apply(X)
         exp = restricted_least_squares(op, b, leading_atoms(X, 2).atoms)
@@ -76,7 +75,7 @@ class TestRestrictedLeastSquares:
         assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(b)
 
     def test_residual_orthogonal_to_measured_atoms(self, rng):
-        op = gaussian_operator(6, 6, 20, seed=4)
+        op = GaussianOperator(6, 6, 20, seed=4)
         b = rng.standard_normal(20)
         aset = leading_atoms(rng.standard_normal((6, 6)), 3).atoms
         exp = restricted_least_squares(op, b, aset)
@@ -86,7 +85,7 @@ class TestRestrictedLeastSquares:
         assert np.abs(Phi.T @ res).max() <= 1e-8 * scale
 
     def test_single_atom_scalar_normal_equation(self, rng):
-        op = gaussian_operator(4, 4, 12, seed=5)
+        op = GaussianOperator(4, 4, 12, seed=5)
         aset = leading_atoms(rng.standard_normal((4, 4)), 1).atoms
         b = rng.standard_normal(12)
         phi = op.apply_atoms(aset)[:, 0]
@@ -94,7 +93,7 @@ class TestRestrictedLeastSquares:
         np.testing.assert_allclose(exp.coeffs, [phi @ b / (phi @ phi)])
 
     def test_duplicate_atoms_same_fit(self, rng):
-        op = gaussian_operator(4, 4, 12, seed=6)
+        op = GaussianOperator(4, 4, 12, seed=6)
         b = rng.standard_normal(12)
         single = leading_atoms(rng.standard_normal((4, 4)), 1).atoms
         doubled = AtomSet(
@@ -106,7 +105,7 @@ class TestRestrictedLeastSquares:
         np.testing.assert_allclose(assemble(c), assemble(a), atol=1e-10)
 
     def test_empty_set_rejected(self):
-        op = gaussian_operator(3, 3, 5, seed=0)
+        op = GaussianOperator(3, 3, 5, seed=0)
         with pytest.raises(ValueError):
             restricted_least_squares(op, np.zeros(5), AtomSet.empty(3, 3))
 
@@ -132,7 +131,7 @@ class TestAdmiraStep:
 
     def test_atom_budget_invariants(self, rng):
         r = 2
-        op = gaussian_operator(10, 10, 80, seed=8)
+        op = GaussianOperator(10, 10, 80, seed=8)
         X = rank_r_matrix(10, 10, r, rng)
         b = op.apply(X)
         cfg = AdmiraConfig(rank=r)
@@ -156,7 +155,7 @@ class TestAdmiraStep:
         for t in range(100):
             seed = derive_seed(777, t)
             rng = np.random.default_rng(derive_seed(seed, "x"))
-            op = gaussian_operator(20, 20, 380, seed=derive_seed(seed, "op"))
+            op = GaussianOperator(20, 20, 380, seed=derive_seed(seed, "op"))
             X = rank_r_matrix(20, 20, 2, rng)
             b = op.apply(X)
             state = AdmiraState(empty_expansion(20, 20), 0, b.copy())
@@ -189,7 +188,7 @@ class TestAdmiraSolve:
             admira_solve(op, np.full(9, np.nan), AdmiraConfig(rank=1))
 
     def test_deterministic(self, rng):
-        op = gaussian_operator(10, 10, 80, seed=10)
+        op = GaussianOperator(10, 10, 80, seed=10)
         b = op.apply(rank_r_matrix(10, 10, 2, rng))
         r1 = admira_solve(op, b, AdmiraConfig(rank=2))
         r2 = admira_solve(op, b, AdmiraConfig(rank=2))
@@ -197,7 +196,7 @@ class TestAdmiraSolve:
         assert [t.residual_l2 for t in r1.trace] == [t.residual_l2 for t in r2.trace]
 
     def test_trace_bounded_by_max_iter(self, rng):
-        op = entry_sampler(12, 12, 40, seed=12)
+        op = EntrySampler.random(12, 12, 40, seed=12)
         b = op.apply(rank_r_matrix(12, 12, 2, rng))
         res = admira_solve(op, b, AdmiraConfig(rank=2, max_iter=7))
         assert res.iterations <= 7
@@ -206,7 +205,7 @@ class TestAdmiraSolve:
     def test_step6_optimality_each_iteration(self, rng):
         # after the merged fit, the residual is orthogonal to every measured atom;
         # checked indirectly: re-fitting the final atom set cannot reduce the residual
-        op = gaussian_operator(8, 8, 100, seed=14)
+        op = GaussianOperator(8, 8, 100, seed=14)
         X = rank_r_matrix(8, 8, 2, rng)
         b = op.apply(X)
         res = admira_solve(op, b, AdmiraConfig(rank=2, max_iter=5))
@@ -221,7 +220,7 @@ class TestAdmiraSolve:
         for t in range(5):
             seed = derive_seed(4321, t)
             rng = np.random.default_rng(derive_seed(seed, "x"))
-            op = gaussian_operator(12, 12, 576, seed=derive_seed(seed, "op"))
+            op = GaussianOperator(12, 12, 576, seed=derive_seed(seed, "op"))
             X = rank_r_matrix(12, 12, 2, rng)
             b = op.apply(X)
             res = admira_solve(op, b, AdmiraConfig(rank=2, max_iter=40), truth=X)
@@ -229,7 +228,7 @@ class TestAdmiraSolve:
         assert ok == 5
 
     def test_truth_column_never_changes_flow(self, rng):
-        op = gaussian_operator(8, 8, 60, seed=15)
+        op = GaussianOperator(8, 8, 60, seed=15)
         X = rank_r_matrix(8, 8, 2, rng)
         b = op.apply(X)
         with_truth = admira_solve(op, b, AdmiraConfig(rank=2), truth=X)
@@ -242,7 +241,7 @@ class TestAdmiraSolve:
 def scaled_problem(seed):
     # a well-sampled (p = 4 * m * n) 10x10 rank-2 problem
     rng = np.random.default_rng(derive_seed(seed, "x"))
-    op = gaussian_operator(10, 10, 400, seed=derive_seed(seed, "op"))
+    op = GaussianOperator(10, 10, 400, seed=derive_seed(seed, "op"))
     X = rank_r_matrix(10, 10, 2, rng)
     return op, X, op.apply(X)
 
@@ -305,34 +304,3 @@ class TestScaleEquivariance:
         assert err <= 1e-9
         assert all(np.isfinite(t.residual_l2) and np.isfinite(t.rel_residual)
                    for t in scaled.trace)
-
-
-class TestUnrecoverableEnergy:
-    def test_exactly_low_rank_noiseless(self, rng):
-        X = rank_r_matrix(5, 5, 2, rng)
-        e = unrecoverable_energy(X, 2)
-        assert e.value <= 1e-10
-
-    def test_diagonal_tail(self):
-        e = unrecoverable_energy(np.diag([3.0, 2.0, 1.0]), 2)
-        np.testing.assert_allclose(e.tail_frobenius, 1.0)
-        np.testing.assert_allclose(e.tail_nuclear_scaled, 1.0 / np.sqrt(2.0))
-        np.testing.assert_allclose(e.value, 1.0 + 1.0 / np.sqrt(2.0))
-
-    def test_noise_only(self):
-        nu = np.array([0.3, 0.4])
-        e = unrecoverable_energy(np.zeros((3, 3)), 1, nu)
-        np.testing.assert_allclose(e.value, 0.5)
-        np.testing.assert_allclose(e.noise_l2, 0.5)
-
-    def test_components_sum(self, rng):
-        X = rng.standard_normal((6, 6))
-        nu = rng.standard_normal(4)
-        e = unrecoverable_energy(X, 2, nu)
-        np.testing.assert_allclose(
-            e.value, e.tail_frobenius + e.tail_nuclear_scaled + e.noise_l2
-        )
-
-    def test_invalid_rank(self):
-        with pytest.raises(ValueError):
-            unrecoverable_energy(np.eye(2), 0)
