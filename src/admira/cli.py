@@ -26,20 +26,6 @@ def _float_list(text):
     return [float(v) for v in str(text).split(",") if v.strip()]
 
 
-def load_config(path) -> dict:
-    cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            cfg[key.strip()] = value.strip()
-    return cfg
-
-
 class _Options:
     """Registers options, filling defaults from the config file and
     recording every option name in ``known``."""
@@ -69,7 +55,7 @@ def _run_algorithm(alg, op, b, args, rank):
     if not 1 <= rank <= min(op.m, op.n):
         raise SystemExit(f"admira: --r must be in [1, {min(op.m, op.n)}] for a "
                          f"{op.m}x{op.n} matrix, got {rank}")
-    return harness.solve(alg, op, b, harness.default_config(alg, rank, args.max_iter, args.tol))
+    return harness.solve(alg, op, b, rank, args.max_iter, args.tol)
 
 
 def _emit_solution(result, args):
@@ -167,6 +153,18 @@ def cmd_rip(args):
     return 0
 
 
+# options shared by several subcommands, registered only where read
+_SHARED = {
+    "n": dict(type=int, required=True, help="matrix columns"),
+    "m": dict(type=int, required=True, help="matrix rows"),
+    "r": dict(type=int, required=True, help="target rank"),
+    "seed": dict(type=int, default=0, help="master seed"),
+    "max-iter": dict(type=int, help="iteration / atom budget override"),
+    "tol": dict(type=float, help="relative residual tolerance override"),
+    "threads": dict(type=int, default=1, help="worker processes for trials"),
+}
+
+
 def build_parser(cfg, known: set) -> argparse.ArgumentParser:
     """The ``admira`` parser; adds the name of every option that a config
     file may set to ``known``."""
@@ -175,80 +173,69 @@ def build_parser(cfg, known: set) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, n=False, m=False, r=False):
-        o = _Options(p, cfg, known)
+    def command(name, func, help, shared):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value file supplying flag defaults")
-        o.add("--n", type=int, required=n, help="matrix columns")
-        o.add("--m", type=int, required=m, help="matrix rows")
-        o.add("--r", type=int, required=r, help="target rank")
-        o.add("--seed", type=int, default=0, help="master seed")
-        o.add("--max-iter", type=int, help="iteration / atom budget override")
-        o.add("--tol", type=float, help="relative residual tolerance override")
-        o.add("--threads", type=int, default=1, help="worker processes for trials")
+        p.set_defaults(func=func)
+        o = _Options(p, cfg, known)
+        for key in shared.split():
+            o.add(f"--{key}", **_SHARED[key])
         return o
 
-    p = sub.add_parser("gen", help="generate a problem and write it to disk")
-    o = common(p, n=True, m=True, r=True)
+    o = command("gen", cmd_gen, "generate a problem and write it to disk", "n m r seed")
     o.add("--p", type=int, help="measurement count")
     o.add("--p-over-dr", type=float, help="measurement count as a multiple of d_r")
     o.add("--kind", choices=["entry", "gaussian"], default="entry")
     o.add("--snr-meas", type=float, help="measurement SNR in dB (omit for noiseless)")
     o.add("--out", required=True, help="output path")
     o.add("--truth-out", help="optional CSV path for the ground-truth matrix")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="solve a Gaussian-operator problem file")
-    o = common(p, r=True)
+    o = command("solve", cmd_solve, "solve a Gaussian-operator problem file", "r max-iter tol")
     o.add("--problem", required=True, help="problem file from 'gen --kind gaussian'")
-    o.add("--alg", choices=["admira", "omp", "mp"], default="admira")
+    o.add("--alg", choices=list(harness.ALGORITHMS), default="admira")
     o.add("--out", help="CSV path for the recovered matrix")
     o.add("--trace-out", help="CSV path for the iteration trace")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("complete", help="complete a matrix from observed-entry triples")
-    o = common(p, r=True)
+    o = command("complete", cmd_complete, "complete a matrix from observed-entry triples",
+                "r max-iter tol")
     o.add("--obs", required=True, help="observed entries, one 'row col value' per line")
-    o.add("--alg", choices=["admira", "svt", "omp", "mp"], default="admira")
+    o.add("--n", type=int, help="matrix columns (default: largest observed column)")
+    o.add("--m", type=int, help="matrix rows (default: largest observed row)")
+    o.add("--alg", choices=list(harness.ALGORITHMS), default="admira")
     o.add("--out", help="CSV path for the recovered matrix")
     o.add("--trace-out", help="CSV path for the iteration trace")
-    p.set_defaults(func=cmd_complete)
 
-    p = sub.add_parser("sweep", help="mean SNR/iterations vs oversampling ratio")
-    o = common(p, n=True, m=True, r=True)
+    o = command("sweep", cmd_sweep, "mean SNR/iterations vs oversampling ratio",
+                "n m r seed max-iter tol threads")
     o.add("--p-over-dr", type=_float_list, required=True, help="comma-separated ratios")
     o.add("--trials", type=int, default=20)
     o.add("--kind", choices=["entry", "gaussian"], default="entry")
     o.add("--alg", choices=list(harness.ALGORITHMS), default="admira")
     o.add("--snr-meas", type=float, help="measurement SNR in dB (omit for noiseless)")
     o.add("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("phase", help="success counts over a (p, r) grid")
-    o = common(p, n=True, m=True)
+    o = command("phase", cmd_phase, "success counts over a (p, r) grid",
+                "n m seed max-iter tol threads")
     o.add("--p-grid", type=_int_list, required=True, help="comma-separated p values")
     o.add("--r-grid", type=_int_list, required=True, help="comma-separated r values")
     o.add("--trials", type=int, default=10)
     o.add("--threshold-db", type=float, default=70.0)
     o.add("--out", required=True)
-    p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("compare", help="algorithm comparison table on shared problems")
-    o = common(p, n=True, m=True)
+    o = command("compare", cmd_compare, "algorithm comparison table on shared problems",
+                "n m seed max-iter tol threads")
     o.add("--r-list", type=_int_list, required=True, help="comma-separated ranks")
     o.add("--p", type=int, required=True)
     o.add("--trials", type=int, default=20)
     o.add("--out", required=True)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("rip", help="sampled isometry and orthogonality diagnostics")
-    o = common(p, n=True, m=True, r=True)
+    o = command("rip", cmd_rip, "sampled isometry and orthogonality diagnostics", "n m r seed")
     o.add("--p", type=int, required=True)
     o.add("--kind", choices=["gaussian", "entry"], default="gaussian")
     o.add("--samples", type=int, default=500, help="samples per rank level")
     o.add("--pairs", type=int, default=200, help="orthogonal pairs to test")
     o.add("--out", required=True, help="CSV path for the delta estimate")
     o.add("--pairs-out", help="CSV path for per-pair orthogonality checks")
-    p.set_defaults(func=cmd_rip)
 
     return parser
 
@@ -259,7 +246,7 @@ def main(argv=None) -> int:
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     try:
-        cfg = load_config(known.config) if known.config else {}
+        cfg = dict(fileio.read_key_values(known.config)) if known.config else {}
         options: set[str] = set()
         parser = build_parser(cfg, options)
         for key in cfg:

@@ -3,12 +3,14 @@ operator specs, problem files, and solver traces.
 
 Formats are deliberately plain text. Observed entries are ``row col value``
 triples with 1-based indices; Gaussian operators serialize as seed plus
-dimensions only and are regenerated on load. All numbers are written with
-17 significant digits so values round-trip exactly.
+dimensions and a checksum of their first rows, and are regenerated and
+checked on load. All numbers are written with 17 significant digits so
+values round-trip exactly.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +20,7 @@ from .operators import EntrySampler, GaussianOperator
 __all__ = [
     "format_number",
     "write_csv",
+    "read_key_values",
     "save_observed_entries",
     "load_observed_entries",
     "save_problem",
@@ -26,8 +29,10 @@ __all__ = [
     "save_rip_estimates",
     "save_orthogonality_pairs",
     "save_dense_matrix",
-    "load_dense_matrix",
 ]
+
+# operator rows a problem file's checksum covers
+CHECK_ROWS = 4
 
 
 def format_number(x) -> str:
@@ -46,6 +51,27 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_number(x) for x in row) + "\n")
+
+
+def read_key_values(path):
+    """Yield the ``(key, value)`` pairs of a ``key=value`` file, skipping
+    blank lines and ``#`` comments."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            yield key.strip(), value.strip()
+
+
+def _operator_check(operator: GaussianOperator) -> str:
+    """Short SHA-256 of the operator's first rows as little-endian float64,
+    so a file whose seed no longer rebuilds the same operator is caught."""
+    rows = operator.matrix[:CHECK_ROWS].astype("<f8").tobytes()
+    return hashlib.sha256(rows).hexdigest()[:16]
 
 
 def save_observed_entries(path, sampler: EntrySampler, values) -> None:
@@ -95,33 +121,28 @@ def save_problem(path, operator, b) -> None:
         fh.write(f"n={operator.n}\n")
         fh.write(f"p={operator.p}\n")
         fh.write(f"seed={int(operator.seed)}\n")
+        fh.write(f"check={_operator_check(operator)}\n")
         for v in b:
             fh.write(f"b={format_number(float(v))}\n")
 
 
 def load_problem(path):
-    """Read a problem file; returns (operator, b)."""
-    meta = {}
-    b = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key = key.strip()
-            if key == "b":
-                b.append(float(value))
-            else:
-                meta[key] = value.strip()
+    """Read a problem file and check its operator; returns (operator, b)."""
+    meta, b = {}, []
+    for key, value in read_key_values(path):
+        if key == "b":
+            b.append(float(value))
+        else:
+            meta[key] = value
     if meta.get("kind") != "gaussian":
         raise ValueError(f"unsupported problem kind {meta.get('kind')!r}")
-    for key in ("m", "n", "p", "seed"):
+    for key in ("m", "n", "p", "seed", "check"):
         if key not in meta:
             raise ValueError(f"problem file is missing {key}")
     op = GaussianOperator(int(meta["m"]), int(meta["n"]), int(meta["p"]), int(meta["seed"]))
+    if meta["check"] != _operator_check(op):
+        raise ValueError(f"{path}: check={meta['check']} does not match the operator "
+                         "rebuilt from m, n, p and seed")
     if len(b) != op.p:
         raise ValueError(f"expected {op.p} measurements, found {len(b)}")
     return op, np.array(b)
@@ -154,7 +175,3 @@ def save_orthogonality_pairs(path, report) -> None:
 
 def save_dense_matrix(path, X) -> None:
     np.savetxt(path, np.asarray(X, dtype=float), fmt="%.17g", delimiter=",")
-
-
-def load_dense_matrix(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))

@@ -36,7 +36,6 @@ __all__ = [
     "gen_problem",
     "snr_recon",
     "snr_meas",
-    "default_config",
     "solve",
     "run_trial",
     "run_sweep",
@@ -165,37 +164,29 @@ def snr_meas(b_clean, nu) -> float:
     return 20.0 * math.log10(float(np.linalg.norm(np.asarray(b_clean, dtype=float))) / noise)
 
 
-def default_config(algorithm: str, rank: int, max_iter=None, residual_tol=None):
-    """Configuration of ``algorithm`` for a rank-``rank`` target. ``None``
-    keeps a parameter's default; pursuit's atom budget defaults to ``rank``."""
+def solve(algorithm: str, op, b, rank: int, max_iter=None, residual_tol=None) -> AdmiraResult:
+    """Run ``algorithm`` for a rank-``rank`` target on the measurements ``b``
+    of ``op``: the one table from algorithm names to solvers. ``None`` keeps
+    a parameter's default; pursuit's atom budget defaults to ``rank``."""
+    # a chain rather than a dict of functions: each solver is looked up as a
+    # module global at call time, so a rebound (traced) name takes effect
     tol = {} if residual_tol is None else {"residual_tol": residual_tol}
     if algorithm == "admira":
-        return AdmiraConfig(rank=rank, max_iter=max_iter, **tol)
+        return admira_solve(op, b, AdmiraConfig(rank=rank, max_iter=max_iter, **tol))
     if algorithm in ("omp", "mp"):
-        return PursuitConfig(max_atoms=rank if max_iter is None else max_iter,
-                             variant=algorithm, **tol)
+        budget = rank if max_iter is None else max_iter
+        return rank_one_pursuit(op, b, PursuitConfig(max_atoms=budget, variant=algorithm, **tol))
     if algorithm == "svt":
-        return SvtConfig(**tol) if max_iter is None else SvtConfig(max_iter=max_iter, **tol)
+        iters = {} if max_iter is None else {"max_iter": max_iter}
+        return svt_solve(op, b, SvtConfig(**iters, **tol))
     raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
 
 
-def solve(algorithm: str, op, b, config) -> AdmiraResult:
-    """Run ``algorithm`` with ``config`` on the measurements ``b`` of ``op``."""
-    if algorithm == "admira":
-        return admira_solve(op, b, config)
-    if algorithm in ("omp", "mp"):
-        return rank_one_pursuit(op, b, config)
-    if algorithm == "svt":
-        return svt_solve(op, b, config)
-    raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-
-
-def run_trial(problem: Problem, algorithm: str = "admira", config=None) -> TrialReport:
+def run_trial(problem: Problem, algorithm: str = "admira", max_iter=None,
+              residual_tol=None) -> TrialReport:
     """Solve one problem with one algorithm and report the usual metrics."""
-    if config is None:
-        config = default_config(algorithm, problem.r_true)
     start = time.perf_counter()
-    result = solve(algorithm, problem.operator, problem.b, config)
+    result = solve(algorithm, problem.operator, problem.b, problem.r_true, max_iter, residual_tol)
     wall = time.perf_counter() - start
     return TrialReport(
         algorithm=algorithm,
@@ -238,8 +229,7 @@ def _pin_blas() -> int | None:
 
 def _trial(n, m, r, p, kind, snr_meas_db, seed, algorithm, max_iter, residual_tol):
     prob = gen_problem(n, m, r, p, kind=kind, snr_meas_db=snr_meas_db, seed=seed)
-    config = default_config(algorithm, prob.r_true, max_iter, residual_tol)
-    return run_trial(prob, algorithm, config)
+    return run_trial(prob, algorithm, max_iter, residual_tol)
 
 
 def _map_ordered(tasks, threads: int) -> list[TrialReport]:
@@ -281,6 +271,8 @@ def run_sweep(
     Returns one row per ratio: ``[p_over_dr, p, mean_snr_db,
     mean_iterations]``; also written as CSV when ``out`` is given.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     dr = degrees_of_freedom(n, m, r)
     ps = [min(int(round(ratio * dr)), m * n) for ratio in p_over_dr]
     tasks = [(n, m, r, p, kind, snr_meas_db, derive_seed(seed, "sweep", p, t),
@@ -318,6 +310,8 @@ def phase_transition(
     r_values = tuple(int(r) for r in r_grid)
     if not p_values or not r_values:
         raise ValueError("p_grid and r_grid must be non-empty")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     tasks = [(n, m, r, p, "entry", None, derive_seed(seed, "phase", r, p, t), "admira",
               max_iter, residual_tol) for r in r_values for p in p_values for t in range(trials)]
     hits = np.array([rep.snr_recon_db >= threshold_db for rep in _map_ordered(tasks, threads)],
@@ -348,6 +342,8 @@ def compare_table(
     Returns rows ``[r, p_over_n2, p_over_dr, alg, snr_db, iters]`` averaged
     over trials; each algorithm sees the same problems.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     cases = [(r, alg) for r in r_list for alg in algorithms]
     tasks = [(n, m, r, p, "entry", None, derive_seed(seed, "compare", r, t), alg,
               max_iter, residual_tol) for r, alg in cases for t in range(trials)]

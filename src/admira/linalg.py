@@ -77,9 +77,6 @@ class SvdFactors:
     def k(self) -> int:
         return self.sigma.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
-
 
 def fix_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flip (u_j, v_j) pairs so the first nonzero entry of u_j is positive."""

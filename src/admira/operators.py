@@ -122,7 +122,7 @@ class EntrySampler(MeasurementOperator):
 
     kind = "entry"
 
-    def __init__(self, m, n, rows, cols, seed=None):
+    def __init__(self, m, n, rows, cols):
         rows = np.asarray(rows, dtype=np.intp).ravel()
         cols = np.asarray(cols, dtype=np.intp).ravel()
         if rows.shape != cols.shape:
@@ -137,7 +137,6 @@ class EntrySampler(MeasurementOperator):
             raise ValueError("sample positions must be distinct")
         self.rows = rows
         self.cols = cols
-        self.seed = seed
 
     @classmethod
     def random(cls, m, n, p, seed) -> "EntrySampler":
@@ -147,7 +146,7 @@ class EntrySampler(MeasurementOperator):
         rng = np.random.default_rng(seed)
         flat = rng.choice(m * n, size=p, replace=False)
         rows, cols = np.divmod(flat, n)
-        return cls(m, n, rows, cols, seed=seed)
+        return cls(m, n, rows, cols)
 
     def apply(self, X) -> np.ndarray:
         return self._check_matrix(X)[self.rows, self.cols]

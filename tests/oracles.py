@@ -3,7 +3,8 @@
 The singular-value oracle goes through the characteristic polynomial of the
 Gram matrix (Faddeev-LeVerrier coefficients, then polynomial roots) and
 never touches an SVD, so it checks the production kernel along a disjoint
-code path.
+code path. The remaining helpers rebuild or read back what the library
+produces, for comparison.
 """
 
 import numpy as np
@@ -32,6 +33,16 @@ def singular_values_charpoly(M):
     roots = np.roots(charpoly_coefficients(G))
     eigs = np.clip(np.real(roots), 0.0, None)
     return scale * np.sort(np.sqrt(eigs))[::-1]
+
+
+def reconstruct(factors):
+    """The matrix ``U @ diag(sigma) @ V.T`` of an ``SvdFactors``."""
+    return (factors.U * factors.sigma) @ factors.V.T
+
+
+def load_dense_matrix(path):
+    """Read back a matrix written by ``fileio.save_dense_matrix``."""
+    return np.atleast_2d(np.loadtxt(path, delimiter=","))
 
 
 def random_orthonormal_atoms(m, n, k, rng):

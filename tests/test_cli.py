@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 
 import admira
-from admira.cli import main
+from admira.cli import build_parser, main
 from admira import fileio
+
+from oracles import load_dense_matrix
 
 
 def read_lines(path):
@@ -24,8 +27,8 @@ class TestGenComplete:
                      "--truth-out", str(truth)]) == 0
         assert main(["complete", "--obs", str(obs), "--r", "1",
                      "--out", str(sol)]) == 0
-        X = fileio.load_dense_matrix(truth)
-        Xh = fileio.load_dense_matrix(sol)
+        X = load_dense_matrix(truth)
+        Xh = load_dense_matrix(sol)
         err = np.linalg.norm(X - Xh, "fro") / np.linalg.norm(X, "fro")
         assert err <= 1e-7
 
@@ -115,6 +118,37 @@ class TestConfigFile:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
 
 
+def subcommands():
+    parser = build_parser({}, set())
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestOptionSets:
+    # every option a subcommand registers is read by its command
+    EXPECTED = {
+        "gen": "--n --m --r --seed --p --p-over-dr --kind --snr-meas --out --truth-out",
+        "solve": "--r --max-iter --tol --problem --alg --out --trace-out",
+        "complete": "--r --max-iter --tol --obs --n --m --alg --out --trace-out",
+        "sweep": "--n --m --r --seed --max-iter --tol --threads --p-over-dr --trials --kind "
+                 "--alg --snr-meas --out",
+        "phase": "--n --m --seed --max-iter --tol --threads --p-grid --r-grid --trials "
+                 "--threshold-db --out",
+        "compare": "--n --m --seed --max-iter --tol --threads --r-list --p --trials --out",
+        "rip": "--n --m --r --seed --p --kind --samples --pairs --out --pairs-out",
+    }
+
+    def test_each_subcommand_registers_exactly_its_flags(self):
+        got = {name: {flag for action in p._actions for flag in action.option_strings}
+               for name, p in subcommands().items()}
+        assert got == {name: set(flags.split()) | {"-h", "--help", "--config"}
+                       for name, flags in self.EXPECTED.items()}
+
+    def test_alg_choices_are_the_algorithm_table(self):
+        for name in ("solve", "complete", "sweep"):
+            alg = next(a for a in subcommands()[name]._actions if "--alg" in a.option_strings)
+            assert alg.choices == list(admira.harness.ALGORITHMS)
+
+
 class TestCompareRip:
     def test_compare_schema(self, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -169,8 +203,17 @@ class TestUserErrors:
          "dense operator needs"),
         (["sweep", "--n", "10", "--m", "10", "--r", "1", "--p-over-dr", "3", "--trials", "1",
           "--kind", "gaussian", "--alg", "svt"], "requires an entry-sampling operator"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "2", "--trials", "0"],
+         "trials must be at least 1, got 0"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "2", "--trials", "-2"],
+         "trials must be at least 1, got -2"),
+        (["phase", "--n", "4", "--m", "4", "--p-grid", "10", "--r-grid", "1", "--trials", "0"],
+         "trials must be at least 1, got 0"),
+        (["compare", "--n", "4", "--m", "4", "--r-list", "1", "--p", "10", "--trials", "0"],
+         "trials must be at least 1, got 0"),
     ], ids=["gen_rank", "sweep_rank", "missing_obs", "missing_config", "gen_memory_budget",
-            "sweep_svt_gaussian"])
+            "sweep_svt_gaussian", "sweep_zero_trials", "sweep_negative_trials",
+            "phase_zero_trials", "compare_zero_trials"])
     def test_library_errors_end_in_one_line(self, tmp_path, args, expect):
         out = tmp_path / "out.txt"
         run = run_cli(*[a.format(tmp=tmp_path) for a in args], "--out", str(out))
@@ -178,4 +221,17 @@ class TestUserErrors:
         assert run.stdout == ""
         assert len(run.stderr.splitlines()) == 1
         assert run.stderr.startswith("admira: ") and expect in run.stderr
+        assert not out.exists()
+
+    def test_solve_svt_on_gaussian_problem(self, tmp_path):
+        prob = tmp_path / "prob.txt"
+        assert main(["gen", "--kind", "gaussian", "--n", "6", "--m", "6", "--r", "1",
+                     "--p", "40", "--seed", "2", "--out", str(prob)]) == 0
+        out = tmp_path / "sol.csv"
+        run = run_cli("solve", "--problem", str(prob), "--r", "1", "--alg", "svt",
+                      "--out", str(out))
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("admira: ") and "requires an entry-sampling operator" in run.stderr
         assert not out.exists()

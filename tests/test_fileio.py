@@ -9,6 +9,8 @@ from admira.operators import EntrySampler, GaussianOperator
 from admira.ripcheck import estimate_delta, restricted_orthogonality_check
 from admira.solver import AdmiraConfig, admira_solve
 
+from oracles import load_dense_matrix
+
 
 class TestFormatting:
     def test_full_precision_roundtrip(self):
@@ -82,6 +84,37 @@ class TestProblemFiles:
         with pytest.raises(ValueError):
             fileio.load_problem(path)
 
+    @pytest.mark.parametrize("key, value, expect", [
+        ("seed", "10", "does not match"),
+        ("check", "0123456789abcdef", "does not match"),
+        ("check", None, "missing check"),
+    ], ids=["edited_seed", "edited_check", "missing_check"])
+    def test_operator_check(self, tmp_path, key, value, expect):
+        prob = gen_problem(7, 6, 2, 25, kind="gaussian", seed=9)
+        path = tmp_path / "prob.txt"
+        fileio.save_problem(path, prob.operator, prob.b)
+        lines = path.read_text().splitlines()
+        assert sum(line.startswith(f"{key}=") for line in lines) == 1
+        lines = [line for line in lines if not line.startswith(f"{key}=")]
+        if value is not None:
+            lines.insert(1, f"{key}={value}")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=expect):
+            fileio.load_problem(path)
+
+
+class TestKeyValues:
+    def test_pairs_skip_blanks_and_comments(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# comment\n\n n = 16 \nalg=svt\nn=8\n")
+        assert list(fileio.read_key_values(path)) == [("n", "16"), ("alg", "svt"), ("n", "8")]
+
+    def test_line_without_equals(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n=16\nseed 3\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:2: expected key=value"):
+            list(fileio.read_key_values(path))
+
 
 class TestTraceExport:
     def test_with_truth_column(self, tmp_path):
@@ -128,4 +161,4 @@ class TestDenseMatrixFiles:
         X = rng.standard_normal((4, 6))
         path = tmp_path / "x.csv"
         fileio.save_dense_matrix(path, X)
-        np.testing.assert_array_equal(fileio.load_dense_matrix(path), X)
+        np.testing.assert_array_equal(load_dense_matrix(path), X)
