@@ -19,43 +19,11 @@ __all__ = ["main"]
 
 
 def _int_list(text):
-    return [int(v) for v in str(text).split(",") if v.strip()]
+    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def _float_list(text):
-    return [float(v) for v in str(text).split(",") if v.strip()]
-
-
-class _Options:
-    """Registers options, filling defaults from the config file and
-    recording every option name in ``known``."""
-
-    def __init__(self, parser, cfg, known):
-        self.parser = parser
-        self.cfg = cfg
-        self.known = known
-
-    def add(self, name, type=str, default=None, required=False, help=None, choices=None):
-        key = name.lstrip("-")
-        self.known.add(key)
-        raw = self.cfg.get(key, self.cfg.get(key.replace("-", "_")))
-        if raw is not None:
-            # a key may be meant for a sibling subcommand with a different
-            # value shape; apply it only where it converts cleanly
-            try:
-                default = type(raw)
-                required = False
-            except ValueError:
-                pass
-        self.parser.add_argument(name, type=type, default=default,
-                                 required=required, help=help, choices=choices)
-
-
-def _run_algorithm(alg, op, b, args, rank):
-    if not 1 <= rank <= min(op.m, op.n):
-        raise SystemExit(f"admira: --r must be in [1, {min(op.m, op.n)}] for a "
-                         f"{op.m}x{op.n} matrix, got {rank}")
-    return harness.solve(alg, op, b, rank, args.max_iter, args.tol)
+    return [float(v) for v in text.split(",") if v.strip()]
 
 
 def _emit_solution(result, args):
@@ -71,12 +39,10 @@ def _emit_solution(result, args):
 
 
 def cmd_gen(args):
-    p = args.p
-    if p is None:
-        if args.p_over_dr is None:
-            raise SystemExit("gen requires --p or --p-over-dr")
-        p = min(int(round(args.p_over_dr * harness.degrees_of_freedom(args.n, args.m, args.r))),
-                args.m * args.n)
+    if (args.p is None) == (args.p_over_dr is None):
+        raise SystemExit("admira: gen takes exactly one of --p and --p-over-dr")
+    p = args.p if args.p_over_dr is None else harness.measurement_count(
+        args.n, args.m, args.r, args.p_over_dr)
     problem = harness.gen_problem(args.n, args.m, args.r, p, kind=args.kind,
                                   snr_meas_db=args.snr_meas, seed=args.seed)
     if args.kind == "entry":
@@ -92,7 +58,7 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     op, b = fileio.load_problem(args.problem)
-    result = _run_algorithm(args.alg, op, b, args, args.r)
+    result = harness.solve(args.alg, op, b, args.r, args.max_iter, args.tol)
     _emit_solution(result, args)
     return 0
 
@@ -104,7 +70,7 @@ def cmd_complete(args):
     m = args.m if args.m is not None else int(rows.max()) + 1
     n = args.n if args.n is not None else int(cols.max()) + 1
     op = EntrySampler(m, n, rows, cols)
-    result = _run_algorithm(args.alg, op, values, args, args.r)
+    result = harness.solve(args.alg, op, values, args.r, args.max_iter, args.tol)
     _emit_solution(result, args)
     return 0
 
@@ -165,9 +131,14 @@ _SHARED = {
 }
 
 
-def build_parser(cfg, known: set) -> argparse.ArgumentParser:
-    """The ``admira`` parser; adds the name of every option that a config
-    file may set to ``known``."""
+def build_parser(cfg) -> argparse.ArgumentParser:
+    """The ``admira`` parser. Each config value, still a raw string, becomes
+    the default of every option of its name (``_`` read as ``-``), so
+    argparse converts it with the option's own type, exactly as it converts
+    the flag, and only in the subcommand being run. A key that no subcommand
+    has, or a value outside an option's choices, is a ``ValueError``."""
+    values = {key.replace("_", "-"): value for key, value in cfg.items()}
+    unused = set(values)
     parser = argparse.ArgumentParser(prog="admira",
                                      description="Low-rank matrix recovery toolkit")
     parser.add_argument("--config", help="key=value file supplying flag defaults")
@@ -177,66 +148,77 @@ def build_parser(cfg, known: set) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="key=value file supplying flag defaults")
         p.set_defaults(func=func)
-        o = _Options(p, cfg, known)
+
+        def add(flag, **spec):
+            action = p.add_argument(flag, **spec)
+            if flag[2:] in values:
+                action.default, action.required = values[flag[2:]], False
+                unused.discard(flag[2:])
+                if action.choices and action.default not in action.choices:
+                    raise ValueError(f"config {flag} {action.default!r} not in {action.choices}")
+
         for key in shared.split():
-            o.add(f"--{key}", **_SHARED[key])
-        return o
+            add(f"--{key}", **_SHARED[key])
+        return add
 
-    o = command("gen", cmd_gen, "generate a problem and write it to disk", "n m r seed")
-    o.add("--p", type=int, help="measurement count")
-    o.add("--p-over-dr", type=float, help="measurement count as a multiple of d_r")
-    o.add("--kind", choices=["entry", "gaussian"], default="entry")
-    o.add("--snr-meas", type=float, help="measurement SNR in dB (omit for noiseless)")
-    o.add("--out", required=True, help="output path")
-    o.add("--truth-out", help="optional CSV path for the ground-truth matrix")
+    add = command("gen", cmd_gen, "generate a problem and write it to disk", "n m r seed")
+    add("--p", type=int, help="measurement count")
+    add("--p-over-dr", type=float, help="measurement count as a multiple of d_r")
+    add("--kind", choices=["entry", "gaussian"], default="entry")
+    add("--snr-meas", type=float, help="measurement SNR in dB (omit for noiseless)")
+    add("--out", required=True, help="output path")
+    add("--truth-out", help="optional CSV path for the ground-truth matrix")
 
-    o = command("solve", cmd_solve, "solve a Gaussian-operator problem file", "r max-iter tol")
-    o.add("--problem", required=True, help="problem file from 'gen --kind gaussian'")
-    o.add("--alg", choices=list(harness.ALGORITHMS), default="admira")
-    o.add("--out", help="CSV path for the recovered matrix")
-    o.add("--trace-out", help="CSV path for the iteration trace")
+    add = command("solve", cmd_solve, "solve a Gaussian-operator problem file", "r max-iter tol")
+    add("--problem", required=True, help="problem file from 'gen --kind gaussian'")
+    add("--alg", choices=list(harness.ALGORITHMS), default="admira")
+    add("--out", help="CSV path for the recovered matrix")
+    add("--trace-out", help="CSV path for the iteration trace")
 
-    o = command("complete", cmd_complete, "complete a matrix from observed-entry triples",
-                "r max-iter tol")
-    o.add("--obs", required=True, help="observed entries, one 'row col value' per line")
-    o.add("--n", type=int, help="matrix columns (default: largest observed column)")
-    o.add("--m", type=int, help="matrix rows (default: largest observed row)")
-    o.add("--alg", choices=list(harness.ALGORITHMS), default="admira")
-    o.add("--out", help="CSV path for the recovered matrix")
-    o.add("--trace-out", help="CSV path for the iteration trace")
+    add = command("complete", cmd_complete, "complete a matrix from observed-entry triples",
+                  "r max-iter tol")
+    add("--obs", required=True, help="observed entries, one 'row col value' per line")
+    add("--n", type=int, help="matrix columns (default: largest observed column)")
+    add("--m", type=int, help="matrix rows (default: largest observed row)")
+    add("--alg", choices=list(harness.ALGORITHMS), default="admira")
+    add("--out", help="CSV path for the recovered matrix")
+    add("--trace-out", help="CSV path for the iteration trace")
 
-    o = command("sweep", cmd_sweep, "mean SNR/iterations vs oversampling ratio",
-                "n m r seed max-iter tol threads")
-    o.add("--p-over-dr", type=_float_list, required=True, help="comma-separated ratios")
-    o.add("--trials", type=int, default=20)
-    o.add("--kind", choices=["entry", "gaussian"], default="entry")
-    o.add("--alg", choices=list(harness.ALGORITHMS), default="admira")
-    o.add("--snr-meas", type=float, help="measurement SNR in dB (omit for noiseless)")
-    o.add("--out", required=True)
+    add = command("sweep", cmd_sweep, "mean SNR/iterations vs oversampling ratio",
+                  "n m r seed max-iter tol threads")
+    add("--p-over-dr", type=_float_list, required=True, help="comma-separated ratios")
+    add("--trials", type=int, default=20)
+    add("--kind", choices=["entry", "gaussian"], default="entry")
+    add("--alg", choices=list(harness.ALGORITHMS), default="admira")
+    add("--snr-meas", type=float, help="measurement SNR in dB (omit for noiseless)")
+    add("--out", required=True)
 
-    o = command("phase", cmd_phase, "success counts over a (p, r) grid",
-                "n m seed max-iter tol threads")
-    o.add("--p-grid", type=_int_list, required=True, help="comma-separated p values")
-    o.add("--r-grid", type=_int_list, required=True, help="comma-separated r values")
-    o.add("--trials", type=int, default=10)
-    o.add("--threshold-db", type=float, default=70.0)
-    o.add("--out", required=True)
+    add = command("phase", cmd_phase, "success counts over a (p, r) grid",
+                  "n m seed max-iter tol threads")
+    add("--p-grid", type=_int_list, required=True, help="comma-separated p values")
+    add("--r-grid", type=_int_list, required=True, help="comma-separated r values")
+    add("--trials", type=int, default=10)
+    add("--threshold-db", type=float, default=harness.DEFAULT_SUCCESS_DB)
+    add("--out", required=True)
 
-    o = command("compare", cmd_compare, "algorithm comparison table on shared problems",
-                "n m seed max-iter tol threads")
-    o.add("--r-list", type=_int_list, required=True, help="comma-separated ranks")
-    o.add("--p", type=int, required=True)
-    o.add("--trials", type=int, default=20)
-    o.add("--out", required=True)
+    add = command("compare", cmd_compare, "algorithm comparison table on shared problems",
+                  "n m seed max-iter tol threads")
+    add("--r-list", type=_int_list, required=True, help="comma-separated ranks")
+    add("--p", type=int, required=True)
+    add("--trials", type=int, default=20)
+    add("--out", required=True)
 
-    o = command("rip", cmd_rip, "sampled isometry and orthogonality diagnostics", "n m r seed")
-    o.add("--p", type=int, required=True)
-    o.add("--kind", choices=["gaussian", "entry"], default="gaussian")
-    o.add("--samples", type=int, default=500, help="samples per rank level")
-    o.add("--pairs", type=int, default=200, help="orthogonal pairs to test")
-    o.add("--out", required=True, help="CSV path for the delta estimate")
-    o.add("--pairs-out", help="CSV path for per-pair orthogonality checks")
+    add = command("rip", cmd_rip, "sampled isometry and orthogonality diagnostics", "n m r seed")
+    add("--p", type=int, required=True)
+    add("--kind", choices=["gaussian", "entry"], default="gaussian")
+    add("--samples", type=int, default=500, help="samples per rank level")
+    add("--pairs", type=int, default=200, help="orthogonal pairs to test")
+    add("--out", required=True, help="CSV path for the delta estimate")
+    add("--pairs-out", help="CSV path for per-pair orthogonality checks")
 
+    for key in cfg:
+        if key.replace("_", "-") in unused:
+            raise ValueError(f"unknown key {key!r} in the config file")
     return parser
 
 
@@ -247,12 +229,7 @@ def main(argv=None) -> int:
     known, _ = pre.parse_known_args(argv)
     try:
         cfg = dict(fileio.read_key_values(known.config)) if known.config else {}
-        options: set[str] = set()
-        parser = build_parser(cfg, options)
-        for key in cfg:
-            if key.replace("_", "-") not in options:
-                raise SystemExit(f"admira: unknown key {key!r} in config file {known.config}")
-        args = parser.parse_args(argv)
+        args = build_parser(cfg).parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, MemoryBudgetExceeded, UnsupportedOperatorError) as exc:
         raise SystemExit(f"admira: {' '.join(str(exc).split())}") from None

@@ -33,6 +33,7 @@ __all__ = [
     "TrialReport",
     "PhaseGrid",
     "degrees_of_freedom",
+    "measurement_count",
     "gen_problem",
     "snr_recon",
     "snr_meas",
@@ -58,11 +59,7 @@ class Problem:
     operator: object
     b: np.ndarray
     nu: np.ndarray
-    n: int
-    m: int
     r_true: int
-    p: int
-    seed: int
 
 
 @dataclass
@@ -79,8 +76,6 @@ class TrialReport:
 class PhaseGrid:
     """Success counts over a (p, r) grid of completion problems."""
 
-    n: int
-    m: int
     p_values: tuple[int, ...]
     r_values: tuple[int, ...]
     trials: int
@@ -100,6 +95,12 @@ def degrees_of_freedom(n: int, m: int, r: int) -> int:
     if not 0 <= r <= min(n, m):
         raise ValueError(f"r must be in [0, {min(n, m)}], got {r}")
     return r * (n + m - r)
+
+
+def measurement_count(n: int, m: int, r: int, p_over_dr: float) -> int:
+    """Measurements for oversampling ratio ``p_over_dr`` = p/d_r, capped at
+    the m*n entries."""
+    return min(int(round(p_over_dr * degrees_of_freedom(n, m, r))), m * n)
 
 
 def gen_problem(
@@ -142,7 +143,7 @@ def gen_problem(
             raise ValueError("cannot set a measurement SNR for zero measurements")
         g = derive_rng(seed, "noise").standard_normal(p)
         nu = g * (clean_norm / np.linalg.norm(g)) * 10.0 ** (-snr_meas_db / 20.0)
-    return Problem(x_true, op, b_clean + nu, nu, n, m, r, p, seed)
+    return Problem(x_true, op, b_clean + nu, nu, r)
 
 
 def snr_recon(x_true, x_hat) -> float:
@@ -168,6 +169,9 @@ def solve(algorithm: str, op, b, rank: int, max_iter=None, residual_tol=None) ->
     """Run ``algorithm`` for a rank-``rank`` target on the measurements ``b``
     of ``op``: the one table from algorithm names to solvers. ``None`` keeps
     a parameter's default; pursuit's atom budget defaults to ``rank``."""
+    if not 1 <= rank <= min(op.m, op.n):
+        raise ValueError(f"rank must be in [1, {min(op.m, op.n)}] for a {op.m}x{op.n} "
+                         f"matrix, got {rank}")
     # a chain rather than a dict of functions: each solver is looked up as a
     # module global at call time, so a rebound (traced) name takes effect
     tol = {} if residual_tol is None else {"residual_tol": residual_tol}
@@ -273,8 +277,7 @@ def run_sweep(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    dr = degrees_of_freedom(n, m, r)
-    ps = [min(int(round(ratio * dr)), m * n) for ratio in p_over_dr]
+    ps = [measurement_count(n, m, r, ratio) for ratio in p_over_dr]
     tasks = [(n, m, r, p, kind, snr_meas_db, derive_seed(seed, "sweep", p, t),
               algorithm, max_iter, residual_tol) for p in ps for t in range(trials)]
     reports = _map_ordered(tasks, threads)
@@ -318,7 +321,7 @@ def phase_transition(
                     dtype=int)
     successes = hits.reshape(len(r_values), len(p_values), trials).sum(axis=2)
 
-    grid = PhaseGrid(n, m, p_values, r_values, trials, threshold_db, successes)
+    grid = PhaseGrid(p_values, r_values, trials, threshold_db, successes)
     if out is not None:
         write_csv(out, ["p", "r", "successes", "trials"], grid.to_rows())
     return grid

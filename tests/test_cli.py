@@ -1,5 +1,6 @@
 import argparse
 import os
+import re
 import subprocess
 import sys
 
@@ -117,31 +118,44 @@ class TestConfigFile:
         cfg.write_text("n=10\nm=10\nr=1\np_over_dr=3\ntrials=1\nsamples=5\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
 
+    @pytest.mark.parametrize("line, expect", [
+        ("trials=abc", "invalid int value"),
+        ("threads=two", "invalid int value"),
+        ("max_iter=1e3", "invalid int value"),
+        ("kind=fourier", "not in"),
+    ], ids=["trials", "threads", "max_iter", "kind"])
+    def test_bad_value_stops_the_run(self, tmp_path, line, expect):
+        # a config value is converted and checked like the flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n=6\nm=6\nr=1\np-over-dr=3\n{line}\n")
+        out = tmp_path / "a.csv"
+        run = run_cli("sweep", "--config", str(cfg), "--out", str(out))
+        assert run.returncode != 0
+        assert expect in run.stderr
+        assert not out.exists()
+
 
 def subcommands():
-    parser = build_parser({}, set())
+    parser = build_parser({})
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-class TestOptionSets:
-    # every option a subcommand registers is read by its command
-    EXPECTED = {
-        "gen": "--n --m --r --seed --p --p-over-dr --kind --snr-meas --out --truth-out",
-        "solve": "--r --max-iter --tol --problem --alg --out --trace-out",
-        "complete": "--r --max-iter --tol --obs --n --m --alg --out --trace-out",
-        "sweep": "--n --m --r --seed --max-iter --tol --threads --p-over-dr --trials --kind "
-                 "--alg --snr-meas --out",
-        "phase": "--n --m --seed --max-iter --tol --threads --p-grid --r-grid --trials "
-                 "--threshold-db --out",
-        "compare": "--n --m --seed --max-iter --tol --threads --r-list --p --trials --out",
-        "rip": "--n --m --r --seed --p --kind --samples --pairs --out --pairs-out",
-    }
+def readme_flag_table():
+    """README's command-line table: subcommand -> the flags it lists."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `(\w+)` \| `(--[^`]*)` \|$", fh.read(), re.MULTILINE)
+    return {name: set(flags.split()) for name, flags in rows}
 
+
+class TestOptionSets:
     def test_each_subcommand_registers_exactly_its_flags(self):
+        # every option a subcommand registers is read by its command and
+        # listed in README's table
         got = {name: {flag for action in p._actions for flag in action.option_strings}
                for name, p in subcommands().items()}
-        assert got == {name: set(flags.split()) | {"-h", "--help", "--config"}
-                       for name, flags in self.EXPECTED.items()}
+        assert got == {name: flags | {"-h", "--help", "--config"}
+                       for name, flags in readme_flag_table().items()}
 
     def test_alg_choices_are_the_algorithm_table(self):
         for name in ("solve", "complete", "sweep"):
@@ -181,7 +195,8 @@ def run_cli(*args):
 class TestUserErrors:
     @pytest.mark.parametrize("obs_text, rank, expect", [
         ("", "1", "no observed entries"),
-        ("1 1 1.0\n1 2 2.0\n2 1 3.0\n2 2 4.0\n", "5", "--r must be in [1, 2]"),
+        ("1 1 1.0\n1 2 2.0\n2 1 3.0\n2 2 4.0\n", "5",
+         "rank must be in [1, 2] for a 2x2 matrix, got 5"),
     ], ids=["empty_file", "rank_above_size"])
     def test_one_line_on_stderr_and_status_1(self, tmp_path, obs_text, rank, expect):
         obs = tmp_path / "obs.txt"
@@ -195,6 +210,10 @@ class TestUserErrors:
 
     @pytest.mark.parametrize("args, expect", [
         (["gen", "--n", "2", "--m", "2", "--r", "5", "--p", "3"], "r must be in [1, 2]"),
+        (["gen", "--n", "4", "--m", "4", "--r", "1", "--p", "16", "--p-over-dr", "0.5"],
+         "gen takes exactly one of --p and --p-over-dr"),
+        (["gen", "--n", "4", "--m", "4", "--r", "1"],
+         "gen takes exactly one of --p and --p-over-dr"),
         (["sweep", "--n", "4", "--m", "4", "--r", "9", "--p-over-dr", "2", "--trials", "1"],
          "r must be in [0, 4]"),
         (["complete", "--obs", "{tmp}/missing.txt", "--r", "1"], "No such file"),
@@ -211,7 +230,8 @@ class TestUserErrors:
          "trials must be at least 1, got 0"),
         (["compare", "--n", "4", "--m", "4", "--r-list", "1", "--p", "10", "--trials", "0"],
          "trials must be at least 1, got 0"),
-    ], ids=["gen_rank", "sweep_rank", "missing_obs", "missing_config", "gen_memory_budget",
+    ], ids=["gen_rank", "gen_p_and_ratio", "gen_no_p", "sweep_rank", "missing_obs",
+            "missing_config", "gen_memory_budget",
             "sweep_svt_gaussian", "sweep_zero_trials", "sweep_negative_trials",
             "phase_zero_trials", "compare_zero_trials"])
     def test_library_errors_end_in_one_line(self, tmp_path, args, expect):

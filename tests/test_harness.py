@@ -40,6 +40,11 @@ class TestDegreesOfFreedom:
         with pytest.raises(ValueError):
             degrees_of_freedom(4, 4, -1)
 
+    def test_measurement_count_rounds_and_caps(self):
+        assert harness.measurement_count(10, 10, 1, 2.0) == 38
+        assert harness.measurement_count(10, 10, 1, 0.51) == 10  # round(9.69)
+        assert harness.measurement_count(4, 4, 1, 100.0) == 16
+
 
 class TestGenProblem:
     def test_noiseless_by_default(self):
@@ -120,6 +125,13 @@ class TestRunTrial:
         prob = gen_problem(6, 6, 1, 20, seed=14)
         with pytest.raises(ValueError):
             run_trial(prob, "sdp")
+
+    @pytest.mark.parametrize("alg", harness.ALGORITHMS)
+    @pytest.mark.parametrize("rank", [0, 7])
+    def test_rank_outside_matrix_size(self, alg, rank):
+        prob = gen_problem(6, 6, 1, 20, seed=14)
+        with pytest.raises(ValueError, match=r"rank must be in \[1, 6\] for a 6x6 matrix"):
+            harness.solve(alg, prob.operator, prob.b, rank)
 
     def test_pursuit_variants_run(self):
         prob = gen_problem(8, 8, 1, 64, seed=15)
