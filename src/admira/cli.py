@@ -107,11 +107,13 @@ def cmd_rip(args):
     else:
         op = EntrySampler.random(args.m, args.n, args.p, derive_seed(args.seed, "rip-op"))
     estimate = ripcheck.estimate_delta(op, args.r, args.samples, args.seed)
+    # both checks run before either file is written, so a bad input writes none
+    report = (ripcheck.restricted_orthogonality_check(op, max(args.r, 2), args.pairs, args.seed)
+              if args.pairs_out else None)
     fileio.save_rip_estimates(args.out, [estimate])
     print(f"delta_hat(r={args.r}) >= {estimate.delta_hat:.6f} "
           f"from {estimate.samples_used} samples; wrote {args.out}")
-    if args.pairs_out:
-        report = ripcheck.restricted_orthogonality_check(op, max(args.r, 2), args.pairs, args.seed)
+    if report:
         fileio.save_orthogonality_pairs(args.pairs_out, report)
         print(f"orthogonality: max_ratio={report.max_ratio:.4f} "
               f"violations(sqrt2)={report.violations_sqrt2} "

@@ -47,6 +47,9 @@ __all__ = [
 
 ALGORITHMS = ("admira", "omp", "mp", "svt")
 
+# the algorithms compare_table runs, in row order
+COMPARE_ALGORITHMS = ("admira", "svt")
+
 # SNR threshold counting a completion trial as a success
 DEFAULT_SUCCESS_DB = 70.0
 
@@ -117,10 +120,13 @@ def gen_problem(
     The truth is a product of standard-Gaussian factors (rank exactly r
     almost surely); ``kind`` selects the operator family ("entry" or
     "gaussian"). When ``snr_meas_db`` is given, white Gaussian noise is
-    scaled so the measurement SNR matches it exactly; otherwise ``nu = 0``.
+    scaled so the measurement SNR matches it exactly; ``None`` and ``inf``
+    give ``nu = 0``, and NaN or ``-inf`` is a ``ValueError``.
     """
     if r < 1 or r > min(m, n):
         raise ValueError(f"r must be in [1, {min(m, n)}], got {r}")
+    if snr_meas_db is not None and (math.isnan(snr_meas_db) or snr_meas_db == -math.inf):
+        raise ValueError(f"measurement SNR must be a number of dB or inf, got {snr_meas_db}")
     truth_rng = derive_rng(seed, "truth")
     yl = truth_rng.standard_normal((m, r))
     yr = truth_rng.standard_normal((n, r))
@@ -231,28 +237,46 @@ def _pin_blas() -> int | None:
     return old
 
 
-def _trial(n, m, r, p, kind, snr_meas_db, seed, algorithm, max_iter, residual_tol):
+def _trial(n, m, r, p, kind, snr_meas_db, algorithm, seed, max_iter, residual_tol):
     prob = gen_problem(n, m, r, p, kind=kind, snr_meas_db=snr_meas_db, seed=seed)
     return run_trial(prob, algorithm, max_iter, residual_tol)
 
 
-def _map_ordered(tasks, threads: int) -> list[TrialReport]:
-    """``_trial(*task)`` for every task, in task order, on up to ``threads``
-    worker processes, so aggregation does not depend on the worker count."""
+def _run_cases(label, cases, trials, seed, threads, max_iter, residual_tol):
+    """``trials`` reports per case ``(n, m, r, p, kind, snr_meas_db, algorithm,
+    key)``, one list per case in case order. Trial t solves the problem seeded
+    by ``derive_seed(seed, label, *key, t)`` on up to ``threads`` worker
+    processes, so the reports do not depend on the worker count."""
+    if not cases:
+        raise ValueError(f"the {label} grid is empty: each list needs at least one value")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    tasks = [(*case[:7], derive_seed(seed, label, *case[7], t), max_iter, residual_tol)
+             for case in cases for t in range(trials)]
     workers = min(threads, len(tasks))
     old = _pin_blas()
     try:
-        if workers <= 1:
-            return [_trial(*task) for task in tasks]
-        # imported here: multiprocessing would add ~1 MB to every process
-        # that imports the harness, solves alone included
-        from concurrent.futures import ProcessPoolExecutor
+        if workers == 1:
+            reports = [_trial(*task) for task in tasks]
+        else:
+            # imported here: multiprocessing would add ~1 MB to every process
+            # that imports the harness, solves alone included
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
-            return list(pool.map(_trial, *zip(*tasks)))
+            with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
+                reports = list(pool.map(_trial, *zip(*tasks)))
     finally:
         if old is not None:
             _openblas()[1](old)
+    return [reports[k * trials:(k + 1) * trials] for k in range(len(cases))]
+
+
+def _means(reports) -> list[float]:
+    """Mean reconstruction SNR and mean iteration count of ``reports``."""
+    return [float(np.mean([rep.snr_recon_db for rep in reports])),
+            float(np.mean([rep.iterations for rep in reports]))]
 
 
 def run_sweep(
@@ -275,17 +299,10 @@ def run_sweep(
     Returns one row per ratio: ``[p_over_dr, p, mean_snr_db,
     mean_iterations]``; also written as CSV when ``out`` is given.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     ps = [measurement_count(n, m, r, ratio) for ratio in p_over_dr]
-    tasks = [(n, m, r, p, kind, snr_meas_db, derive_seed(seed, "sweep", p, t),
-              algorithm, max_iter, residual_tol) for p in ps for t in range(trials)]
-    reports = _map_ordered(tasks, threads)
-    rows = []
-    for k, (ratio, p) in enumerate(zip(p_over_dr, ps)):
-        group = reports[k * trials:(k + 1) * trials]
-        rows.append([ratio, p, float(np.mean([rep.snr_recon_db for rep in group])),
-                     float(np.mean([rep.iterations for rep in group]))])
+    groups = _run_cases("sweep", [(n, m, r, p, kind, snr_meas_db, algorithm, (p,)) for p in ps],
+                        trials, seed, threads, max_iter, residual_tol)
+    rows = [[ratio, p, *_means(group)] for ratio, p, group in zip(p_over_dr, ps, groups)]
     if out is not None:
         write_csv(out, ["p_over_dr", "p", "mean_snr_db", "mean_iterations"], rows)
     return rows
@@ -311,15 +328,10 @@ def phase_transition(
     """
     p_values = tuple(int(p) for p in p_grid)
     r_values = tuple(int(r) for r in r_grid)
-    if not p_values or not r_values:
-        raise ValueError("p_grid and r_grid must be non-empty")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    tasks = [(n, m, r, p, "entry", None, derive_seed(seed, "phase", r, p, t), "admira",
-              max_iter, residual_tol) for r in r_values for p in p_values for t in range(trials)]
-    hits = np.array([rep.snr_recon_db >= threshold_db for rep in _map_ordered(tasks, threads)],
-                    dtype=int)
-    successes = hits.reshape(len(r_values), len(p_values), trials).sum(axis=2)
+    cases = [(n, m, r, p, "entry", None, "admira", (r, p)) for r in r_values for p in p_values]
+    groups = _run_cases("phase", cases, trials, seed, threads, max_iter, residual_tol)
+    successes = np.array([sum(rep.snr_recon_db >= threshold_db for rep in group)
+                          for group in groups]).reshape(len(r_values), len(p_values))
 
     grid = PhaseGrid(p_values, r_values, trials, threshold_db, successes)
     if out is not None:
@@ -334,7 +346,6 @@ def compare_table(
     p: int,
     trials: int,
     seed: int,
-    algorithms=("admira", "svt"),
     max_iter: int | None = None,
     residual_tol: float | None = None,
     threads: int = 1,
@@ -343,25 +354,14 @@ def compare_table(
     """Algorithm comparison on identical completion problems.
 
     Returns rows ``[r, p_over_n2, p_over_dr, alg, snr_db, iters]`` averaged
-    over trials; each algorithm sees the same problems.
+    over trials for each algorithm in ``COMPARE_ALGORITHMS``; each algorithm
+    sees the same problems.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    cases = [(r, alg) for r in r_list for alg in algorithms]
-    tasks = [(n, m, r, p, "entry", None, derive_seed(seed, "compare", r, t), alg,
-              max_iter, residual_tol) for r, alg in cases for t in range(trials)]
-    reports = _map_ordered(tasks, threads)
-    rows = []
-    for k, (r, alg) in enumerate(cases):
-        group = reports[k * trials:(k + 1) * trials]
-        rows.append([
-            r,
-            p / (n * m),
-            p / degrees_of_freedom(n, m, r),
-            alg,
-            float(np.mean([rep.snr_recon_db for rep in group])),
-            float(np.mean([rep.iterations for rep in group])),
-        ])
+    pairs = [(r, alg) for r in r_list for alg in COMPARE_ALGORITHMS]
+    groups = _run_cases("compare", [(n, m, r, p, "entry", None, alg, (r,)) for r, alg in pairs],
+                        trials, seed, threads, max_iter, residual_tol)
+    rows = [[r, p / (n * m), p / degrees_of_freedom(n, m, r), alg, *_means(group)]
+            for (r, alg), group in zip(pairs, groups)]
     if out is not None:
         write_csv(out, ["r", "p_over_n2", "p_over_dr", "alg", "snr_db", "iters"], rows)
     return rows

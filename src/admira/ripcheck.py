@@ -25,6 +25,9 @@ __all__ = [
     "restricted_orthogonality_check",
 ]
 
+# samples per rank level behind the orthogonality check's delta_hat
+DELTA_SAMPLES_PER_RANK = 200
+
 
 @dataclass(frozen=True)
 class RipEstimate:
@@ -97,30 +100,21 @@ def estimate_delta(op, r: int, num_samples: int, seed: int, extra=None) -> RipEs
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
 
-    delta_hat = 0.0
-    worst = (1, 0)
-    used = 0
-    for s in range(1, r + 1):
-        rng = derive_rng(seed, "rip-rank", s)
-        for i in range(num_samples):
-            Z = random_low_rank(op.m, op.n, s, rng)
-            val = abs(float(np.sum(op.apply(Z) ** 2)) - 1.0)
-            used += 1
-            if val > delta_hat:
-                delta_hat = val
-                worst = (s, i)
-    if extra is not None:
-        for i, Z in enumerate(extra):
+    def samples():
+        for s in range(1, r + 1):
+            rng = derive_rng(seed, "rip-rank", s)
+            for i in range(num_samples):
+                yield (s, i), random_low_rank(op.m, op.n, s, rng)
+        for i, Z in enumerate(() if extra is None else extra):
             Z = np.asarray(Z, dtype=float)
             nrm = frobenius_norm(Z)
-            if nrm == 0.0:
-                continue
-            val = abs(float(np.sum(op.apply(Z / nrm) ** 2)) - 1.0)
-            used += 1
-            if val > delta_hat:
-                delta_hat = val
-                worst = ("extra", i)
-    return RipEstimate(r, delta_hat, used, seed, worst[0], worst[1])
+            if nrm != 0.0:
+                yield ("extra", i), Z / nrm
+
+    # max keeps the first of equal values: the earliest worst sample
+    measured = [(abs(float(np.sum(op.apply(Z) ** 2)) - 1.0), label) for label, Z in samples()]
+    delta_hat, worst = max(measured, key=lambda item: item[0])
+    return RipEstimate(r, delta_hat, len(measured), seed, worst[0], worst[1])
 
 
 def _orthogonal_pair(m, n, rank_x, rank_y, rng):
@@ -135,9 +129,7 @@ def _orthogonal_pair(m, n, rank_x, rank_y, rng):
     return X, Y
 
 
-def restricted_orthogonality_check(
-    op, r: int, trials: int, seed: int, num_delta_samples: int = 200
-) -> OrthogonalityReport:
+def restricted_orthogonality_check(op, r: int, trials: int, seed: int) -> OrthogonalityReport:
     """Verify the measured-inner-product bound for orthogonal low-rank pairs.
 
     Pairs (X, Y) with disjoint singular supports (Frobenius-orthogonal,
@@ -151,6 +143,8 @@ def restricted_orthogonality_check(
     """
     if r < 2:
         raise ValueError("r must be at least 2 to split between two matrices")
+    if r > min(op.m, op.n):
+        raise ValueError(f"r must be at most min(m, n) = {min(op.m, op.n)}, got {r}")
     if trials < 1:
         raise ValueError("trials must be positive")
     rank_x = (r + 1) // 2
@@ -166,8 +160,8 @@ def restricted_orthogonality_check(
         combos.extend([Xu + Yu, Xu - Yu])
         pairs_xy.append((X, Y))
 
-    est = estimate_delta(op, r, num_delta_samples, derive_seed(seed, "rop-delta"), extra=combos)
-    delta = est.delta_hat
+    delta = estimate_delta(op, r, DELTA_SAMPLES_PER_RANK, derive_seed(seed, "rop-delta"),
+                           extra=combos).delta_hat
 
     checks = []
     max_ratio = 0.0

@@ -230,10 +230,21 @@ class TestUserErrors:
          "trials must be at least 1, got 0"),
         (["compare", "--n", "4", "--m", "4", "--r-list", "1", "--p", "10", "--trials", "0"],
          "trials must be at least 1, got 0"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "", "--trials", "1"],
+         "the sweep grid is empty"),
+        (["compare", "--n", "4", "--m", "4", "--r-list", "", "--p", "10", "--trials", "1"],
+         "the compare grid is empty"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "2", "--trials", "1",
+          "--threads", "0"], "threads must be at least 1, got 0"),
+        (["gen", "--n", "4", "--m", "4", "--r", "1", "--p", "8", "--snr-meas", "nan"],
+         "measurement SNR must be a number of dB or inf, got nan"),
+        (["rip", "--n", "1", "--m", "5", "--r", "1", "--p", "5", "--pairs-out", "{tmp}/q.csv"],
+         "r must be at most min(m, n) = 1, got 2"),
     ], ids=["gen_rank", "gen_p_and_ratio", "gen_no_p", "sweep_rank", "missing_obs",
             "missing_config", "gen_memory_budget",
             "sweep_svt_gaussian", "sweep_zero_trials", "sweep_negative_trials",
-            "phase_zero_trials", "compare_zero_trials"])
+            "phase_zero_trials", "compare_zero_trials", "sweep_empty_ratios",
+            "compare_empty_ranks", "sweep_zero_threads", "gen_snr_nan", "rip_pairs_rank"])
     def test_library_errors_end_in_one_line(self, tmp_path, args, expect):
         out = tmp_path / "out.txt"
         run = run_cli(*[a.format(tmp=tmp_path) for a in args], "--out", str(out))

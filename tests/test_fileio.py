@@ -148,7 +148,7 @@ class TestReportExports:
 
     def test_pairs_csv(self, tmp_path):
         op = GaussianOperator(6, 6, 150, seed=4)
-        rep = restricted_orthogonality_check(op, 2, 10, seed=5, num_delta_samples=50)
+        rep = restricted_orthogonality_check(op, 2, 10, seed=5)
         path = tmp_path / "pairs.csv"
         fileio.save_orthogonality_pairs(path, rep)
         lines = path.read_text().splitlines()

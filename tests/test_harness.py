@@ -80,6 +80,15 @@ class TestGenProblem:
         with pytest.raises(ValueError):
             gen_problem(6, 6, 1, 10, kind="fourier", seed=0)
 
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_snr_without_a_noise_level_rejected(self, snr):
+        with pytest.raises(ValueError, match="measurement SNR must be a number of dB or inf"):
+            gen_problem(6, 6, 1, 10, snr_meas_db=snr, seed=0)
+
+    def test_infinite_snr_is_noiseless(self):
+        infinite = gen_problem(6, 6, 1, 10, snr_meas_db=math.inf, seed=0)
+        np.testing.assert_array_equal(infinite.b, gen_problem(6, 6, 1, 10, seed=0).b)
+
 
 class TestSnrMetrics:
     def test_exact_reconstruction_is_inf(self, rng):
@@ -161,6 +170,17 @@ class TestRunSweep:
         threaded = run_sweep(12, 12, 1, [4.0], trials=4, seed=23, threads=3)
         assert serial == threaded
 
+    def test_empty_ratio_list_rejected(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match="the sweep grid is empty"):
+            run_sweep(12, 12, 1, [], trials=1, seed=0, out=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            run_sweep(12, 12, 1, [4.0], trials=1, seed=0, threads=threads)
+
 
 class TestPhaseTransition:
     def test_full_sampling_cell_all_succeed(self, tmp_path):
@@ -196,6 +216,10 @@ class TestCompareTable:
         by_alg = {r[3]: r for r in rows}
         assert by_alg["admira"][2] == by_alg["svt"][2]
 
+    def test_empty_rank_list_rejected(self):
+        with pytest.raises(ValueError, match="the compare grid is empty"):
+            compare_table(12, 12, [], 100, trials=1, seed=0)
+
 
 class TestWorkerPool:
     # 100x100 problems select on the Krylov path, where BLAS does the work
@@ -204,8 +228,7 @@ class TestWorkerPool:
                                   threads=threads),
         lambda threads: phase_transition(100, 100, [2400], [2], trials=2, seed=52, max_iter=20,
                                          threads=threads).to_rows(),
-        lambda threads: compare_table(100, 100, [2], 2400, trials=2, seed=53,
-                                      algorithms=("admira", "svt"), max_iter=20,
+        lambda threads: compare_table(100, 100, [2], 2400, trials=2, seed=53, max_iter=20,
                                       threads=threads),
     ], ids=["sweep", "phase", "compare"])
     def test_workers_give_identical_rows(self, experiment):

@@ -118,6 +118,12 @@ class TestRestrictedOrthogonality:
         with pytest.raises(ValueError):
             restricted_orthogonality_check(op, 1, 10, seed=4)
 
+    def test_rank_above_matrix_size_rejected(self):
+        # a 5x1 matrix has no rank-2 pair to split
+        op = GaussianOperator(5, 1, 5, seed=3)
+        with pytest.raises(ValueError, match=r"r must be at most min\(m, n\) = 1, got 2"):
+            restricted_orthogonality_check(op, 2, 10, seed=4)
+
     def test_bound_holds_pairwise(self):
         op = GaussianOperator(8, 8, 300, seed=51)
         rep = restricted_orthogonality_check(op, 2, 50, seed=52)
