@@ -58,7 +58,6 @@ from .seeding import derive_rng, derive_seed
 from .solver import (
     AdmiraConfig,
     AdmiraResult,
-    AdmiraState,
     TraceRow,
     admira_solve,
     admira_step,

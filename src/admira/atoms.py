@@ -107,10 +107,9 @@ def leading_atoms(M, k: int) -> AtomExpansion:
     sets of size <= k this maximizes the Frobenius norm of the projection of
     ``M``.
     """
-    # svd_truncated checks that M is 2-d and finite; one scan of the proxy is enough
+    # svd_truncated checks that M is 2-d and finite and that k >= 1; one scan
+    # of the proxy is enough
     A = np.asarray(M, dtype=float)
-    if k < 1:
-        raise ValueError("k must be positive")
     f = svd_truncated(A, min(k, min(A.shape)))
     return AtomExpansion(AtomSet(f.U, f.V), f.sigma)
 

@@ -19,10 +19,12 @@ from .operators import EntrySampler
 from .solver import (
     CONVERGED,
     MAX_ITER,
+    RESIDUAL_TOL,
     STALLED,
     ZERO_PROXY,
     AdmiraResult,
     TraceRow,
+    check_stop_rule,
     restricted_least_squares,
     scale_measurements,
 )
@@ -39,6 +41,9 @@ __all__ = [
 # rank increment of the SVT shrink when its predicted rank falls short
 SVT_RANK_STEP = 5
 
+# SVT threshold tau = SVT_TAU_SCALE * sqrt(m * n), the standard choice
+SVT_TAU_SCALE = 5.0
+
 
 class UnsupportedOperatorError(TypeError):
     """Algorithm does not support this measurement operator kind."""
@@ -49,12 +54,11 @@ class PursuitConfig:
     """Rank-one pursuit parameters; ``variant`` is "omp" or "mp"."""
 
     max_atoms: int
-    residual_tol: float = 1e-7
+    residual_tol: float = RESIDUAL_TOL
     variant: str = "omp"
 
     def __post_init__(self):
-        if self.max_atoms < 1:
-            raise ValueError("max_atoms must be positive")
+        check_stop_rule(self.max_atoms, self.residual_tol)
         if self.variant not in ("omp", "mp"):
             raise ValueError(f"unknown pursuit variant {self.variant!r}")
 
@@ -121,21 +125,17 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
 class SvtConfig:
     """Singular value thresholding parameters.
 
-    ``tau = None`` resolves to ``5 * sqrt(m * n)``; the step size is always
-    ``1.2 * m * n / p``. Both are the standard choices from the SVT
-    literature. The stopping rule mirrors the main solver's relative-residual
-    tolerance for a fair iteration-count comparison.
+    The threshold is always ``SVT_TAU_SCALE * sqrt(m * n)`` and the step
+    size ``1.2 * m * n / p``, the standard choices from the SVT literature.
+    The stopping rule mirrors the main solver's relative-residual tolerance
+    for a fair iteration-count comparison.
     """
 
-    tau: float | None = None
     max_iter: int = 500
-    residual_tol: float = 1e-7
+    residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.max_iter < 1 or self.residual_tol <= 0:
-            raise ValueError("max_iter and residual_tol must be positive")
+        check_stop_rule(self.max_iter, self.residual_tol)
 
 
 def _shrink_expansion(Y: np.ndarray, tau: float, s: int) -> AtomExpansion:
@@ -162,8 +162,9 @@ def _shrink_expansion(Y: np.ndarray, tau: float, s: int) -> AtomExpansion:
 def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     """Matrix completion by iterative singular value shrinkage.
 
-    Maintains a sparse dual variable supported on the observed entries;
-    each iteration shrinks its singular values by ``tau`` and takes a
+    Maintains a dual variable supported on the observed entries, held as
+    its length-p vector of sampled values; each iteration shrinks the
+    singular values of its zero-filled matrix by ``tau`` and takes a
     gradient step on the residual. Requires an entry-sampling operator.
     """
     if not isinstance(sampler, EntrySampler):
@@ -174,7 +175,7 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     y = sampler.check_measurements(b)
 
     m, n, p = sampler.m, sampler.n, sampler.p
-    tau = config.tau if config.tau is not None else 5.0 * np.sqrt(m * n)
+    tau = SVT_TAU_SCALE * np.sqrt(m * n)
     step = 1.2 * m * n / p
 
     # norms are taken on y·2^-e (exact) and mapped back, so none under- or
@@ -184,17 +185,16 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     if b_norm == 0.0:
         return AdmiraResult(empty_expansion(m, n), [], ZERO_PROXY, algorithm="svt")
 
-    data = sampler.adjoint(y)
-    sigma1 = float(svd(data, 1).sigma[0])
+    sigma1 = float(svd(sampler.adjoint(y), 1).sigma[0])
     k0 = int(np.ceil(tau / (step * sigma1)))
-    Y = (k0 * step) * data
+    z = (k0 * step) * y
 
     exp = empty_expansion(m, n)
     trace: list[TraceRow] = []
     stop = MAX_ITER
     for k in range(1, config.max_iter + 1):
         # the shrunk rank rarely grows by more than one per iteration
-        exp = _shrink_expansion(Y, tau, len(exp) + 1)
+        exp = _shrink_expansion(sampler.adjoint(z), tau, len(exp) + 1)
         residual = y - sampler.apply_expansion(exp)
         res = float(np.linalg.norm(np.ldexp(residual, -e)))
         rel = res / b_norm
@@ -202,6 +202,6 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
         if rel <= config.residual_tol:
             stop = CONVERGED
             break
-        Y += step * sampler.adjoint(residual)
+        z += step * residual
 
     return AdmiraResult(exp, trace, stop, algorithm="svt")

@@ -102,7 +102,9 @@ def degrees_of_freedom(n: int, m: int, r: int) -> int:
 
 def measurement_count(n: int, m: int, r: int, p_over_dr: float) -> int:
     """Measurements for oversampling ratio ``p_over_dr`` = p/d_r, capped at
-    the m*n entries."""
+    the m*n entries; the ratio must be positive and finite."""
+    if not 0 < p_over_dr < math.inf:
+        raise ValueError(f"p/d_r must be positive and finite, got {p_over_dr}")
     return min(int(round(p_over_dr * degrees_of_freedom(n, m, r))), m * n)
 
 
@@ -326,6 +328,8 @@ def phase_transition(
     A trial succeeds when its reconstruction SNR reaches ``threshold_db``.
     CSV rows are ``p, r, successes, trials``.
     """
+    if math.isnan(threshold_db):
+        raise ValueError(f"the success threshold must be a number of dB, got {threshold_db}")
     p_values = tuple(int(p) for p in p_grid)
     r_values = tuple(int(r) for r in r_grid)
     cases = [(n, m, r, p, "entry", None, "admira", (r, p)) for r in r_values for p in p_values]

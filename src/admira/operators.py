@@ -26,7 +26,7 @@ DEFAULT_MEMORY_BUDGET = 1 << 30
 
 
 class MemoryBudgetExceeded(RuntimeError):
-    """Dense operator storage would exceed the configured memory budget."""
+    """Dense operator storage would exceed ``DEFAULT_MEMORY_BUDGET``."""
 
 
 class MeasurementOperator(ABC):
@@ -89,12 +89,12 @@ class GaussianOperator(MeasurementOperator):
 
     kind = "gaussian"
 
-    def __init__(self, m, n, p, seed, max_bytes: int = DEFAULT_MEMORY_BUDGET):
+    def __init__(self, m, n, p, seed):
         super().__init__(m, n, p)
         need = 8 * self.p * self.m * self.n
-        if need > max_bytes:
+        if need > DEFAULT_MEMORY_BUDGET:
             raise MemoryBudgetExceeded(
-                f"dense operator needs {need} bytes, budget is {max_bytes}"
+                f"dense operator needs {need} bytes, budget is {DEFAULT_MEMORY_BUDGET}"
             )
         self.seed = seed
         rng = np.random.default_rng(seed)
@@ -157,11 +157,9 @@ class EntrySampler(MeasurementOperator):
         return Z
 
     def apply_expansion(self, exp: AtomExpansion) -> np.ndarray:
-        # O(p * t): only the sampled positions of each rank-one term are formed;
-        # np.take gathers rows several times faster than fancy indexing
-        s = exp.atoms
-        terms = np.take(s.left, self.rows, axis=0) * np.take(s.right, self.cols, axis=0)
-        return terms @ exp.coeffs
+        # O(p * t): only the sampled positions of each rank-one term are formed
+        return self.apply_atoms(exp.atoms) @ exp.coeffs
 
     def apply_atoms(self, aset: AtomSet) -> np.ndarray:
+        # np.take gathers rows several times faster than fancy indexing
         return np.take(aset.left, self.rows, axis=0) * np.take(aset.right, self.cols, axis=0)

@@ -27,7 +27,6 @@ from .linalg import as_matrix, frobenius_norm, least_squares_minnorm
 
 __all__ = [
     "AdmiraConfig",
-    "AdmiraState",
     "AdmiraResult",
     "TraceRow",
     "proxy",
@@ -35,6 +34,8 @@ __all__ = [
     "restricted_least_squares",
     "scale_measurements",
     "admira_solve",
+    "check_stop_rule",
+    "RESIDUAL_TOL",
     "CONVERGED",
     "MAX_ITER",
     "STALLED",
@@ -52,6 +53,18 @@ ZERO_PROXY = "zero_proxy"
 STALL_WINDOW = 3
 STALL_TOL = 1e-6
 
+# default relative-residual tolerance of every solver
+RESIDUAL_TOL = 1e-7
+
+
+def check_stop_rule(max_iter: int, residual_tol: float) -> None:
+    """ValueError unless the iteration budget is at least 1 and the
+    relative-residual tolerance is positive; NaN passes neither test."""
+    if not max_iter >= 1:
+        raise ValueError(f"iteration budget must be at least 1, got {max_iter}")
+    if not residual_tol > 0:
+        raise ValueError(f"residual tolerance must be positive, got {residual_tol}")
+
 
 @dataclass(frozen=True)
 class AdmiraConfig:
@@ -66,33 +79,16 @@ class AdmiraConfig:
 
     rank: int
     max_iter: int | None = None
-    residual_tol: float = 1e-7
+    residual_tol: float = RESIDUAL_TOL
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be positive")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        check_stop_rule(self.iteration_limit, self.residual_tol)
 
     @property
     def iteration_limit(self) -> int:
         return 6 * (self.rank + 1) if self.max_iter is None else self.max_iter
-
-
-@dataclass
-class AdmiraState:
-    """One solver iterate: current expansion, iteration count, residual."""
-
-    expansion: AtomExpansion
-    iteration: int
-    residual: np.ndarray
-    zero_proxy: bool = False
-
-    @property
-    def atom_set(self) -> AtomSet:
-        return self.expansion.atoms
 
 
 @dataclass
@@ -140,23 +136,21 @@ def restricted_least_squares(op, b, aset: AtomSet) -> AtomExpansion:
     return AtomExpansion(aset, coeffs)
 
 
-def admira_step(state: AdmiraState, op, b, config: AdmiraConfig) -> AdmiraState:
-    """Advance the solver by one iteration.
+def admira_step(op, b, expansion: AtomExpansion, residual,
+                rank: int) -> tuple[AtomExpansion, np.ndarray] | None:
+    """One iteration from ``expansion`` and its residual ``b - A expansion``.
 
     Selects up to 2r new atoms from the proxy, merges them with the current
     set (at most 3r atoms total), re-fits over the merged span, truncates
-    back to rank r, and recomputes the residual. A zero proxy cannot make
-    progress and comes back flagged, with the iterate unchanged.
+    back to rank r, and returns the new ``(expansion, residual)``. A zero
+    proxy cannot make progress and returns ``None``.
     """
-    r = config.rank
-    selection = leading_atoms(proxy(op, state.residual), 2 * r)
+    selection = leading_atoms(proxy(op, residual), 2 * rank)
     if len(selection) == 0:
-        return AdmiraState(state.expansion, state.iteration, state.residual, zero_proxy=True)
-    merged = merge(selection.atoms, state.atom_set)
-    fitted = restricted_least_squares(op, b, merged)
-    truncated = truncate_expansion(fitted, r)
-    residual = b - op.apply_expansion(truncated)
-    return AdmiraState(truncated, state.iteration + 1, residual)
+        return None
+    merged = merge(selection.atoms, expansion.atoms)
+    truncated = truncate_expansion(restricted_least_squares(op, b, merged), rank)
+    return truncated, b - op.apply_expansion(truncated)
 
 
 def scale_measurements(op, b) -> tuple[np.ndarray, int]:
@@ -196,21 +190,22 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
         truth = np.ldexp(as_matrix(truth, "truth"), -e)
 
     b_norm = float(np.linalg.norm(y))
-    state = AdmiraState(empty_expansion(op.m, op.n), 0, y.copy())
+    expansion, residual = empty_expansion(op.m, op.n), y
     trace: list[TraceRow] = []
     changes: deque[float] = deque(maxlen=STALL_WINDOW)
     prev_res = b_norm
     stop = MAX_ITER
 
-    for _ in range(config.iteration_limit):
-        state = admira_step(state, op, y, config)
-        if state.zero_proxy:
+    for k in range(1, config.iteration_limit + 1):
+        step = admira_step(op, y, expansion, residual, config.rank)
+        if step is None:
             stop = ZERO_PROXY
             break
-        res = float(np.linalg.norm(state.residual))
+        expansion, residual = step
+        res = float(np.linalg.norm(residual))
         rel = res / b_norm
-        err = frobenius_norm(truth - assemble(state.expansion)) if truth is not None else None
-        trace.append(TraceRow(state.iteration, float(np.ldexp(res, e)), rel,
+        err = frobenius_norm(truth - assemble(expansion)) if truth is not None else None
+        trace.append(TraceRow(k, float(np.ldexp(res, e)), rel,
                               None if err is None else float(np.ldexp(err, e))))
         if rel <= config.residual_tol:
             stop = CONVERGED
@@ -221,5 +216,4 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
             stop = STALLED
             break
 
-    exp = state.expansion
-    return AdmiraResult(AtomExpansion(exp.atoms, np.ldexp(exp.coeffs, e)), trace, stop)
+    return AdmiraResult(AtomExpansion(expansion.atoms, np.ldexp(expansion.coeffs, e)), trace, stop)

@@ -46,6 +46,11 @@ class TestLeadingAtoms:
         np.testing.assert_allclose(exp.coeffs, [3.0])
         np.testing.assert_allclose(assemble(exp), [[3.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
+    def test_nonpositive_k_rejected(self):
+        # the check lives in svd_truncated
+        with pytest.raises(ValueError):
+            leading_atoms(np.eye(3), 0)
+
     def test_zero_matrix_empty(self):
         exp = leading_atoms(np.zeros((2, 2)), 5)
         assert len(exp) == 0

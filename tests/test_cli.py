@@ -240,12 +240,27 @@ class TestUserErrors:
          "measurement SNR must be a number of dB or inf, got nan"),
         (["rip", "--n", "1", "--m", "5", "--r", "1", "--p", "5", "--pairs-out", "{tmp}/q.csv"],
          "r must be at most min(m, n) = 1, got 2"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "2", "--trials", "1",
+          "--tol", "nan"], "residual tolerance must be positive, got nan"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "2", "--trials", "1",
+          "--alg", "omp", "--tol", "-1"], "residual tolerance must be positive, got -1.0"),
+        (["complete", "--obs", "{tmp}/obs.txt", "--r", "1", "--alg", "svt", "--tol", "nan"],
+         "residual tolerance must be positive, got nan"),
+        (["phase", "--n", "4", "--m", "4", "--p-grid", "10", "--r-grid", "1", "--trials", "1",
+          "--threshold-db", "nan"], "the success threshold must be a number of dB, got nan"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "nan", "--trials", "1"],
+         "p/d_r must be positive and finite, got nan"),
+        (["gen", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "-2"],
+         "p/d_r must be positive and finite, got -2.0"),
     ], ids=["gen_rank", "gen_p_and_ratio", "gen_no_p", "sweep_rank", "missing_obs",
             "missing_config", "gen_memory_budget",
             "sweep_svt_gaussian", "sweep_zero_trials", "sweep_negative_trials",
             "phase_zero_trials", "compare_zero_trials", "sweep_empty_ratios",
-            "compare_empty_ranks", "sweep_zero_threads", "gen_snr_nan", "rip_pairs_rank"])
+            "compare_empty_ranks", "sweep_zero_threads", "gen_snr_nan", "rip_pairs_rank",
+            "sweep_tol_nan", "sweep_omp_tol_negative", "complete_svt_tol_nan",
+            "phase_threshold_nan", "sweep_ratio_nan", "gen_ratio_negative"])
     def test_library_errors_end_in_one_line(self, tmp_path, args, expect):
+        (tmp_path / "obs.txt").write_text("1 1 1.0\n1 2 2.0\n2 1 3.0\n")
         out = tmp_path / "out.txt"
         run = run_cli(*[a.format(tmp=tmp_path) for a in args], "--out", str(out))
         assert run.returncode == 1

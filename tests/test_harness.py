@@ -45,6 +45,11 @@ class TestDegreesOfFreedom:
         assert harness.measurement_count(10, 10, 1, 0.51) == 10  # round(9.69)
         assert harness.measurement_count(4, 4, 1, 100.0) == 16
 
+    @pytest.mark.parametrize("ratio", [0.0, -2.0, float("nan"), float("inf")])
+    def test_measurement_count_rejects_bad_ratio(self, ratio):
+        with pytest.raises(ValueError, match="p/d_r must be positive and finite"):
+            harness.measurement_count(10, 10, 1, ratio)
+
 
 class TestGenProblem:
     def test_noiseless_by_default(self):
@@ -200,6 +205,11 @@ class TestPhaseTransition:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             phase_transition(8, 8, [], [1], trials=1, seed=0)
+
+    def test_nan_threshold_rejected_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(harness, "_trial", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(ValueError, match="success threshold must be a number of dB"):
+            phase_transition(8, 8, [40], [1], trials=1, seed=0, threshold_db=float("nan"))
 
 
 class TestCompareTable:

@@ -54,8 +54,9 @@ class TestGaussianOperator:
         np.testing.assert_allclose(op.apply(X), op.matrix @ X.ravel())
 
     def test_memory_budget(self):
+        # 8 * 20000 * 100 * 100 bytes = 1.6 GB: refused before anything is allocated
         with pytest.raises(MemoryBudgetExceeded):
-            GaussianOperator(100, 100, 1000, seed=0, max_bytes=10_000)
+            GaussianOperator(100, 100, 20000, seed=0)
 
     def test_shape_validation(self):
         op = GaussianOperator(3, 4, 5, seed=0)

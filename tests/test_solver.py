@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admira.atoms import AtomSet, assemble, empty_expansion, leading_atoms
-from admira.baselines import PursuitConfig, rank_one_pursuit
+from admira.atoms import AtomSet, assemble, empty_expansion, leading_atoms, merge
+from admira.baselines import PursuitConfig, SvtConfig, rank_one_pursuit
 from admira.operators import EntrySampler, GaussianOperator
 from admira.seeding import derive_seed
 from admira.solver import (
     CONVERGED,
     ZERO_PROXY,
     AdmiraConfig,
-    AdmiraState,
     admira_solve,
     admira_step,
     proxy,
@@ -39,6 +38,25 @@ class TestConfig:
             AdmiraConfig(rank=1, residual_tol=0.0)
         with pytest.raises(ValueError):
             AdmiraConfig(rank=1, max_iter=0)
+
+    # every solver config goes through the one stop-rule check
+    CONFIGS = {
+        "admira": lambda **kw: AdmiraConfig(rank=1, **kw),
+        "pursuit": lambda budget=1, **kw: PursuitConfig(max_atoms=budget, **kw),
+        "svt": lambda **kw: SvtConfig(**kw),
+    }
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_tolerance_must_be_positive(self, config, tol):
+        with pytest.raises(ValueError, match=f"residual tolerance must be positive, got {tol}"):
+            self.CONFIGS[config](residual_tol=tol)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_budget_must_be_at_least_one(self, config):
+        key = "budget" if config == "pursuit" else "max_iter"
+        with pytest.raises(ValueError, match="iteration budget must be at least 1, got 0"):
+            self.CONFIGS[config](**{key: 0})
 
 
 class TestProxy:
@@ -115,39 +133,32 @@ class TestAdmiraStep:
         op = full_sampler(5, 5)
         X = rank_r_matrix(5, 5, 1, rng)
         b = op.apply(X)
-        cfg = AdmiraConfig(rank=1)
-        state = AdmiraState(empty_expansion(5, 5), 0, b.copy())
-        state = admira_step(state, op, b, cfg)
-        assert np.linalg.norm(state.residual) <= 1e-10 * np.linalg.norm(b)
-        np.testing.assert_allclose(assemble(state.expansion), X, atol=1e-10)
+        expansion, residual = admira_step(op, b, empty_expansion(5, 5), b, 1)
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b)
+        np.testing.assert_allclose(assemble(expansion), X, atol=1e-10)
 
     def test_zero_measurements_flagged(self):
+        # a zero proxy cannot make progress: the step returns no iterate
         op = full_sampler(3, 3)
         b = np.zeros(9)
-        state = AdmiraState(empty_expansion(3, 3), 0, b.copy())
-        out = admira_step(state, op, b, AdmiraConfig(rank=1))
-        assert out.zero_proxy
-        assert out.iteration == 0
+        assert admira_step(op, b, empty_expansion(3, 3), b, 1) is None
 
     def test_atom_budget_invariants(self, rng):
         r = 2
         op = GaussianOperator(10, 10, 80, seed=8)
         X = rank_r_matrix(10, 10, r, rng)
         b = op.apply(X)
-        cfg = AdmiraConfig(rank=r)
-        state = AdmiraState(empty_expansion(10, 10), 0, b.copy())
-        from admira.atoms import merge
-
+        expansion, residual = empty_expansion(10, 10), b
         for _ in range(5):
             # the step's proxy reuses the residual: it must be b - A x_hat exactly
-            np.testing.assert_array_equal(state.residual, b - op.apply_expansion(state.expansion))
-            sel = leading_atoms(proxy(op, state.residual), 2 * r)
-            merged = merge(sel.atoms, state.atom_set)
-            state = admira_step(state, op, b, cfg)
+            np.testing.assert_array_equal(residual, b - op.apply_expansion(expansion))
+            sel = leading_atoms(proxy(op, residual), 2 * r)
+            merged = merge(sel.atoms, expansion.atoms)
+            expansion, residual = admira_step(op, b, expansion, residual, r)
             assert len(sel) <= 2 * r
             assert len(merged) <= 3 * r
-            assert len(state.expansion) <= r
-            assert np.linalg.matrix_rank(assemble(state.expansion)) <= r
+            assert len(expansion) <= r
+            assert np.linalg.matrix_rank(assemble(expansion)) <= r
 
     def test_first_step_reduces_residual(self):
         # regression over recorded seeds: one step always makes progress here
@@ -158,9 +169,8 @@ class TestAdmiraStep:
             op = GaussianOperator(20, 20, 380, seed=derive_seed(seed, "op"))
             X = rank_r_matrix(20, 20, 2, rng)
             b = op.apply(X)
-            state = AdmiraState(empty_expansion(20, 20), 0, b.copy())
-            state = admira_step(state, op, b, AdmiraConfig(rank=2))
-            hits += np.linalg.norm(state.residual) < np.linalg.norm(b)
+            _, residual = admira_step(op, b, empty_expansion(20, 20), b, 2)
+            hits += np.linalg.norm(residual) < np.linalg.norm(b)
         assert hits >= 95
 
 
