@@ -189,12 +189,16 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     k0 = int(np.ceil(tau / (step * sigma1)))
     z = (k0 * step) * y
 
+    # the dual's zero-filled matrix: entries off the fixed sample set stay
+    # zero, so refilling the samples in place needs no fresh m x n pages
+    Y = np.zeros((m, n))
     exp = empty_expansion(m, n)
     trace: list[TraceRow] = []
     stop = MAX_ITER
     for k in range(1, config.max_iter + 1):
+        Y[sampler.rows, sampler.cols] = z
         # the shrunk rank rarely grows by more than one per iteration
-        exp = _shrink_expansion(sampler.adjoint(z), tau, len(exp) + 1)
+        exp = _shrink_expansion(Y, tau, len(exp) + 1)
         residual = y - sampler.apply_expansion(exp)
         res = float(np.linalg.norm(np.ldexp(residual, -e)))
         rel = res / b_norm

@@ -27,6 +27,13 @@ NEGLIGIBLE_SIGMA = 1e-12
 # relative cutoff deciding the numerical rank in least squares (lstsq's rcond)
 DEFAULT_RANK_TOL = 1e-10
 
+# least squares solves the t x t Gram system, refined once, while the Gram's
+# condition number is below this; at or above it lstsq takes over (12000
+# random tall designs, t <= 12, residual up to 100 times the fit: relative
+# distance from lstsq's coefficients at most 9e-14 below 1e3, up to 6e-12
+# at 1e4-1e5, and 1.4e-12 just below 1e3 without the refinement step)
+GRAM_COND_MAX = 1e3
+
 # a Krylov top-k selection takes some 35 Lanczos steps of a few NumPy calls
 # each; below this min(m, n) one LAPACK SVD of the whole matrix costs less
 # (GKL/dense time on completion proxies, top 4 triplets, one BLAS thread of
@@ -224,8 +231,14 @@ def _gkl_topk(A, k):
 def least_squares_minnorm(Phi, b) -> np.ndarray:
     """Minimum-norm least-squares solution of ``Phi @ x ~ b``.
 
-    The numerical rank counts the singular values >= ``DEFAULT_RANK_TOL``
-    times the largest one, and the minimizer with the smallest 2-norm is
+    A tall design whose Gram matrix ``G = Phi.T @ Phi`` has a condition
+    number below ``GRAM_COND_MAX`` is fitted from ``G x = Phi.T @ b`` and one
+    refinement step ``x += G^-1 Phi.T (b - Phi x)`` (Björck's corrected
+    seminormal equations, with the Gram in place of a QR factor): four
+    passes over ``Phi`` in place of its SVD, and the SVD's coefficients to
+    about 1e-13 relative. Any other design goes to ``np.linalg.lstsq``,
+    whose numerical rank counts the singular values >= ``DEFAULT_RANK_TOL``
+    times the largest one; the minimizer with the smallest 2-norm is
     returned, so rank-deficient or duplicated columns are handled rather
     than rejected. ``b = 0`` returns the zero vector.
     """
@@ -237,6 +250,11 @@ def least_squares_minnorm(Phi, b) -> np.ndarray:
         raise ValueError("b contains non-finite entries")
     if not y.any():
         return np.zeros(A.shape[1])
+    if 0 < A.shape[1] <= A.shape[0]:
+        G = A.T @ A
+        if np.linalg.cond(G) < GRAM_COND_MAX:
+            x = np.linalg.solve(G, A.T @ y)
+            return x + np.linalg.solve(G, A.T @ (y - A @ x))
     x, *_ = np.linalg.lstsq(A, y, rcond=DEFAULT_RANK_TOL)
     return x
 

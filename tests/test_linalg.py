@@ -4,9 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import admira
 from admira import linalg
+from admira.atoms import DUPLICATE_TOL
 from admira.linalg import frobenius_norm, least_squares_minnorm, svd_truncated
 
 from oracles import reconstruct, singular_values_charpoly
@@ -171,10 +174,17 @@ def test_kernel_matches_dense_svd(case, rng, path):
 
 
 def test_import_leaves_scipy_unloaded():
-    # the library runs on NumPy alone; a fresh interpreter shows what it loads
+    # the library runs on NumPy alone; a fresh interpreter shows what it
+    # loads, also from function bodies once both solvers have run
     src = os.path.dirname(os.path.dirname(admira.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, admira; print('scipy' in sys.modules)"
+    code = (
+        "import sys, admira\n"
+        "prob = admira.gen_problem(100, 100, 1, 1500, seed=3)\n"
+        "admira.admira_solve(prob.operator, prob.b, admira.AdmiraConfig(rank=1, max_iter=2))\n"
+        "admira.svt_solve(prob.operator, prob.b, admira.SvtConfig(max_iter=2))\n"
+        "print('scipy' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
@@ -255,6 +265,64 @@ class TestLeastSquaresMinnorm:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             least_squares_minnorm(np.eye(3), np.ones(2))
+
+
+def conditioned_design(rng, p, t, log_cond):
+    """p x t design with singular values log-spaced over ``10**log_cond``."""
+    U, _ = np.linalg.qr(rng.standard_normal((p, t)))
+    V, _ = np.linalg.qr(rng.standard_normal((t, t)))
+    return (U * np.logspace(0, -log_cond, t)) @ V.T
+
+
+def lstsq(Phi, b):
+    return np.linalg.lstsq(Phi, b, rcond=linalg.DEFAULT_RANK_TOL)[0]
+
+
+class TestLeastSquaresPaths:
+    """The Gram path agrees with lstsq below the cut-off; above it, lstsq runs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31), p=st.integers(1, 300), t=st.integers(1, 12),
+           log_cond=st.floats(0.0, 2.5), misfit=st.floats(0.0, 100.0),
+           scale=st.integers(-40, 40))
+    def test_matches_lstsq_below_cutoff(self, seed, p, t, log_cond, misfit, scale):
+        # misfit: residual norm over fit norm, up to 100
+        rng = np.random.default_rng(seed)
+        t = min(t, p)
+        Phi = conditioned_design(rng, p, t, log_cond) * 2.0 ** scale
+        fit = Phi @ rng.standard_normal(t)
+        noise = rng.standard_normal(p)
+        noise -= Phi @ lstsq(Phi, noise)
+        if np.linalg.norm(noise) > 0:
+            fit += misfit * np.linalg.norm(fit) * noise / np.linalg.norm(noise)
+        assume(np.linalg.cond(Phi.T @ Phi) < linalg.GRAM_COND_MAX)
+        want = lstsq(Phi, fit)
+        x = least_squares_minnorm(Phi, fit)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**31), p=st.integers(2, 60), t=st.integers(2, 12),
+           kind=st.sampled_from(["ill", "collinear", "rank_deficient", "wide"]))
+    def test_is_lstsq_above_cutoff(self, seed, p, t, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "wide":
+            Phi = rng.standard_normal((p, p + t))
+        else:
+            t = min(t, p)
+            Phi = conditioned_design(rng, p, t, rng.uniform(1.5, 12.0))
+            if kind == "collinear":
+                # two columns at cosine 1 - DUPLICATE_TOL, as merged atoms can be
+                a = Phi[:, 0] / np.linalg.norm(Phi[:, 0])
+                w = rng.standard_normal(p)
+                w -= a * (a @ w)
+                if np.linalg.norm(w) > 0:
+                    cos = 1.0 - DUPLICATE_TOL
+                    Phi[:, -1] = cos * a + np.sqrt(1 - cos**2) * w / np.linalg.norm(w)
+            elif kind == "rank_deficient":
+                Phi[:, -1] = Phi[:, :-1] @ rng.standard_normal(t - 1)
+        assume(Phi.shape[1] > p or np.linalg.cond(Phi.T @ Phi) >= linalg.GRAM_COND_MAX)
+        b = rng.standard_normal(p)
+        np.testing.assert_array_equal(least_squares_minnorm(Phi, b), lstsq(Phi, b))
 
 
 class TestNorms:
