@@ -29,6 +29,12 @@ DUPLICATE_TOL = 1e-10
 
 UNIT_TOL = 1e-12
 
+# Ritz residual stop, relative to sigma_1, of the Krylov selection: the
+# least-squares step re-fits over the merged span and the truncation is exact,
+# so selection needs only most of the proxy's energy (complete-1000 seeds 1-13
+# took 265 iterations at GKL_TOL, 257 here, 273 at 1e-4; ~17% less per step)
+SELECT_TOL = 1e-5
+
 
 class AtomSet:
     """Ordered atom collection stored as stacked left/right factors.
@@ -105,12 +111,13 @@ def leading_atoms(M, k: int) -> AtomExpansion:
     so fewer than ``k`` atoms may come back; a zero matrix yields an empty
     expansion (nothing worth selecting) rather than an error. Among all atom
     sets of size <= k this maximizes the Frobenius norm of the projection of
-    ``M``.
+    ``M``, to within ``SELECT_TOL``: each triplet's Ritz residual is below
+    ``SELECT_TOL * sigma_1`` (exact to rounding on the dense path).
     """
     # svd_truncated checks that M is 2-d and finite and that k >= 1; one scan
     # of the proxy is enough
     A = np.asarray(M, dtype=float)
-    f = svd_truncated(A, min(k, min(A.shape)))
+    f = svd_truncated(A, min(k, min(A.shape)), SELECT_TOL)
     return AtomExpansion(AtomSet(f.U, f.V), f.sigma)
 
 

@@ -34,18 +34,20 @@ DEFAULT_RANK_TOL = 1e-10
 # at 1e4-1e5, and 1.4e-12 just below 1e3 without the refinement step)
 GRAM_COND_MAX = 1e3
 
-# a Krylov top-k selection takes some 35 Lanczos steps of a few NumPy calls
-# each; below this min(m, n) one LAPACK SVD of the whole matrix costs less
-# (GKL/dense time on completion proxies, top 4 triplets, one BLAS thread of
-# a 2-core x86-64 Xeon VM: 2.1 at 50, 1.0 at 100, 0.7 at 150)
+# a Krylov top-k selection takes some 23 Lanczos steps of a few NumPy calls
+# each at atoms.SELECT_TOL (35 at GKL_TOL); below this min(m, n) one LAPACK
+# SVD of the whole matrix costs less (GKL at SELECT_TOL / dense time on
+# completion proxies, top 4 triplets, one BLAS thread of a 2-core x86-64
+# Xeon VM: 2.4 at 50, 1.1-1.5 at 70-85, 0.7-1.0 at 100, 0.3 at 150)
 GKL_MIN_DIM = 100
 
-# svd_truncated stops once every requested Ritz triplet has a residual below
-# GKL_TOL * sigma_1; a Krylov space that exhausts min(m, n) is exact anyway
+# svd_truncated's default stop: every requested Ritz residual below GKL_TOL *
+# sigma_1; a Krylov space that exhausts min(m, n) is exact anyway
 GKL_TOL = 1e-13
 
 # the convergence test costs an SVD of the j x j bidiagonal, as much as
 # several Lanczos steps on a 200 x 200 matrix, so it runs every few steps
+# (at SELECT_TOL, every 3-8 steps tie within noise; every 1-2 cost 20-80% more)
 GKL_CHECK_EVERY = 4
 
 # beta below GKL_CLOSE (about sqrt(machine epsilon)) times the scale of the
@@ -111,13 +113,13 @@ def _finalize_triplets(U, s, V, k):
     return U[:, keep], s[keep], V[:, keep]
 
 
-def svd_truncated(M, k: int) -> SvdFactors:
+def svd_truncated(M, k: int, tol: float = GKL_TOL) -> SvdFactors:
     """Top-k singular triplets of ``M``.
 
     Computed by Golub-Kahan-Lanczos bidiagonalization (see `_gkl_topk`),
     which touches ``M`` only through products with vectors; below
     ``GKL_MIN_DIM`` rows or columns, LAPACK's full SVD is cheaper and is
-    truncated instead. Triplets with sigma below
+    truncated instead, whatever ``tol``. Triplets with sigma below
     ``NEGLIGIBLE_SIGMA * sigma_1`` are dropped, so the returned factor
     count can be smaller than ``k`` (zero for a zero matrix).
 
@@ -126,6 +128,9 @@ def svd_truncated(M, k: int) -> SvdFactors:
     M : array_like, shape (m, n)
     k : int
         Number of triplets requested, ``1 <= k <= min(m, n)``.
+    tol : float
+        Krylov stop: every Ritz residual below ``tol * sigma_1``. The default
+        gives the triplets to rounding; atom selection passes a looser one.
     """
     A = as_matrix(M)
     kmax = min(A.shape)
@@ -135,9 +140,9 @@ def svd_truncated(M, k: int) -> SvdFactors:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         V = Vt.T
     elif A.shape[0] >= A.shape[1]:
-        U, s, V = _gkl_topk(A, k)
+        U, s, V = _gkl_topk(A, k, tol)
     else:
-        V, s, U = _gkl_topk(A.T, k)
+        V, s, U = _gkl_topk(A.T, k, tol)
     return SvdFactors(*_finalize_triplets(U, s, V, k))
 
 
@@ -159,18 +164,20 @@ def _unit_complement(w, basis, rng, floor):
     return 0.0, w / np.linalg.norm(w)
 
 
-def _gkl_topk(A, k):
+def _gkl_topk(A, k, tol):
     """Top-k singular triplets of a matrix with ``m >= n``.
 
     After j steps, ``A V_j = U_j B_j`` with ``B_j`` upper bidiagonal
     (alphas on the diagonal, betas above it) and
     ``A^T U_j = V_j B_j^T + beta_j v_{j+1} e_j^T``, so Ritz triplet i of
     ``B_j = P diag(s) Q^T`` has residual ``beta_j |P[j, i]|``. The loop stops
-    when the top k residuals are below ``GKL_TOL * s_1`` (tested every
+    when the top k residuals are below ``tol * s_1`` (tested every
     ``GKL_CHECK_EVERY`` steps from ``j = k``), or when ``V_j``
-    spans all of R^n and the factorization is exact. Both bases are fully
-    reorthogonalized, so a vector that vanishes in orthogonalization is
-    replaced by a fresh orthogonal random one, with a zero coefficient.
+    spans all of R^n and the factorization is exact. ``tol`` governs only
+    these convergence tests; the breakdown floors and the test that a block
+    is negligible detect invariance and stay at ``GKL_TOL``. Both bases are
+    fully reorthogonalized, so a vector that vanishes in orthogonalization
+    is replaced by a fresh orthogonal random one, with a zero coefficient.
 
     A single start vector sees one copy of each repeated singular value
     until its Krylov space is (nearly) invariant. When beta falls below
@@ -216,10 +223,10 @@ def _gkl_topk(A, k):
             P, s, Qt = np.linalg.svd(B)
             if exhausted:
                 break
-            done = np.all(beta * np.abs(P[-1, :k]) <= GKL_TOL * s[0])
+            done = np.all(beta * np.abs(P[-1, :k]) <= tol * s[0])
             if start or closed:
                 Pn, sn, _ = np.linalg.svd(B[start:, start:])
-                done = (done and beta * abs(Pn[-1, 0]) <= GKL_TOL * s[0]
+                done = (done and beta * abs(Pn[-1, 0]) <= tol * s[0]
                         and (sn[0] < s[k - 1] or sn[0] <= GKL_TOL * s[0]))
             if done:
                 break

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admira import linalg
 from admira.atoms import (
+    SELECT_TOL,
     AtomExpansion,
     AtomSet,
     assemble,
@@ -80,6 +82,43 @@ class TestLeadingAtoms:
                 for _ in range(100):
                     qu, qv = random_orthonormal_atoms(8, 8, k, rng)
                     assert best >= projection_norm_orthonormal(qu, qv, M) - 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 60), n=st.integers(1, 50), k=st.integers(1, 4),
+           gaps=st.lists(st.floats(0.01, 0.5), min_size=49, max_size=49),
+           scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**31))
+    def test_loose_selection_within_tolerance(self, m, n, k, gaps, scale, seed):
+        # distinct singular values, consecutive ones at least 1% apart; the
+        # Krylov kernel runs whatever the size, as it does on large proxies
+        rng = np.random.default_rng(seed)
+        d = min(m, n)
+        k = min(k, d)
+        sigma = scale * np.cumprod([1.0, *(1.0 - np.array(gaps[: d - 1]))])
+        qu, _ = np.linalg.qr(rng.standard_normal((m, d)))
+        qv, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        M = (qu * sigma) @ qv.T
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "GKL_MIN_DIM", 1)
+            exp = leading_atoms(M, k)
+        U, s, V = exp.atoms.left, exp.coeffs, exp.atoms.right
+        assert len(exp) == k
+        # each triplet's residual, and the energy of M captured by the atoms
+        res = np.maximum(np.linalg.norm(M @ V - U * s, axis=0),
+                         np.linalg.norm(M.T @ U - V * s, axis=0))
+        assert res.max() <= (SELECT_TOL + 1e-12) * sigma[0]
+        captured = np.sum(np.einsum("mk,mn,nk->k", U, M, V) ** 2)
+        assert captured >= np.sum(sigma[:k] ** 2) - k * SELECT_TOL * sigma[0] ** 2
+        np.testing.assert_allclose(U.T @ U, np.eye(k), atol=1e-12)
+        np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
+
+    def test_loose_selection_keeps_small_triplets(self, rng, monkeypatch):
+        # the loose stop does not loosen the breakdown floor: a triplet far
+        # below SELECT_TOL * sigma_1 but above the negligible cut is kept
+        monkeypatch.setattr(linalg, "GKL_MIN_DIM", 1)
+        qu, _ = np.linalg.qr(rng.standard_normal((120, 3)))
+        qv, _ = np.linalg.qr(rng.standard_normal((110, 3)))
+        exp = leading_atoms((qu * [1.0, 1e-7, 1e-9]) @ qv.T, 3)
+        np.testing.assert_allclose(exp.coeffs, [1.0, 1e-7, 1e-9], rtol=1e-6)
 
 
 class TestMerge:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from admira import baselines, harness, linalg
-from admira.atoms import leading_atoms
+from admira.atoms import SELECT_TOL, empty_expansion, leading_atoms
 from admira.baselines import (
     PursuitConfig,
     SvtConfig,
@@ -12,7 +12,7 @@ from admira.baselines import (
 )
 from admira.operators import EntrySampler, GaussianOperator
 from admira.seeding import derive_seed
-from admira.solver import CONVERGED, ZERO_PROXY, AdmiraConfig, admira_solve
+from admira.solver import CONVERGED, ZERO_PROXY, AdmiraConfig, admira_solve, admira_step
 
 
 def full_sampler(m, n):
@@ -169,3 +169,19 @@ def test_krylov_path_repeats_exactly(solve, monkeypatch):
                      [t.residual_l2 for t in res.trace]))
     assert runs[0][0] == CONVERGED
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_selection_loose_svt_tight(monkeypatch):
+    # admira's selection stops the Krylov kernel at SELECT_TOL; SVT compares
+    # singular values with tau, so its shrink and sigma_1 keep GKL_TOL
+    monkeypatch.setattr(linalg, "GKL_MIN_DIM", 1)
+    kernel, tols = linalg._gkl_topk, []
+    monkeypatch.setattr(linalg, "_gkl_topk",
+                        lambda A, k, tol: tols.append(tol) or kernel(A, k, tol))
+    prob = harness.gen_problem(30, 30, 2, 700, seed=3)
+    op = prob.operator
+    assert admira_step(op, prob.b, empty_expansion(op.m, op.n), prob.b, rank=2) is not None
+    assert tols == [SELECT_TOL]
+    tols.clear()
+    svt_solve(op, prob.b, SvtConfig(max_iter=5))
+    assert len(tols) >= 6 and set(tols) == {linalg.GKL_TOL}
