@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .atoms import DUPLICATE_TOL, AtomExpansion, AtomSet, empty_expansion, leading_atoms, merge
+from .atoms import AtomExpansion, AtomSet, empty_expansion, leading_atoms, merge
 # the shrink keeps only triplets above tau, so a partial SVD serves it
 from .linalg import svd_truncated as svd
 from .operators import EntrySampler
@@ -64,16 +64,15 @@ class PursuitConfig:
 
 
 def _mp_append(exp: AtomExpansion, atom_set: AtomSet, coeff: float) -> AtomExpansion:
-    # fold a re-selected direction into its existing coefficient
-    if len(exp) > 0:
-        inner = exp.atoms.inner_products(atom_set)[:, 0]
-        j = int(np.abs(inner).argmax())
-        if abs(inner[j]) > 1.0 - DUPLICATE_TOL:
-            coeffs = exp.coeffs.copy()
-            coeffs[j] += coeff * np.sign(inner[j])
-            return AtomExpansion(exp.atoms, coeffs)
     merged = merge(exp.atoms, atom_set)
-    return AtomExpansion(merged, np.append(exp.coeffs, coeff))
+    if len(merged) > len(exp):
+        return AtomExpansion(merged, np.append(exp.coeffs, coeff))
+    # merge dropped a re-selected direction: fold it into its closest atom
+    inner = exp.atoms.inner_products(atom_set)[:, 0]
+    j = int(np.abs(inner).argmax())
+    coeffs = exp.coeffs.copy()
+    coeffs[j] += coeff * np.sign(inner[j])
+    return AtomExpansion(exp.atoms, coeffs)
 
 
 def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
@@ -163,9 +162,10 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     """Matrix completion by iterative singular value shrinkage.
 
     Maintains a dual variable supported on the observed entries, held as
-    its length-p vector of sampled values; each iteration shrinks the
-    singular values of its zero-filled matrix by ``tau`` and takes a
-    gradient step on the residual. Requires an entry-sampling operator.
+    its length-p vector z of sampled values; each iteration shrinks the
+    singular values of ``A*(z)``, its zero-filled matrix, by ``tau`` and
+    takes a gradient step on the residual. Requires an entry-sampling
+    operator.
     """
     if not isinstance(sampler, EntrySampler):
         raise UnsupportedOperatorError(
@@ -189,16 +189,12 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     k0 = int(np.ceil(tau / (step * sigma1)))
     z = (k0 * step) * y
 
-    # the dual's zero-filled matrix: entries off the fixed sample set stay
-    # zero, so refilling the samples in place needs no fresh m x n pages
-    Y = np.zeros((m, n))
     exp = empty_expansion(m, n)
     trace: list[TraceRow] = []
     stop = MAX_ITER
     for k in range(1, config.max_iter + 1):
-        Y[sampler.rows, sampler.cols] = z
-        # the shrunk rank rarely grows by more than one per iteration
-        exp = _shrink_expansion(Y, tau, len(exp) + 1)
+        # the shrunk rank rarely rises by more than one per iteration
+        exp = _shrink_expansion(sampler.adjoint(z), tau, len(exp) + 1)
         residual = y - sampler.apply_expansion(exp)
         res = float(np.linalg.norm(np.ldexp(residual, -e)))
         rel = res / b_norm

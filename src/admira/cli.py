@@ -12,7 +12,7 @@ import sys
 
 from . import fileio, harness, ripcheck
 from .baselines import UnsupportedOperatorError
-from .operators import EntrySampler, GaussianOperator, MemoryBudgetExceeded
+from .operators import OPERATOR_KINDS, EntrySampler, MemoryBudgetExceeded
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -102,10 +102,7 @@ def cmd_compare(args):
 
 
 def cmd_rip(args):
-    if args.kind == "gaussian":
-        op = GaussianOperator(args.m, args.n, args.p, derive_seed(args.seed, "rip-op"))
-    else:
-        op = EntrySampler.random(args.m, args.n, args.p, derive_seed(args.seed, "rip-op"))
+    op = OPERATOR_KINDS[args.kind](args.m, args.n, args.p, derive_seed(args.seed, "rip-op"))
     estimate = ripcheck.estimate_delta(op, args.r, args.samples, args.seed)
     # both checks run before either file is written, so a bad input writes none
     report = (ripcheck.restricted_orthogonality_check(op, max(args.r, 2), args.pairs, args.seed)
@@ -166,7 +163,7 @@ def build_parser(cfg) -> argparse.ArgumentParser:
     add = command("gen", cmd_gen, "generate a problem and write it to disk", "n m r seed")
     add("--p", type=int, help="measurement count")
     add("--p-over-dr", type=float, help="measurement count as a multiple of d_r")
-    add("--kind", choices=["entry", "gaussian"], default="entry")
+    add("--kind", choices=list(OPERATOR_KINDS), default="entry")
     add("--snr-meas", type=float, help="measurement SNR in dB (omit for noiseless)")
     add("--out", required=True, help="output path")
     add("--truth-out", help="optional CSV path for the ground-truth matrix")
@@ -190,7 +187,7 @@ def build_parser(cfg) -> argparse.ArgumentParser:
                   "n m r seed max-iter tol threads")
     add("--p-over-dr", type=_float_list, required=True, help="comma-separated ratios")
     add("--trials", type=int, default=20)
-    add("--kind", choices=["entry", "gaussian"], default="entry")
+    add("--kind", choices=list(OPERATOR_KINDS), default="entry")
     add("--alg", choices=list(harness.ALGORITHMS), default="admira")
     add("--snr-meas", type=float, help="measurement SNR in dB (omit for noiseless)")
     add("--out", required=True)
@@ -212,7 +209,7 @@ def build_parser(cfg) -> argparse.ArgumentParser:
 
     add = command("rip", cmd_rip, "sampled isometry and orthogonality diagnostics", "n m r seed")
     add("--p", type=int, required=True)
-    add("--kind", choices=["gaussian", "entry"], default="gaussian")
+    add("--kind", choices=list(OPERATOR_KINDS), default="gaussian")
     add("--samples", type=int, default=500, help="samples per rank level")
     add("--pairs", type=int, default=200, help="orthogonal pairs to test")
     add("--out", required=True, help="CSV path for the delta estimate")

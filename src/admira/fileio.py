@@ -53,18 +53,23 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(format_number(x) for x in row) + "\n")
 
 
-def read_key_values(path):
-    """Yield the ``(key, value)`` pairs of a ``key=value`` file, skipping
-    blank lines and ``#`` comments."""
+def _data_lines(path):
+    """Yield ``(lineno, line)`` for each stripped line of ``path`` that is
+    neither blank nor a ``#`` comment."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            yield key.strip(), value.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def read_key_values(path):
+    """Yield ``(key, value)`` for each data line of a ``key=value`` file."""
+    for lineno, line in _data_lines(path):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        yield key.strip(), value.strip()
 
 
 def _operator_check(operator: GaussianOperator) -> str:
@@ -87,17 +92,13 @@ def save_observed_entries(path, sampler: EntrySampler, values) -> None:
 def load_observed_entries(path):
     """Read ``row col value`` triples; returns 0-based (rows, cols, values)."""
     rows, cols, values = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'row col value'")
-            rows.append(int(parts[0]) - 1)
-            cols.append(int(parts[1]) - 1)
-            values.append(float(parts[2]))
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 'row col value'")
+        rows.append(int(parts[0]) - 1)
+        cols.append(int(parts[1]) - 1)
+        values.append(float(parts[2]))
     return np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(values)
 
 

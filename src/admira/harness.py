@@ -24,7 +24,7 @@ from .atoms import assemble
 from .baselines import PursuitConfig, SvtConfig, rank_one_pursuit, svt_solve
 from .fileio import write_csv
 from .linalg import frobenius_norm
-from .operators import EntrySampler, GaussianOperator
+from .operators import OPERATOR_KINDS
 from .seeding import derive_rng, derive_seed
 from .solver import AdmiraConfig, AdmiraResult, admira_solve
 
@@ -120,10 +120,10 @@ def gen_problem(
     """Generate a rank-r recovery problem, fully reproducible by seed.
 
     The truth is a product of standard-Gaussian factors (rank exactly r
-    almost surely); ``kind`` selects the operator family ("entry" or
-    "gaussian"). When ``snr_meas_db`` is given, white Gaussian noise is
-    scaled so the measurement SNR matches it exactly; ``None`` and ``inf``
-    give ``nu = 0``, and NaN or ``-inf`` is a ``ValueError``.
+    almost surely); ``kind`` names the operator family in ``OPERATOR_KINDS``.
+    When ``snr_meas_db`` is given, white Gaussian noise is scaled so the
+    measurement SNR matches it exactly; ``None`` and ``inf`` give
+    ``nu = 0``, and NaN or ``-inf`` is a ``ValueError``.
     """
     if r < 1 or r > min(m, n):
         raise ValueError(f"r must be in [1, {min(m, n)}], got {r}")
@@ -134,13 +134,9 @@ def gen_problem(
     yr = truth_rng.standard_normal((n, r))
     x_true = yl @ yr.T
 
-    op_seed = derive_seed(seed, "operator")
-    if kind == "entry":
-        op = EntrySampler.random(m, n, p, op_seed)
-    elif kind == "gaussian":
-        op = GaussianOperator(m, n, p, op_seed)
-    else:
+    if kind not in OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
+    op = OPERATOR_KINDS[kind](m, n, p, derive_seed(seed, "operator"))
 
     b_clean = op.apply(x_true)
     if snr_meas_db is None:
@@ -156,10 +152,13 @@ def gen_problem(
 
 def snr_recon(x_true, x_hat) -> float:
     """Reconstruction SNR in dB; ``inf`` for an exact reconstruction."""
+    x_true, x_hat = np.asarray(x_true, dtype=float), np.asarray(x_hat, dtype=float)
+    if x_true.shape != x_hat.shape:
+        raise ValueError(f"reconstruction has shape {x_hat.shape}, truth has {x_true.shape}")
     ref = frobenius_norm(x_true)
     if ref == 0.0:
         raise ValueError("reconstruction SNR is undefined for a zero truth")
-    err = frobenius_norm(np.asarray(x_true, dtype=float) - np.asarray(x_hat, dtype=float))
+    err = frobenius_norm(x_true - x_hat)
     if err == 0.0:
         return math.inf
     return 20.0 * math.log10(ref / err)

@@ -18,7 +18,6 @@ __all__ = [
     "least_squares_minnorm",
     "frobenius_norm",
     "as_matrix",
-    "fix_signs",
 ]
 
 # singular values below NEGLIGIBLE_SIGMA * sigma_1 count as numerical noise
@@ -87,30 +86,23 @@ class SvdFactors:
         return self.sigma.shape[0]
 
 
-def fix_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flip (u_j, v_j) pairs so the first nonzero entry of u_j is positive."""
-    U = np.array(U, copy=True)
-    V = np.array(V, copy=True)
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        scale = np.abs(col).max()
-        if scale == 0.0:
-            continue
-        lead = np.flatnonzero(np.abs(col) > 1e-12 * scale)[0]
-        if col[lead] < 0:
-            U[:, j] = -col
-            V[:, j] = -V[:, j]
-    return U, V
-
-
 def _finalize_triplets(U, s, V, k):
-    """Slice to the top k triplets, fix signs, drop negligible ones."""
-    U, V = fix_signs(U[:, :k], V[:, :k])
+    """The top k triplets without negligible ones, each pair (u_j, v_j)
+    flipped so the first nonzero entry of u_j is positive."""
     s = np.asarray(s[:k], dtype=float)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((U.shape[0], 0)), np.zeros(0), np.zeros((V.shape[0], 0))
     keep = s > NEGLIGIBLE_SIGMA * s[0]
-    return U[:, keep], s[keep], V[:, keep]
+    # boolean indexing copies, so the flips leave the inputs alone; each kept
+    # u_j is a unit vector, so it has a nonzero entry
+    U, V = U[:, :k][:, keep], V[:, :k][:, keep]
+    for j in range(U.shape[1]):
+        col = U[:, j]
+        lead = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+        if col[lead] < 0:
+            U[:, j] = -col
+            V[:, j] = -V[:, j]
+    return U, s[keep], V
 
 
 def svd_truncated(M, k: int, tol: float = GKL_TOL) -> SvdFactors:

@@ -19,6 +19,7 @@ __all__ = [
     "EntrySampler",
     "MemoryBudgetExceeded",
     "DEFAULT_MEMORY_BUDGET",
+    "OPERATOR_KINDS",
 ]
 
 # bytes of dense coefficient storage a Gaussian operator may allocate
@@ -163,3 +164,7 @@ class EntrySampler(MeasurementOperator):
     def apply_atoms(self, aset: AtomSet) -> np.ndarray:
         # np.take gathers rows several times faster than fancy indexing
         return np.take(aset.left, self.rows, axis=0) * np.take(aset.right, self.cols, axis=0)
+
+
+# operator kinds by name, each built from (m, n, p, seed)
+OPERATOR_KINDS = {"entry": EntrySampler.random, "gaussian": GaussianOperator}

@@ -187,7 +187,10 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
     """
     y, e = scale_measurements(op, b)
     if truth is not None:
-        truth = np.ldexp(as_matrix(truth, "truth"), -e)
+        truth = as_matrix(truth, "truth")
+        if truth.shape != (op.m, op.n):
+            raise ValueError(f"truth has shape {truth.shape}, expected {(op.m, op.n)}")
+        truth = np.ldexp(truth, -e)
 
     b_norm = float(np.linalg.norm(y))
     expansion, residual = empty_expansion(op.m, op.n), y

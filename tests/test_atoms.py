@@ -120,6 +120,17 @@ class TestLeadingAtoms:
         exp = leading_atoms((qu * [1.0, 1e-7, 1e-9]) @ qv.T, 3)
         np.testing.assert_allclose(exp.coeffs, [1.0, 1e-7, 1e-9], rtol=1e-6)
 
+    def test_loose_selection_finds_repeats_a_closed_block_hides(self, rng, monkeypatch):
+        # the first block closes on one copy of 1e-6; its complement holds
+        # two more, below SELECT_TOL * sigma_1 but far above rounding, so
+        # only a negligible-block test at GKL_TOL keeps looking for them (a
+        # tail of 1e-8 would sit at GKL_CLOSE, where the block rarely closes)
+        monkeypatch.setattr(linalg, "GKL_MIN_DIM", 1)
+        qu, _ = np.linalg.qr(rng.standard_normal((60, 5)))
+        qv, _ = np.linalg.qr(rng.standard_normal((50, 5)))
+        exp = leading_atoms((qu * [1.0, 1e-6, 1e-6, 1e-6, 1e-9]) @ qv.T, 4)
+        np.testing.assert_allclose(exp.coeffs, [1.0, 1e-6, 1e-6, 1e-6], rtol=1e-6)
+
 
 class TestMerge:
     def test_empty_identity(self):

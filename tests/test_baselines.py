@@ -83,6 +83,17 @@ class TestRankOnePursuit:
         assert len(res.expansion) == 1
         np.testing.assert_allclose(res.matrix(), X, atol=1e-10)
 
+    def test_mp_folds_alternating_directions(self):
+        # a 1x2 matrix space holds two orthogonal directions, so MP keeps
+        # re-selecting them and folds every later coefficient into one
+        op = GaussianOperator(1, 2, 3, seed=5)
+        b = np.random.default_rng(1).standard_normal(3)
+        res = rank_one_pursuit(op, b, PursuitConfig(max_atoms=8, variant="mp"))
+        assert res.iterations == 8
+        assert len(res.expansion) == 2
+        rels = [row.rel_residual for row in res.trace]
+        assert all(later <= earlier for earlier, later in zip(rels, rels[1:]))
+
     def test_variant_validation(self):
         with pytest.raises(ValueError):
             PursuitConfig(max_atoms=1, variant="greedy")

@@ -106,6 +106,11 @@ class TestSnrMetrics:
         E *= np.linalg.norm(X, "fro") / (10.0 * np.linalg.norm(E, "fro"))
         assert abs(snr_recon(X, X - E) - 20.0) <= 1e-9
 
+    def test_mismatched_shapes_rejected(self, rng):
+        # a (1, 6) reconstruction would broadcast against every row of the truth
+        with pytest.raises(ValueError, match="shape"):
+            snr_recon(rng.standard_normal((6, 6)), rng.standard_normal((1, 6)))
+
     def test_zero_truth_rejected(self):
         with pytest.raises(ValueError):
             snr_recon(np.zeros((3, 3)), np.eye(3))

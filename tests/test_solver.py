@@ -247,6 +247,13 @@ class TestAdmiraSolve:
         assert all(t.error_fro is not None for t in with_truth.trace)
         assert all(t.error_fro is None for t in without.trace)
 
+    def test_truth_of_another_shape_rejected(self, rng):
+        # a (1, 6) truth would broadcast against every row of the 6x6 iterate
+        op = GaussianOperator(6, 6, 30, seed=16)
+        b = op.apply(rank_r_matrix(6, 6, 1, rng))
+        with pytest.raises(ValueError, match="truth has shape"):
+            admira_solve(op, b, AdmiraConfig(rank=1), truth=np.ones((1, 6)))
+
 
 def scaled_problem(seed):
     # a well-sampled (p = 4 * m * n) 10x10 rank-2 problem
