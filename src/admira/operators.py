@@ -3,6 +3,11 @@
 Two concrete families are provided: dense Gaussian maps (near-isometries on
 low-rank matrices) and entry samplers (matrix completion). Operators are
 immutable after construction, so apply/adjoint calls are thread-safe.
+
+``adjoint``, ``apply_atoms`` and ``apply_expansion`` take an optional ``work``
+array from ``scratch(t)`` and may return a view of it, valid until its next
+use. It belongs to the caller: operators never keep one, so they stay
+immutable, and sharing one between threads is the caller's error.
 """
 
 from __future__ import annotations
@@ -66,16 +71,20 @@ class MeasurementOperator(ABC):
         """Measure a dense matrix: returns a length-p vector."""
 
     @abstractmethod
-    def adjoint(self, y) -> np.ndarray:
+    def adjoint(self, y, work=None) -> np.ndarray:
         """Adjoint map: satisfies ``<apply(X), y> == <X, adjoint(y)>_F``."""
 
-    def apply_expansion(self, exp: AtomExpansion) -> np.ndarray:
+    def apply_expansion(self, exp: AtomExpansion, work=None) -> np.ndarray:
         """Measure an atom expansion; equals ``apply(assemble(exp))``."""
         return self.apply(assemble(exp))
 
     @abstractmethod
-    def apply_atoms(self, aset: AtomSet) -> np.ndarray:
+    def apply_atoms(self, aset: AtomSet, work=None) -> np.ndarray:
         """(p, t) matrix whose column j is the measurement of atom j."""
+
+    def scratch(self, t: int) -> np.ndarray | None:
+        """``work`` array for calls on up to t atoms; None if none is needed."""
+        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.m}, n={self.n}, p={self.p})"
@@ -104,10 +113,10 @@ class GaussianOperator(MeasurementOperator):
     def apply(self, X) -> np.ndarray:
         return self.matrix @ self._check_matrix(X).ravel()
 
-    def adjoint(self, y) -> np.ndarray:
+    def adjoint(self, y, work=None) -> np.ndarray:
         return (self.matrix.T @ self._check_vector(y)).reshape(self.m, self.n)
 
-    def apply_atoms(self, aset: AtomSet) -> np.ndarray:
+    def apply_atoms(self, aset: AtomSet, work=None) -> np.ndarray:
         # one GEMM reads the operator once for all t atoms; the (t, mn) @ (mn, p)
         # orientation runs about twice as fast as matrix @ (mn, t) with one BLAS thread
         return (vectorize(aset).T @ self.matrix.T).T
@@ -119,13 +128,16 @@ class EntrySampler(MeasurementOperator):
     The adjoint zero-fills measurements back onto the observed positions, so
     ``apply(adjoint(y)) == y`` and ``adjoint(apply(X))`` masks X by the
     sample set. Expansion-aware paths never materialize the dense matrix.
+    The sampler keeps read-only copies of its integer indices.
     """
 
     kind = "entry"
 
     def __init__(self, m, n, rows, cols):
-        rows = np.asarray(rows, dtype=np.intp).ravel()
-        cols = np.asarray(cols, dtype=np.intp).ravel()
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise ValueError("row and column indices must be integers")
+        rows, cols = rows.ravel().astype(np.intp), cols.ravel().astype(np.intp)
         if rows.shape != cols.shape:
             raise ValueError("rows and cols must have equal length")
         super().__init__(m, n, rows.shape[0])
@@ -136,6 +148,7 @@ class EntrySampler(MeasurementOperator):
         flat = rows * self.n + cols
         if np.unique(flat).shape[0] != self.p:
             raise ValueError("sample positions must be distinct")
+        rows.flags.writeable = cols.flags.writeable = False
         self.rows = rows
         self.cols = cols
 
@@ -152,18 +165,30 @@ class EntrySampler(MeasurementOperator):
     def apply(self, X) -> np.ndarray:
         return self._check_matrix(X)[self.rows, self.cols]
 
-    def adjoint(self, y) -> np.ndarray:
-        Z = np.zeros((self.m, self.n))
+    def scratch(self, t: int) -> np.ndarray:
+        # the proxy and the two gathers are never alive at once
+        return np.empty(max(self.m * self.n, 2 * self.p * t))
+
+    def adjoint(self, y, work=None) -> np.ndarray:
+        Z = (self.scratch(0) if work is None else work)[:self.m * self.n].reshape(self.m, self.n)
+        Z.fill(0.0)  # zeroing mapped memory costs less than faulting in fresh pages
         Z[self.rows, self.cols] = self._check_vector(y)
         return Z
 
-    def apply_expansion(self, exp: AtomExpansion) -> np.ndarray:
+    def apply_expansion(self, exp: AtomExpansion, work=None) -> np.ndarray:
         # O(p * t): only the sampled positions of each rank-one term are formed
-        return self.apply_atoms(exp.atoms) @ exp.coeffs
+        return self.apply_atoms(exp.atoms, work) @ exp.coeffs
 
-    def apply_atoms(self, aset: AtomSet) -> np.ndarray:
-        # np.take gathers rows several times faster than fancy indexing
-        return np.take(aset.left, self.rows, axis=0) * np.take(aset.right, self.cols, axis=0)
+    def apply_atoms(self, aset: AtomSet, work=None) -> np.ndarray:
+        if (aset.m, aset.n) != (self.m, self.n):
+            raise ValueError(f"atoms of a {aset.m}x{aset.n} matrix, expected {self.m}x{self.n}")
+        t = len(aset)
+        a, c = (self.scratch(t) if work is None else work)[:2 * self.p * t].reshape(2, self.p, t)
+        # np.take gathers rows several times faster than fancy indexing; the indices are
+        # checked and read-only, so "clip" never clips ("raise" buffers instead of out)
+        np.take(aset.left, self.rows, axis=0, out=a, mode="clip")
+        np.take(aset.right, self.cols, axis=0, out=c, mode="clip")
+        return np.multiply(a, c, out=a)
 
 
 # operator kinds by name, each built from (m, n, p, seed)

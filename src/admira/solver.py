@@ -116,13 +116,13 @@ class AdmiraResult:
         return assemble(self.expansion)
 
 
-def proxy(op, residual) -> np.ndarray:
+def proxy(op, residual, work=None) -> np.ndarray:
     """Proxy matrix ``A*(b - A xhat)`` steering the atom selection, from the
     residual ``b - A xhat`` the loop already holds."""
-    return op.adjoint(residual)
+    return op.adjoint(residual, work)
 
 
-def restricted_least_squares(op, b, aset: AtomSet) -> AtomExpansion:
+def restricted_least_squares(op, b, aset: AtomSet, work=None) -> AtomExpansion:
     """Least-squares fit of ``b`` over span(aset) in measurement space.
 
     Column j of the design matrix is the measurement of atom j; the
@@ -131,26 +131,27 @@ def restricted_least_squares(op, b, aset: AtomSet) -> AtomExpansion:
     """
     if len(aset) == 0:
         raise ValueError("atom set must be non-empty")
-    Phi = op.apply_atoms(aset)
+    Phi = op.apply_atoms(aset, work)
     coeffs = least_squares_minnorm(Phi, b)
     return AtomExpansion(aset, coeffs)
 
 
-def admira_step(op, b, expansion: AtomExpansion, residual,
-                rank: int) -> tuple[AtomExpansion, np.ndarray] | None:
+def admira_step(op, b, expansion: AtomExpansion, residual, rank: int,
+                work=None) -> tuple[AtomExpansion, np.ndarray] | None:
     """One iteration from ``expansion`` and its residual ``b - A expansion``.
 
     Selects up to 2r new atoms from the proxy, merges them with the current
     set (at most 3r atoms total), re-fits over the merged span, truncates
     back to rank r, and returns the new ``(expansion, residual)``. A zero
-    proxy cannot make progress and returns ``None``.
+    proxy cannot make progress and returns ``None``. ``work``, from
+    ``op.scratch(3 * rank)``, holds the proxy and then the fit's gathers.
     """
-    selection = leading_atoms(proxy(op, residual), 2 * rank)
+    selection = leading_atoms(proxy(op, residual, work), 2 * rank)
     if len(selection) == 0:
         return None
     merged = merge(selection.atoms, expansion.atoms)
-    truncated = truncate_expansion(restricted_least_squares(op, b, merged), rank)
-    return truncated, b - op.apply_expansion(truncated)
+    truncated = truncate_expansion(restricted_least_squares(op, b, merged, work), rank)
+    return truncated, b - op.apply_expansion(truncated, work)
 
 
 def scale_measurements(op, b) -> tuple[np.ndarray, int]:
@@ -198,9 +199,10 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
     changes: deque[float] = deque(maxlen=STALL_WINDOW)
     prev_res = b_norm
     stop = MAX_ITER
+    work = op.scratch(3 * config.rank)  # one per solve, never kept on the operator
 
     for k in range(1, config.iteration_limit + 1):
-        step = admira_step(op, y, expansion, residual, config.rank)
+        step = admira_step(op, y, expansion, residual, config.rank, work)
         if step is None:
             stop = ZERO_PROXY
             break

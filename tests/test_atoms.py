@@ -131,6 +131,17 @@ class TestLeadingAtoms:
         exp = leading_atoms((qu * [1.0, 1e-6, 1e-6, 1e-6, 1e-9]) @ qv.T, 4)
         np.testing.assert_allclose(exp.coeffs, [1.0, 1e-6, 1e-6, 1e-6], rtol=1e-6)
 
+    @pytest.mark.parametrize("size", [30, 120], ids=["dense", "krylov"])
+    def test_atoms_share_no_memory_with_the_matrix(self, size, rng):
+        # the solver overwrites the proxy with the fit's gathers while it still
+        # holds the selected atoms
+        assert (size >= linalg.GKL_MIN_DIM) == (size == 120)
+        M = rng.standard_normal((size, size))
+        exp = leading_atoms(M, 4)
+        assert len(exp) == 4
+        for part in (exp.atoms.left, exp.atoms.right, exp.coeffs):
+            assert not np.shares_memory(part, M)
+
 
 class TestMerge:
     def test_empty_identity(self):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from admira.atoms import AtomExpansion, AtomSet, assemble, empty_expansion
 from admira.operators import (
+    OPERATOR_KINDS,
     EntrySampler,
     GaussianOperator,
     MemoryBudgetExceeded,
@@ -111,14 +112,47 @@ class TestEntrySampler:
         with pytest.raises(ValueError):
             EntrySampler(2, 2, [0, 2], [0, 0])
 
+    @pytest.mark.parametrize("rows, cols", [
+        ([0.5, 1.7], [0, 1]),
+        ([0, 1], [0.0, 1.0]),
+        ([True, False], [0, 1]),
+    ])
+    def test_non_integer_indices_rejected(self, rows, cols):
+        # 0.5 and 1.7 used to be truncated to rows 0 and 1 without a word
+        with pytest.raises(ValueError, match="indices must be integers"):
+            EntrySampler(3, 3, rows, cols)
+
+    def test_indices_are_private_copies(self):
+        # a later write to the caller's array cannot bypass the range check
+        r, c = np.array([0, 1]), np.array([0, 1])
+        op = EntrySampler(3, 3, r, c)
+        r[0], c[0] = 7, 2
+        assert op.rows.tolist() == [0, 1] and op.cols.tolist() == [0, 1]
+        assert not np.shares_memory(op.rows, r) and not np.shares_memory(op.cols, c)
+
+    def test_indices_read_only(self):
+        op = EntrySampler(3, 3, [0, 1], [0, 1])
+        with pytest.raises(ValueError, match="read-only"):
+            op.rows[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            op.cols[0] = 0
+
+    def test_atoms_of_another_shape_rejected(self, rng):
+        # "clip" gathers would clamp the rows of a smaller matrix
+        op = EntrySampler.random(6, 5, 14, seed=6)
+        with pytest.raises(ValueError, match="atoms of a 4x5 matrix"):
+            op.apply_atoms(random_expansion(4, 5, 2, rng).atoms)
+
     @pytest.mark.parametrize("t", [0, 1, 6])
     def test_gathers_equal_fancy_indexing_exactly(self, t, rng):
         op = EntrySampler.random(40, 30, 500, seed=6)
         exp = random_expansion(op.m, op.n, t, rng)
         s = exp.atoms
         want = s.left[op.rows, :] * s.right[op.cols, :]
-        assert np.array_equal(op.apply_atoms(s), want)
-        assert np.array_equal(op.apply_expansion(exp), want @ exp.coeffs)
+        # no work array, a fresh one, and one holding NaN from an earlier use
+        for work in (None, op.scratch(6), np.full_like(op.scratch(6), np.nan)):
+            assert np.array_equal(op.apply_atoms(s, work), want)
+            assert np.array_equal(op.apply_expansion(exp, work), want @ exp.coeffs)
 
 
 @st.composite
@@ -160,6 +194,32 @@ class TestAdjointPairing:
         want = 2.0 * op.apply(X) - 3.0 * op.apply(Y)
         scale = max(np.linalg.norm(want), 1.0)
         assert np.abs(got - want).max() <= 1e-10 * scale
+
+
+class TestScratch:
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(case=pairing_cases(), t_max=st.integers(0, 6))
+    def test_work_changes_no_bit(self, kind, case, t_max):
+        # one work array reused across calls in mixed order: adjoint, gathers
+        # of every width up to t_max, adjoint again
+        m, n, p, _, seed = case
+        op = OPERATOR_KINDS[kind](m, n, p, seed)
+        rng = np.random.default_rng(seed)
+        work = op.scratch(t_max)
+        assert (work is None) == (kind == "gaussian")
+        y = rng.standard_normal(p)
+        assert np.array_equal(op.adjoint(y, work), op.adjoint(y))
+        for t in range(t_max + 1):
+            exp = random_expansion(m, n, t, rng)
+            cols = op.apply_atoms(exp.atoms, work)
+            assert cols.shape == (p, t)
+            # the sampler's design keeps today's layout, and so its BLAS path
+            assert cols.flags.c_contiguous or kind == "gaussian"
+            assert np.array_equal(cols, op.apply_atoms(exp.atoms))
+            assert np.array_equal(op.apply_expansion(exp, work), op.apply_expansion(exp))
+        y = rng.standard_normal(p)
+        assert np.array_equal(op.adjoint(y, work), op.adjoint(y))
 
 
 class TestExpansionPaths:

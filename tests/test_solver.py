@@ -247,6 +247,31 @@ class TestAdmiraSolve:
         assert all(t.error_fro is not None for t in with_truth.trace)
         assert all(t.error_fro is None for t in without.trace)
 
+    def test_one_scratch_array_per_solve(self, rng, monkeypatch):
+        # 120x120 takes the Krylov selection; every operator call of the loop
+        # writes into the one array the solve asked for
+        op = EntrySampler.random(120, 120, 4000, seed=17)
+        b = op.apply(rank_r_matrix(120, 120, 2, rng))
+        seen = {"scratch": [], "adjoint": [], "apply_atoms": [], "apply_expansion": []}
+
+        def spy(name):
+            original = getattr(EntrySampler, name)
+
+            def wrapped(self, *args):
+                result = original(self, *args)
+                seen[name].append(result if name == "scratch" else args[-1])
+                return result
+            monkeypatch.setattr(EntrySampler, name, wrapped)
+
+        for name in seen:
+            spy(name)
+        res = admira_solve(op, b, AdmiraConfig(rank=2, max_iter=5))
+        assert len(seen["scratch"]) == 1 and seen["scratch"][0] is not None
+        # apply_atoms serves the fit and, through apply_expansion, the residual
+        for name, per_iter in (("adjoint", 1), ("apply_atoms", 2), ("apply_expansion", 1)):
+            assert len(seen[name]) == per_iter * res.iterations
+            assert all(work is seen["scratch"][0] for work in seen[name])
+
     def test_truth_of_another_shape_rejected(self, rng):
         # a (1, 6) truth would broadcast against every row of the 6x6 iterate
         op = GaussianOperator(6, 6, 30, seed=16)
