@@ -125,16 +125,14 @@ def merge(set_a: AtomSet, set_b: AtomSet) -> AtomSet:
     """Union of two atom sets: concatenation with later near-duplicates dropped."""
     if set_a.m != set_b.m or set_a.n != set_b.n:
         raise ValueError("atom sets live in different matrix spaces")
-    left = np.hstack([set_a.left, set_b.left])
-    right = np.hstack([set_a.right, set_b.right])
+    stacked = AtomSet(np.hstack([set_a.left, set_b.left]), np.hstack([set_a.right, set_b.right]))
+    inner = np.abs(stacked.inner_products(stacked))
     keep: list[int] = []
-    for j in range(left.shape[1]):
-        if keep:
-            inner = (left[:, keep].T @ left[:, j]) * (right[:, keep].T @ right[:, j])
-            if np.abs(inner).max() > 1.0 - DUPLICATE_TOL:
-                continue
+    for j in range(len(stacked)):
+        if keep and inner[keep, j].max() > 1.0 - DUPLICATE_TOL:
+            continue
         keep.append(j)
-    return AtomSet(left[:, keep], right[:, keep])
+    return AtomSet(stacked.left[:, keep], stacked.right[:, keep])
 
 
 def vectorize(aset: AtomSet) -> np.ndarray:

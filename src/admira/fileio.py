@@ -89,16 +89,25 @@ def save_observed_entries(path, sampler: EntrySampler, values) -> None:
             fh.write(f"{r + 1} {c + 1} {format_number(float(v))}\n")
 
 
+def _number(kind, text, where):
+    """``kind(text)``; a ValueError names ``where``, a file's line or key."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def load_observed_entries(path):
     """Read ``row col value`` triples; returns 0-based (rows, cols, values)."""
     rows, cols, values = [], [], []
     for lineno, line in _data_lines(path):
         parts = line.split()
+        where = f"{path}:{lineno}"
         if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'row col value'")
-        rows.append(int(parts[0]) - 1)
-        cols.append(int(parts[1]) - 1)
-        values.append(float(parts[2]))
+            raise ValueError(f"{where}: expected 'row col value'")
+        rows.append(_number(int, parts[0], where) - 1)
+        cols.append(_number(int, parts[1], where) - 1)
+        values.append(_number(float, parts[2], where))
     return np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(values)
 
 
@@ -132,7 +141,7 @@ def load_problem(path):
     meta, b = {}, []
     for key, value in read_key_values(path):
         if key == "b":
-            b.append(float(value))
+            b.append(_number(float, value, f"{path}: b"))
         else:
             meta[key] = value
     if meta.get("kind") != "gaussian":
@@ -140,7 +149,8 @@ def load_problem(path):
     for key in ("m", "n", "p", "seed", "check"):
         if key not in meta:
             raise ValueError(f"problem file is missing {key}")
-    op = GaussianOperator(int(meta["m"]), int(meta["n"]), int(meta["p"]), int(meta["seed"]))
+    op = GaussianOperator(*(_number(int, meta[key], f"{path}: {key}")
+                            for key in ("m", "n", "p", "seed")))
     if meta["check"] != _operator_check(op):
         raise ValueError(f"{path}: check={meta['check']} does not match the operator "
                          "rebuilt from m, n, p and seed")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import assemble
 from .baselines import PursuitConfig, SvtConfig, rank_one_pursuit, svt_solve
 from .fileio import write_csv
 from .linalg import frobenius_norm
@@ -201,7 +200,7 @@ def run_trial(problem: Problem, algorithm: str = "admira", max_iter=None,
     wall = time.perf_counter() - start
     return TrialReport(
         algorithm=algorithm,
-        snr_recon_db=snr_recon(problem.x_true, assemble(result.expansion)),
+        snr_recon_db=snr_recon(problem.x_true, result.matrix()),
         snr_meas_db=snr_meas(problem.b - problem.nu, problem.nu),
         iterations=result.iterations,
         stop_reason=result.stop_reason,

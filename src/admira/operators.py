@@ -59,6 +59,10 @@ class MeasurementOperator(ABC):
             raise ValueError(f"expected measurement length {self.p}, got {w.shape[0]}")
         return w
 
+    def _check_atoms(self, aset: AtomSet) -> None:
+        if (aset.m, aset.n) != (self.m, self.n):
+            raise ValueError(f"atoms of a {aset.m}x{aset.n} matrix, expected {self.m}x{self.n}")
+
     def check_measurements(self, b) -> np.ndarray:
         """``b`` as a length-p float vector; ValueError unless every entry is finite."""
         y = self._check_vector(b)
@@ -117,6 +121,7 @@ class GaussianOperator(MeasurementOperator):
         return (self.matrix.T @ self._check_vector(y)).reshape(self.m, self.n)
 
     def apply_atoms(self, aset: AtomSet, work=None) -> np.ndarray:
+        self._check_atoms(aset)
         # one GEMM reads the operator once for all t atoms; the (t, mn) @ (mn, p)
         # orientation runs about twice as fast as matrix @ (mn, t) with one BLAS thread
         return (vectorize(aset).T @ self.matrix.T).T
@@ -180,8 +185,7 @@ class EntrySampler(MeasurementOperator):
         return self.apply_atoms(exp.atoms, work) @ exp.coeffs
 
     def apply_atoms(self, aset: AtomSet, work=None) -> np.ndarray:
-        if (aset.m, aset.n) != (self.m, self.n):
-            raise ValueError(f"atoms of a {aset.m}x{aset.n} matrix, expected {self.m}x{self.n}")
+        self._check_atoms(aset)
         t = len(aset)
         a, c = (self.scratch(t) if work is None else work)[:2 * self.p * t].reshape(2, self.p, t)
         # np.take gathers rows several times faster than fancy indexing; the indices are

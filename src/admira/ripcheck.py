@@ -34,15 +34,14 @@ class RipEstimate:
     """Sampled lower bound on the rank-r isometry constant.
 
     ``worst_rank``/``worst_index`` identify the sample achieving the bound
-    within the substream derived from (seed, rank); "extra" marks an
-    externally supplied sample.
+    within the substream derived from (seed, rank).
     """
 
     r: int
     delta_hat: float
     samples_used: int
     seed: int
-    worst_rank: object
+    worst_rank: int
     worst_index: int
 
 
@@ -59,8 +58,8 @@ class OrthogonalityReport:
     """Outcome of the restricted-orthogonality stress test.
 
     ``max_ratio`` is the largest ``lhs / (delta_hat * ||X||_F * ||Y||_F)``
-    over the tested pairs; the sqrt(2) bound must never be violated when
-    ``delta_hat`` comes from the augmented sample set, while the constant-1
+    over the tested pairs; the sqrt(2) bound must never be violated, since
+    ``delta_hat`` covers every tested pair's combinations, while the constant-1
     bound (real-field improvement) is tracked informationally.
     """
 
@@ -85,15 +84,18 @@ def random_low_rank(m: int, n: int, rank: int, rng: np.random.Generator) -> np.n
     return (Qu * c) @ Qv.T
 
 
-def estimate_delta(op, r: int, num_samples: int, seed: int, extra=None) -> RipEstimate:
+def _deviation(op, Z) -> float:
+    """``| ||A Z||^2 - 1 |`` for a unit-Frobenius ``Z``."""
+    return abs(float(np.sum(op.apply(Z) ** 2)) - 1.0)
+
+
+def estimate_delta(op, r: int, num_samples: int, seed: int) -> RipEstimate:
     """Lower-bound the rank-r isometry constant by sampling.
 
     For each rank level s = 1..r, ``num_samples`` unit-Frobenius rank-s
     matrices are drawn from a substream derived from (seed, s), and
     ``delta_hat`` is the largest observed ``| ||A Z||^2 - 1 |``. Reusing the
     per-rank substreams makes the estimate monotone non-decreasing in r.
-    ``extra`` matrices (normalized internally) join the sample set; the
-    orthogonality check uses this to make its bound airtight.
     """
     if not 1 <= r <= min(op.m, op.n):
         raise ValueError(f"r must be in [1, {min(op.m, op.n)}], got {r}")
@@ -104,17 +106,11 @@ def estimate_delta(op, r: int, num_samples: int, seed: int, extra=None) -> RipEs
         for s in range(1, r + 1):
             rng = derive_rng(seed, "rip-rank", s)
             for i in range(num_samples):
-                yield (s, i), random_low_rank(op.m, op.n, s, rng)
-        for i, Z in enumerate(() if extra is None else extra):
-            Z = np.asarray(Z, dtype=float)
-            nrm = frobenius_norm(Z)
-            if nrm != 0.0:
-                yield ("extra", i), Z / nrm
+                yield _deviation(op, random_low_rank(op.m, op.n, s, rng)), s, i
 
     # max keeps the first of equal values: the earliest worst sample
-    measured = [(abs(float(np.sum(op.apply(Z) ** 2)) - 1.0), label) for label, Z in samples()]
-    delta_hat, worst = max(measured, key=lambda item: item[0])
-    return RipEstimate(r, delta_hat, len(measured), seed, worst[0], worst[1])
+    delta_hat, s, i = max(samples(), key=lambda item: item[0])
+    return RipEstimate(r, delta_hat, r * num_samples, seed, s, i)
 
 
 def _orthogonal_pair(m, n, rank_x, rank_y, rng):
@@ -133,9 +129,9 @@ def restricted_orthogonality_check(op, r: int, trials: int, seed: int) -> Orthog
     """Verify the measured-inner-product bound for orthogonal low-rank pairs.
 
     Pairs (X, Y) with disjoint singular supports (Frobenius-orthogonal,
-    rank(X) + rank(Y) <= r) are sampled; ``delta_hat`` is estimated over a
-    sample set augmented with the normalized combinations
-    ``X/||X|| +- Y/||Y||`` of every tested pair, which makes
+    rank(X) + rank(Y) <= r) are sampled; ``delta_hat`` is the plain
+    `estimate_delta` raised to the deviation of every tested pair's
+    normalized combinations ``X/||X|| +- Y/||Y||``, which makes
     ``|<A X, A Y>| <= sqrt(2) * delta_hat * ||X||_F * ||Y||_F`` hold by the
     parallelogram identity. Violations of the sqrt(2) bound are therefore
     implementation failures; the tighter constant-1 bound (real field) is
@@ -147,35 +143,27 @@ def restricted_orthogonality_check(op, r: int, trials: int, seed: int) -> Orthog
         raise ValueError(f"r must be at most min(m, n) = {min(op.m, op.n)}, got {r}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    rank_x = (r + 1) // 2
-    rank_y = r - rank_x
 
-    pairs_xy = []
-    combos = []
+    delta = estimate_delta(op, r, DELTA_SAMPLES_PER_RANK, derive_seed(seed, "rop-delta")).delta_hat
+    measured = []
     for i in range(trials):
-        rng = derive_rng(seed, "rop-pair", i)
-        X, Y = _orthogonal_pair(op.m, op.n, rank_x, rank_y, rng)
-        Xu = X / frobenius_norm(X)
-        Yu = Y / frobenius_norm(Y)
-        combos.extend([Xu + Yu, Xu - Yu])
-        pairs_xy.append((X, Y))
-
-    delta = estimate_delta(op, r, DELTA_SAMPLES_PER_RANK, derive_seed(seed, "rop-delta"),
-                           extra=combos).delta_hat
+        X, Y = _orthogonal_pair(op.m, op.n, (r + 1) // 2, r // 2, derive_rng(seed, "rop-pair", i))
+        nx, ny = frobenius_norm(X), frobenius_norm(Y)
+        for Z in (X / nx + Y / ny, X / nx - Y / ny):
+            delta = max(delta, _deviation(op, Z / frobenius_norm(Z)))
+        measured.append((abs(float(op.apply(X) @ op.apply(Y))), nx, ny))
 
     checks = []
     max_ratio = 0.0
     bad_sqrt2 = 0
     bad_1 = 0
-    for i, (X, Y) in enumerate(pairs_xy):
-        lhs = abs(float(op.apply(X) @ op.apply(Y)))
-        scale = delta * frobenius_norm(X) * frobenius_norm(Y)
-        rhs_1 = scale
+    for i, (lhs, nx, ny) in enumerate(measured):
+        scale = delta * nx * ny  # the constant-1 bound
         rhs_sqrt2 = np.sqrt(2.0) * scale
         ratio = lhs / scale if scale > 0.0 else (0.0 if lhs == 0.0 else np.inf)
         max_ratio = max(max_ratio, ratio)
         bad_sqrt2 += lhs > rhs_sqrt2
-        bad_1 += lhs > rhs_1
-        checks.append(PairCheck(i, lhs, rhs_sqrt2, rhs_1))
+        bad_1 += lhs > scale
+        checks.append(PairCheck(i, lhs, rhs_sqrt2, scale))
 
     return OrthogonalityReport(trials, delta, max_ratio, bad_sqrt2, bad_1, tuple(checks))

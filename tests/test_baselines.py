@@ -131,13 +131,13 @@ class TestSvt:
         err = np.linalg.norm(res.matrix() - X, "fro") / np.linalg.norm(X, "fro")
         assert 20 * np.log10(1.0 / err) >= 70
 
-    def test_short_prediction_below_cutoff_takes_two_svds(self, monkeypatch):
-        # each call below GKL_MIN_DIM is a full SVD, so a miss asks for all
+    def test_short_prediction_grows_by_rank_step(self, monkeypatch):
+        # the same growth rule on both sides of GKL_MIN_DIM, capped at min(m, n)
         calls = []
         real = baselines.svd
         monkeypatch.setattr(baselines, "svd", lambda Y, s: calls.append(s) or real(Y, s))
         exp = baselines._shrink_expansion(np.diag(np.arange(20.0, 0.0, -1.0)), 0.5, 1)
-        assert calls == [1, 20]
+        assert calls == [1, 6, 11, 16, 20]
         np.testing.assert_allclose(exp.coeffs, np.arange(19.5, 0.0, -1.0))
 
     def test_trace_shape_matches_solver(self, rng):

@@ -269,6 +269,35 @@ class TestUserErrors:
         assert run.stderr.startswith("admira: ") and expect in run.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, expect", [
+        ("1 1 1.0\n1.5 2 4.0\n", "obs.txt:2: invalid literal for int() with base 10: '1.5'"),
+        ("1 1 1.0\n# comment\n\n2 2 abc\n", "obs.txt:4: could not convert string to float: 'abc'"),
+    ], ids=["row_not_int", "value_not_float"])
+    def test_bad_number_in_triples_names_file_and_line(self, tmp_path, text, expect):
+        obs = tmp_path / "obs.txt"
+        obs.write_text(text)
+        run = run_cli("complete", "--obs", str(obs), "--r", "1")
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == f"admira: {tmp_path}/{expect}\n"
+
+    @pytest.mark.parametrize("key, value, expect", [
+        ("b", "abc", "b: could not convert string to float: 'abc'"),
+        ("m", "four", "m: invalid literal for int() with base 10: 'four'"),
+    ], ids=["b_not_float", "m_not_int"])
+    def test_bad_number_in_problem_names_file_and_key(self, tmp_path, key, value, expect):
+        prob = tmp_path / "prob.txt"
+        assert main(["gen", "--kind", "gaussian", "--n", "4", "--m", "4", "--r", "1",
+                     "--p", "12", "--seed", "2", "--out", str(prob)]) == 0
+        lines = prob.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{key}="))
+        lines[at] = f"{key}={value}"
+        prob.write_text("\n".join(lines) + "\n")
+        run = run_cli("solve", "--problem", str(prob), "--r", "1")
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == f"admira: {prob}: {expect}\n"
+
     def test_solve_svt_on_gaussian_problem(self, tmp_path):
         prob = tmp_path / "prob.txt"
         assert main(["gen", "--kind", "gaussian", "--n", "6", "--m", "6", "--r", "1",

@@ -255,6 +255,18 @@ class TestExpansionPaths:
             scale = max(np.linalg.norm(want), 1.0)
             assert np.abs(cols[:, j] - want).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("shape", [(10, 10), (3, 3)], ids=["equal_mn", "unequal_mn"])
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_atoms_of_another_shape_rejected(self, kind, shape, rng):
+        # 10x10 atoms have the 100 entries of the 4x25 matrices the operator measures
+        op = OPERATOR_KINDS[kind](4, 25, 30, 1)
+        exp = random_expansion(*shape, 2, rng)
+        with pytest.raises(ValueError, match=f"atoms of a {shape[0]}x{shape[1]} matrix, "
+                                             "expected 4x25"):
+            op.apply_atoms(exp.atoms)
+        with pytest.raises(ValueError):
+            op.apply_expansion(exp)
+
     def test_sampler_single_atom_full_sampling(self, rng):
         op = EntrySampler.random(3, 3, 9, seed=6)
         exp = random_expansion(3, 3, 1, rng)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from admira.atoms import vectorize
+from admira.linalg import frobenius_norm
 from admira.operators import EntrySampler, GaussianOperator, MeasurementOperator
 from admira.ripcheck import (
     estimate_delta,
     random_low_rank,
     restricted_orthogonality_check,
 )
+from admira.seeding import derive_rng, derive_seed
 
 
 class ScaledFullSampler(MeasurementOperator):
@@ -73,13 +75,14 @@ class TestEstimateDelta:
         est = estimate_delta(op, 3, 50, seed=10)
         assert est.samples_used == 150
 
-    def test_extra_samples_can_raise_bound(self):
-        op = ScaledFullSampler(3, 3, 1.0)
-        base = estimate_delta(op, 1, 10, seed=11)
-        spiked = estimate_delta(op, 1, 10, seed=11, extra=[np.eye(3)])
-        # exact isometry: the extra sample cannot raise the bound above zero
-        assert spiked.delta_hat <= 1e-12 and base.delta_hat <= 1e-12
-        assert spiked.samples_used == base.samples_used + 1
+    def test_worst_sample_is_named_and_reproduced(self):
+        op = GaussianOperator(6, 6, 100, seed=9)
+        est = estimate_delta(op, 3, 50, seed=10)
+        assert type(est.worst_rank) is int and 1 <= est.worst_rank <= 3
+        rng = derive_rng(10, "rip-rank", est.worst_rank)
+        for _ in range(est.worst_index + 1):
+            Z = random_low_rank(6, 6, est.worst_rank, rng)
+        assert abs(np.sum(op.apply(Z) ** 2) - 1.0) == est.delta_hat
 
     def test_invalid_rank(self):
         op = GaussianOperator(4, 4, 10, seed=0)
@@ -103,6 +106,27 @@ class TestRestrictedOrthogonality:
         assert rep.trials == 100
         assert len(rep.pairs) == 100
         assert all(np.isfinite(c.lhs) for c in rep.pairs)
+
+    def test_delta_hat_is_raised_by_pair_combinations(self, monkeypatch):
+        # recomputed here: the plain estimate, raised by |<A Z, A Z> - 1| for
+        # each normalized Z = X/||X|| +- Y/||Y|| of the tested pairs; one
+        # sample per rank leaves room for a combination to set the bound
+        from admira import ripcheck
+
+        monkeypatch.setattr(ripcheck, "DELTA_SAMPLES_PER_RANK", 1)
+        op = GaussianOperator(8, 8, 40, seed=43)
+        rep = restricted_orthogonality_check(op, 3, 30, seed=44)
+        plain = estimate_delta(op, 3, 1, derive_seed(44, "rop-delta")).delta_hat
+        combos = []
+        for i in range(30):
+            X, Y = ripcheck._orthogonal_pair(8, 8, 2, 1, derive_rng(44, "rop-pair", i))
+            Xu, Yu = X / frobenius_norm(X), Y / frobenius_norm(Y)
+            for Z in (Xu + Yu, Xu - Yu):
+                Z = Z / frobenius_norm(Z)
+                combos.append(abs(float(np.sum(op.apply(Z) ** 2)) - 1.0))
+        assert max(combos) > plain
+        assert rep.delta_hat == max(plain, *combos)
+        assert rep.violations_sqrt2 == 0
 
     def test_pairs_are_orthogonal_low_rank(self, rng):
         from admira.ripcheck import _orthogonal_pair
