@@ -132,9 +132,9 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL) -> SvdFactors:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         V = Vt.T
     elif A.shape[0] >= A.shape[1]:
-        U, s, V = _gkl_topk(A, k, tol)
+        U, s, V = _gkl_topk(A.__matmul__, A.T.__matmul__, *A.shape, k, tol)
     else:
-        V, s, U = _gkl_topk(A.T, k, tol)
+        V, s, U = _gkl_topk(A.T.__matmul__, A.__matmul__, *A.T.shape, k, tol)
     return SvdFactors(*_finalize_triplets(U, s, V, k))
 
 
@@ -156,8 +156,9 @@ def _unit_complement(w, basis, rng, floor):
     return 0.0, w / np.linalg.norm(w)
 
 
-def _gkl_topk(A, k, tol):
-    """Top-k singular triplets of a matrix with ``m >= n``.
+def _gkl_topk(matvec, rmatvec, m, n, k, tol):
+    """Top-k singular triplets of the m x n ``A`` (``m >= n``) given as
+    ``matvec(v) = A v``, a fresh array, and ``rmatvec(u) = A^T u``.
 
     After j steps, ``A V_j = U_j B_j`` with ``B_j`` upper bidiagonal
     (alphas on the diagonal, betas above it) and
@@ -181,7 +182,6 @@ def _gkl_topk(A, k, tol):
     closes are found only through rounding, as in any single-vector Krylov
     method; proxies built from data have distinct singular values.
     """
-    m, n = A.shape
     rng = np.random.default_rng(GKL_SEED)
     U = np.empty((n, m))
     V = np.empty((n, n))
@@ -193,7 +193,7 @@ def _gkl_topk(A, k, tol):
     j = start = 0
     while True:
         V[j] = v
-        w = A @ v
+        w = matvec(v)
         if j:
             w -= beta * U[j - 1]
         alpha, U[j] = _unit_complement(w, U[:j], rng, GKL_TOL * scale)
@@ -204,7 +204,7 @@ def _gkl_topk(A, k, tol):
         j += 1
         exhausted = j == n
         if not exhausted:
-            beta, v = _unit_complement(A.T @ U[j - 1] - alpha * v, V[:j], rng,
+            beta, v = _unit_complement(rmatvec(U[j - 1]) - alpha * v, V[:j], rng,
                                        GKL_TOL * max(scale, alpha))
             betas.append(beta)
         block_scale = max(block_scale, alpha, beta)

@@ -159,7 +159,7 @@ def restricted_orthogonality_check(op, r: int, trials: int, seed: int) -> Orthog
     bad_1 = 0
     for i, (lhs, nx, ny) in enumerate(measured):
         scale = delta * nx * ny  # the constant-1 bound
-        rhs_sqrt2 = np.sqrt(2.0) * scale
+        rhs_sqrt2 = float(np.sqrt(2.0) * scale)
         ratio = lhs / scale if scale > 0.0 else (0.0 if lhs == 0.0 else np.inf)
         max_ratio = max(max_ratio, ratio)
         bad_sqrt2 += lhs > rhs_sqrt2

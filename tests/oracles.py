@@ -3,9 +3,12 @@
 The singular-value oracle goes through the characteristic polynomial of the
 Gram matrix (Faddeev-LeVerrier coefficients, then polynomial roots) and
 never touches an SVD, so it checks the production kernel along a disjoint
-code path. The remaining helpers rebuild or read back what the library
-produces, for comparison.
+code path. The least-squares oracle solves the normal equations in exact
+rational arithmetic. The remaining helpers rebuild or read back what the
+library produces, for comparison.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,3 +69,26 @@ def projection(left, right, M):
     atoms = np.einsum("mt,nt->mnt", left, right).reshape(M.size, left.shape[1])
     coeffs, *_ = np.linalg.lstsq(atoms, M.ravel(), rcond=None)
     return (atoms @ coeffs).reshape(M.shape)
+
+
+def least_squares_exact(Phi, b):
+    """Exact solution of ``Phi.T @ Phi @ x = Phi.T @ b``, as Fractions, for a
+    design of full column rank. Every float is a dyadic rational, so one
+    power of two turns Phi and b into integers (which leaves x unchanged),
+    the Gram system is formed in integers and eliminated in Fractions."""
+    Phi = np.asarray(Phi, dtype=float)
+    ratios = [v.as_integer_ratio() for v in [*Phi.ravel().tolist(), *np.ravel(b).tolist()]]
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    p, t = Phi.shape
+    cols = [ints[i:p * t:t] for i in range(t)]
+    y = ints[p * t:]
+    rows = [[Fraction(sum(a * c for a, c in zip(ci, cj))) for cj in [*cols, y]]
+            for ci in cols]
+    # the Gram matrix is positive definite: no pivot is zero
+    for i in range(t):
+        for r in range(t):
+            if r != i and rows[r][i]:
+                f = rows[r][i] / rows[i][i]
+                rows[r] = [a - f * c for a, c in zip(rows[r], rows[i])]
+    return [rows[i][t] / rows[i][i] for i in range(t)]

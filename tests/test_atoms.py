@@ -40,6 +40,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             AtomExpansion(basis_atom(2, 2, 0, 0), np.zeros(2))
 
+    def test_set_requires_equal_atom_counts(self):
+        with pytest.raises(ValueError, match="factor shapes are inconsistent"):
+            AtomSet(np.eye(3, 2), np.eye(3, 1))
+
 
 class TestLeadingAtoms:
     def test_diagonal_top1(self):
@@ -155,6 +159,10 @@ class TestMerge:
     def test_orthogonal_union(self):
         assert len(merge(basis_atom(2, 2, 0, 0), basis_atom(2, 2, 1, 1))) == 2
 
+    def test_different_shapes_rejected(self):
+        with pytest.raises(ValueError, match="different matrix spaces"):
+            merge(basis_atom(3, 3, 0, 0), basis_atom(4, 3, 0, 0))
+
     def test_sign_flipped_duplicate_dropped(self):
         a = AtomSet([[1.0], [0.0]], [[0.0], [1.0]])
         b = AtomSet([[-1.0], [0.0]], [[0.0], [1.0]])
@@ -249,3 +257,8 @@ class TestTruncateExpansion:
     def test_empty_expansion(self):
         out = truncate_expansion(empty_expansion(3, 3), 2)
         assert len(out) == 0
+
+    def test_nonpositive_rank_rejected(self):
+        exp = AtomExpansion(basis_atom(3, 3, 0, 0), np.ones(1))
+        with pytest.raises(ValueError, match="r must be positive"):
+            truncate_expansion(exp, 0)

@@ -187,8 +187,8 @@ def test_selection_loose_svt_tight(monkeypatch):
     # singular values with tau, so its shrink and sigma_1 keep GKL_TOL
     monkeypatch.setattr(linalg, "GKL_MIN_DIM", 1)
     kernel, tols = linalg._gkl_topk, []
-    monkeypatch.setattr(linalg, "_gkl_topk",
-                        lambda A, k, tol: tols.append(tol) or kernel(A, k, tol))
+    monkeypatch.setattr(linalg, "_gkl_topk", lambda matvec, rmatvec, m, n, k, tol:
+                        tols.append(tol) or kernel(matvec, rmatvec, m, n, k, tol))
     prob = harness.gen_problem(30, 30, 2, 700, seed=3)
     op = prob.operator
     assert admira_step(op, prob.b, empty_expansion(op.m, op.n), prob.b, rank=2) is not None

@@ -1,10 +1,11 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import admira
@@ -12,7 +13,7 @@ from admira import linalg
 from admira.atoms import DUPLICATE_TOL
 from admira.linalg import frobenius_norm, least_squares_minnorm, svd_truncated
 
-from oracles import reconstruct, singular_values_charpoly
+from oracles import least_squares_exact, reconstruct, singular_values_charpoly
 
 RT2 = np.sqrt(2.0)
 
@@ -69,6 +70,10 @@ class TestSvd:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    def test_rejects_vector(self):
+        with pytest.raises(ValueError, match="must be 2-dimensional"):
+            svd_truncated(np.ones(3), 1)
 
     def test_matches_charpoly_oracle(self, rng):
         for _ in range(100):
@@ -173,6 +178,20 @@ def test_kernel_matches_dense_svd(case, rng, path):
     np.testing.assert_allclose(f.V.T @ f.V, np.eye(want), atol=1e-12)
 
 
+def test_kernel_reads_only_a_product_pair(rng):
+    # a 10^4 x 10^4 rank-6 operator given only as its two products: no
+    # m x n array exists, and the kernel's top 4 triplets are the operator's
+    n, sigma = 10**4, np.array([10.0, 7.0, 5.0, 3.0, 2.0, 1.0])
+    qu, _ = np.linalg.qr(rng.standard_normal((n, 6)))
+    qv, _ = np.linalg.qr(rng.standard_normal((n, 6)))
+    U, s, V = linalg._gkl_topk(lambda v: qu @ (sigma * (qv.T @ v)),
+                               lambda u: qv @ (sigma * (qu.T @ u)), n, n, 4, linalg.GKL_TOL)
+    np.testing.assert_allclose(s, sigma[:4], rtol=1e-12)
+    # u_i = +-qu_i and v_i = the same sign times qv_i
+    np.testing.assert_allclose((qu[:, :4].T @ U) * (qv[:, :4].T @ V), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(U.T @ U, np.eye(4), atol=1e-12)
+
+
 def test_import_leaves_scipy_unloaded():
     # the library runs on NumPy alone; a fresh interpreter shows what it
     # loads, also from function bodies once both solvers have run
@@ -266,6 +285,10 @@ class TestLeastSquaresMinnorm:
         with pytest.raises(ValueError):
             least_squares_minnorm(np.eye(3), np.ones(2))
 
+    def test_rejects_nonfinite_rhs(self):
+        with pytest.raises(ValueError, match="b contains non-finite entries"):
+            least_squares_minnorm(np.eye(2), [1.0, np.nan])
+
 
 def conditioned_design(rng, p, t, log_cond):
     """p x t design with singular values log-spaced over ``10**log_cond``."""
@@ -279,13 +302,16 @@ def lstsq(Phi, b):
 
 
 class TestLeastSquaresPaths:
-    """The Gram path agrees with lstsq below the cut-off; above it, lstsq runs."""
+    """Below the cut-off the Gram path is as accurate as a backward-stable
+    least-squares solve; above it, lstsq runs."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**31), p=st.integers(1, 300), t=st.integers(1, 12),
            log_cond=st.floats(0.0, 2.5), misfit=st.floats(0.0, 100.0),
            scale=st.integers(-40, 40))
-    def test_matches_lstsq_below_cutoff(self, seed, p, t, log_cond, misfit, scale):
+    # lstsq itself is 1.14e-12 from the exact solution here, the Gram path 8.2e-14
+    @example(seed=975, p=9, t=3, log_cond=1.3545, misfit=27.0, scale=0)
+    def test_within_error_bound_below_cutoff(self, seed, p, t, log_cond, misfit, scale):
         # misfit: residual norm over fit norm, up to 100
         rng = np.random.default_rng(seed)
         t = min(t, p)
@@ -296,9 +322,16 @@ class TestLeastSquaresPaths:
         if np.linalg.norm(noise) > 0:
             fit += misfit * np.linalg.norm(fit) * noise / np.linalg.norm(noise)
         assume(np.linalg.cond(Phi.T @ Phi) < linalg.GRAM_COND_MAX)
-        want = lstsq(Phi, fit)
+        exact = least_squares_exact(Phi, fit)
         x = least_squares_minnorm(Phi, fit)
-        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        err = np.linalg.norm([float(Fraction(xi) - ei) for xi, ei in zip(x.tolist(), exact)])
+        # the least-squares error model: eps * (kappa + kappa^2 * rho) * ||x*||,
+        # rho = ||b - Phi x*|| / ||Phi x*||
+        want = np.array([float(e) for e in exact])
+        kappa = np.linalg.cond(Phi)
+        rho = np.linalg.norm(fit - Phi @ want) / np.linalg.norm(Phi @ want)
+        eps = np.finfo(float).eps
+        assert err <= 2 * eps * (kappa + kappa**2 * rho) * np.linalg.norm(want)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**31), p=st.integers(2, 60), t=st.integers(2, 12),

@@ -59,6 +59,10 @@ class TestGaussianOperator:
         with pytest.raises(MemoryBudgetExceeded):
             GaussianOperator(100, 100, 20000, seed=0)
 
+    def test_empty_dimension_rejected(self):
+        with pytest.raises(ValueError, match="m, n and p must be positive"):
+            GaussianOperator(0, 3, 3, seed=0)
+
     def test_shape_validation(self):
         op = GaussianOperator(3, 4, 5, seed=0)
         with pytest.raises(ValueError):
@@ -111,6 +115,12 @@ class TestEntrySampler:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             EntrySampler(2, 2, [0, 2], [0, 0])
+        with pytest.raises(ValueError, match="column index out of range"):
+            EntrySampler(3, 3, [0], [3])
+
+    def test_unequal_index_lengths_rejected(self):
+        with pytest.raises(ValueError, match="rows and cols must have equal length"):
+            EntrySampler(3, 3, [0, 1], [0])
 
     @pytest.mark.parametrize("rows, cols", [
         ([0.5, 1.7], [0, 1]),

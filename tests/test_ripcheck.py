@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,11 @@ class TestEstimateDelta:
         with pytest.raises(ValueError):
             estimate_delta(op, 5, 10, seed=0)
 
+    def test_no_samples_rejected(self):
+        op = GaussianOperator(4, 4, 10, seed=0)
+        with pytest.raises(ValueError, match="num_samples must be positive"):
+            estimate_delta(op, 1, 0, 0)
+
 
 class TestRestrictedOrthogonality:
     def test_full_sampler_exact_orthogonality(self):
@@ -141,6 +149,18 @@ class TestRestrictedOrthogonality:
         op = GaussianOperator(4, 4, 20, seed=3)
         with pytest.raises(ValueError):
             restricted_orthogonality_check(op, 1, 10, seed=4)
+
+    def test_no_trials_rejected(self):
+        op = GaussianOperator(4, 4, 20, seed=3)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            restricted_orthogonality_check(op, 2, 0, 0)
+
+    def test_report_counts_are_ints(self):
+        # plain ints, so a report goes through json like any other record
+        op = GaussianOperator(6, 6, 40, seed=1)
+        rep = restricted_orthogonality_check(op, 2, 5, seed=1)
+        assert type(rep.violations_sqrt2) is int and type(rep.violations_1) is int
+        json.dumps(dataclasses.asdict(rep))
 
     def test_rank_above_matrix_size_rejected(self):
         # a 5x1 matrix has no rank-2 pair to split
