@@ -36,8 +36,6 @@ CHECK_ROWS = 4
 
 
 def format_number(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(x)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):

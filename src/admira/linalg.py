@@ -150,10 +150,7 @@ def _unit_complement(w, basis, rng, floor):
     norm = float(np.linalg.norm(w))
     if norm > floor:
         return norm, w / norm
-    w = rng.standard_normal(basis.shape[1])
-    for _ in range(2):
-        w = w - basis.T @ (basis @ w)
-    return 0.0, w / np.linalg.norm(w)
+    return 0.0, _unit_complement(rng.standard_normal(basis.shape[1]), basis, rng, -1.0)[1]
 
 
 def _gkl_topk(matvec, rmatvec, m, n, k, tol):
@@ -165,12 +162,12 @@ def _gkl_topk(matvec, rmatvec, m, n, k, tol):
     ``A^T U_j = V_j B_j^T + beta_j v_{j+1} e_j^T``, so Ritz triplet i of
     ``B_j = P diag(s) Q^T`` has residual ``beta_j |P[j, i]|``. The loop stops
     when the top k residuals are below ``tol * s_1`` (tested every
-    ``GKL_CHECK_EVERY`` steps from ``j = k``), or when ``V_j``
-    spans all of R^n and the factorization is exact. ``tol`` governs only
-    these convergence tests; the breakdown floors and the test that a block
-    is negligible detect invariance and stay at ``GKL_TOL``. Both bases are
-    fully reorthogonalized, so a vector that vanishes in orthogonalization
-    is replaced by a fresh orthogonal random one, with a zero coefficient.
+    ``GKL_CHECK_EVERY`` steps from ``j = k``), or when ``V_j`` spans all of
+    R^n and the factorization is exact. ``tol`` governs only these tests;
+    the breakdown floors and the negligible-block test detect invariance
+    and stay at ``GKL_TOL``. Both bases double, up to n rows, as j reaches
+    them, and are fully reorthogonalized: a vector that vanishes there is
+    replaced by a fresh orthogonal random one, with a zero coefficient.
 
     A single start vector sees one copy of each repeated singular value
     until its Krylov space is (nearly) invariant. When beta falls below
@@ -183,8 +180,8 @@ def _gkl_topk(matvec, rmatvec, m, n, k, tol):
     method; proxies built from data have distinct singular values.
     """
     rng = np.random.default_rng(GKL_SEED)
-    U = np.empty((n, m))
-    V = np.empty((n, n))
+    U = np.empty((k, m))
+    V = np.empty((k, n))
     alphas: list[float] = []
     betas: list[float] = []
     v = rng.standard_normal(n)
@@ -192,14 +189,13 @@ def _gkl_topk(matvec, rmatvec, m, n, k, tol):
     beta = scale = block_scale = 0.0
     j = start = 0
     while True:
+        if j == len(V):
+            U, V = (np.concatenate([X, np.empty((min(j, n - j), X.shape[1]))]) for X in (U, V))
         V[j] = v
         w = matvec(v)
         if j:
             w -= beta * U[j - 1]
         alpha, U[j] = _unit_complement(w, U[:j], rng, GKL_TOL * scale)
-        if alpha == 0.0 and j == 0:
-            # a random vector in the null space: A is zero
-            return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
         alphas.append(alpha)
         j += 1
         exhausted = j == n

@@ -12,7 +12,14 @@ from admira.baselines import (
 )
 from admira.operators import EntrySampler, GaussianOperator
 from admira.seeding import derive_seed
-from admira.solver import CONVERGED, ZERO_PROXY, AdmiraConfig, admira_solve, admira_step
+from admira.solver import (
+    CONVERGED,
+    STALLED,
+    ZERO_PROXY,
+    AdmiraConfig,
+    admira_solve,
+    admira_step,
+)
 
 
 def full_sampler(m, n):
@@ -36,6 +43,16 @@ class TestRankOnePursuit:
         res = rank_one_pursuit(op, np.zeros(9), PursuitConfig(max_atoms=2))
         assert res.stop_reason == ZERO_PROXY
         assert res.iterations == 0
+
+    def test_omp_stalls_when_merge_drops_the_new_atom(self):
+        # the fit reaches a relative residual of 8e-17 at iteration 2; with
+        # the tolerance below that, a later proxy's top atom duplicates one
+        # already held, merge drops it, and OMP stops before its atom budget
+        prob = harness.gen_problem(2, 6, 1, 3, kind="entry", seed=3)
+        res = rank_one_pursuit(prob.operator, prob.b,
+                               PursuitConfig(max_atoms=6, residual_tol=1e-300))
+        assert res.stop_reason == STALLED
+        assert res.iterations == len(res.expansion) == 4
 
     def test_omp_residual_monotone(self):
         # recorded-seed regression: residual never increases for the re-fitting variant

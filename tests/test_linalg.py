@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +191,59 @@ def test_kernel_reads_only_a_product_pair(rng):
     # u_i = +-qu_i and v_i = the same sign times qv_i
     np.testing.assert_allclose((qu[:, :4].T @ U) * (qv[:, :4].T @ V), np.eye(4), atol=1e-12)
     np.testing.assert_allclose(U.T @ U, np.eye(4), atol=1e-12)
+
+
+def test_kernel_holds_only_the_steps_it_takes(rng):
+    # the Lanczos bases grow with the steps taken, at most doubling, so the
+    # traced allocations of a call stay within a few blocks of steps x n
+    # floats; bases reserved for all n steps up front would hold 2 n^2
+    n, sigma = 4000, np.array([10.0, 7.0, 5.0, 3.0, 2.0, 1.0])
+    qu, _ = np.linalg.qr(rng.standard_normal((n, 6)))
+    qv, _ = np.linalg.qr(rng.standard_normal((n, 6)))
+    steps = []
+
+    def matvec(v):
+        steps.append(1)
+        return qu @ (sigma * (qv.T @ v))
+
+    tracemalloc.start()
+    try:
+        _, s, _ = linalg._gkl_topk(matvec, lambda u: qv @ (sigma * (qu.T @ u)), n, n, 4,
+                                   linalg.GKL_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(s, sigma[:4], rtol=1e-12)
+    assert 4 < len(steps) < 50
+    assert peak <= 8 * len(steps) * n * 8
+
+
+def test_kernel_runs_in_a_one_gib_address_space():
+    # the implicit 10^4 x 10^4 operator's top 4 triplets, in a process whose
+    # address space is capped at 1 GiB: Lanczos bases reserved for all n
+    # steps (1.6 GB) would raise MemoryError before the first product
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(admira.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    code = (
+        "import resource\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "import numpy as np\n"
+        "from admira import linalg\n"
+        "rng = np.random.default_rng(20240501)\n"
+        "n, sigma = 10**4, np.array([10.0, 7.0, 5.0, 3.0, 2.0, 1.0])\n"
+        "qu, _ = np.linalg.qr(rng.standard_normal((n, 6)))\n"
+        "qv, _ = np.linalg.qr(rng.standard_normal((n, 6)))\n"
+        "matvec = lambda v: qu @ (sigma * (qv.T @ v))\n"
+        "rmatvec = lambda u: qv @ (sigma * (qu.T @ u))\n"
+        "print(*linalg._gkl_topk(matvec, rmatvec, n, n, 4, linalg.GKL_TOL)[1].tolist())"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    np.testing.assert_allclose([float(x) for x in out.stdout.split()],
+                               [10.0, 7.0, 5.0, 3.0], rtol=1e-12)
 
 
 def test_import_leaves_scipy_unloaded():

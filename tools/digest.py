@@ -1,0 +1,121 @@
+"""SHA-256 digests of the library's outputs, one ``name sha256`` line each.
+
+Two checkouts give bit-identical outputs when their digests diff clean:
+
+    diff <(PYTHONPATH=/tmp/parent/src python3 tools/digest.py) \\
+         <(PYTHONPATH=src python3 tools/digest.py)
+
+The script takes no options. It pins BLAS to one thread before NumPy
+loads, imports ``admira`` from ``PYTHONPATH`` and prints that module's
+path on stderr, so a run shows which library it digested. It covers the
+solvers on the benchmark's problems (seeds 1-3), ``svd_truncated`` on both
+sides of ``GKL_MIN_DIM`` at both tolerances, and the CLI sweep of the
+determinism gate at 1 and 3 worker threads.
+"""
+
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+import admira  # noqa: E402
+from admira import cli, harness, linalg  # noqa: E402
+from admira.atoms import SELECT_TOL  # noqa: E402
+
+SEEDS = (1, 2, 3)
+
+# name: (n, p, kind, algorithms with their iteration caps), all rank 2
+PROBLEMS = {
+    "complete-1000": (1000, 200_000, "entry", {"admira": 60}),
+    "complete-200": (200, 8000, "entry", {"admira": 150, "svt": 500}),
+    "gaussian-50": (50, 3920, "gaussian", {"admira": None, "omp": 10, "mp": 10}),
+}
+
+# matrices of svd_truncated, each on both sides of GKL_MIN_DIM = 100
+MATRICES = {
+    "tall": ((60, 40), (300, 120)),
+    "wide": ((40, 60), (120, 300)),
+    "square": ((50, 50), (200, 200), (1000, 1000)),
+    "rank3": ((60, 40), (300, 150)),
+    "zero": ((40, 30), (150, 150), (400, 120)),
+}
+
+
+def sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def emit(name: str, digest: str) -> None:
+    print(name, digest, flush=True)
+
+
+def solves():
+    for label, (n, p, kind, algorithms) in PROBLEMS.items():
+        for seed in SEEDS:
+            prob = harness.gen_problem(n, n, 2, p, kind=kind, seed=seed)
+            for algorithm, max_iter in algorithms.items():
+                res = harness.solve(algorithm, prob.operator, prob.b, 2, max_iter=max_iter)
+                name = f"{algorithm}/{label}/seed{seed}"
+                emit(f"{name}/matrix", sha(res.matrix()))
+                atoms = res.expansion.atoms
+                emit(f"{name}/factors", sha(atoms.left, atoms.right))
+                emit(f"{name}/coeffs", sha(res.expansion.coeffs))
+                emit(f"{name}/trace", sha(res.stop_reason, res.trace))
+
+
+def matrix(kind: str, shape, rng) -> np.ndarray:
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "rank3":
+        return rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
+    return rng.standard_normal(shape)
+
+
+def truncations():
+    rng = np.random.default_rng(20090106)
+    for kind, shapes in MATRICES.items():
+        for shape in shapes:
+            M = matrix(kind, shape, rng)
+            for tol_name, tol in (("GKL_TOL", linalg.GKL_TOL), ("SELECT_TOL", SELECT_TOL)):
+                for k in (1, 4, 10):
+                    f = linalg.svd_truncated(M, k, tol)
+                    emit(f"svd_truncated/{kind}/{shape[0]}x{shape[1]}/{tol_name}/k{k}",
+                         sha(f.U, f.sigma, f.V))
+
+
+def cli_sweep():
+    args = ["sweep", "--n", "20", "--m", "20", "--r", "1",
+            "--p-over-dr", "4,8", "--trials", "3", "--seed", "20110"]
+    with tempfile.TemporaryDirectory() as tmp:
+        for threads in (1, 3):
+            out = os.path.join(tmp, f"sweep{threads}.csv")
+            with contextlib.redirect_stdout(sys.stderr):
+                status = cli.main(args + ["--threads", str(threads), "--out", out])
+            if status != 0:
+                raise SystemExit(f"cli sweep at {threads} threads failed")
+            with open(out, "rb") as fh:
+                emit(f"cli/sweep/threads{threads}", sha(fh.read()))
+
+
+def main() -> None:
+    print(admira.__file__, file=sys.stderr)
+    solves()
+    truncations()
+    cli_sweep()
+
+
+if __name__ == "__main__":
+    main()
