@@ -12,7 +12,7 @@ import sys
 
 from . import fileio, harness, ripcheck
 from .baselines import UnsupportedOperatorError
-from .operators import OPERATOR_KINDS, EntrySampler, MemoryBudgetExceeded
+from .operators import OPERATOR_KINDS, EntrySampler
 from .seeding import derive_seed
 
 __all__ = ["main"]
@@ -24,18 +24,6 @@ def _int_list(text):
 
 def _float_list(text):
     return [float(v) for v in text.split(",") if v.strip()]
-
-
-def _emit_solution(result, args):
-    if args.out:
-        fileio.save_dense_matrix(args.out, result.matrix())
-        print(f"wrote solution to {args.out}")
-    if args.trace_out:
-        fileio.save_trace(args.trace_out, result)
-        print(f"wrote trace to {args.trace_out}")
-    last = result.trace[-1].rel_residual if result.trace else 0.0
-    print(f"{result.algorithm}: stop={result.stop_reason} "
-          f"iterations={result.iterations} rel_residual={last:.3e}")
 
 
 def cmd_gen(args):
@@ -57,21 +45,25 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
-    op, b = fileio.load_problem(args.problem)
+    if args.command == "solve":
+        op, b = fileio.load_problem(args.problem)
+    else:
+        rows, cols, b = fileio.load_observed_entries(args.obs)
+        if rows.size == 0:
+            raise SystemExit(f"admira: no observed entries in {args.obs}")
+        m = args.m if args.m is not None else int(rows.max()) + 1
+        n = args.n if args.n is not None else int(cols.max()) + 1
+        op = EntrySampler(m, n, rows, cols)
     result = harness.solve(args.alg, op, b, args.r, args.max_iter, args.tol)
-    _emit_solution(result, args)
-    return 0
-
-
-def cmd_complete(args):
-    rows, cols, values = fileio.load_observed_entries(args.obs)
-    if rows.size == 0:
-        raise SystemExit(f"admira: no observed entries in {args.obs}")
-    m = args.m if args.m is not None else int(rows.max()) + 1
-    n = args.n if args.n is not None else int(cols.max()) + 1
-    op = EntrySampler(m, n, rows, cols)
-    result = harness.solve(args.alg, op, values, args.r, args.max_iter, args.tol)
-    _emit_solution(result, args)
+    if args.out:
+        fileio.save_dense_matrix(args.out, result.matrix())
+        print(f"wrote solution to {args.out}")
+    if args.trace_out:
+        fileio.save_trace(args.trace_out, result)
+        print(f"wrote trace to {args.trace_out}")
+    last = result.trace[-1].rel_residual if result.trace else 0.0
+    print(f"{result.algorithm}: stop={result.stop_reason} "
+          f"iterations={result.iterations} rel_residual={last:.3e}")
     return 0
 
 
@@ -174,7 +166,7 @@ def build_parser(cfg) -> argparse.ArgumentParser:
     add("--out", help="CSV path for the recovered matrix")
     add("--trace-out", help="CSV path for the iteration trace")
 
-    add = command("complete", cmd_complete, "complete a matrix from observed-entry triples",
+    add = command("complete", cmd_solve, "complete a matrix from observed-entry triples",
                   "r max-iter tol")
     add("--obs", required=True, help="observed entries, one 'row col value' per line")
     add("--n", type=int, help="matrix columns (default: largest observed column)")
@@ -230,7 +222,7 @@ def main(argv=None) -> int:
         cfg = dict(fileio.read_key_values(known.config)) if known.config else {}
         args = build_parser(cfg).parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, MemoryBudgetExceeded, UnsupportedOperatorError) as exc:
+    except (ValueError, OSError, MemoryError, UnsupportedOperatorError) as exc:
         raise SystemExit(f"admira: {' '.join(str(exc).split())}") from None
 
 

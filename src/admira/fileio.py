@@ -11,7 +11,6 @@ values round-trip exactly.
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 
@@ -165,7 +164,7 @@ def save_trace(path, result) -> None:
     for row in result.trace:
         out = [row.iteration, row.residual_l2, row.rel_residual]
         if with_error:
-            out.append(row.error_fro if row.error_fro is not None else math.nan)
+            out.append(row.error_fro)
         rows.append(out)
     write_csv(path, header, rows)
 

@@ -68,7 +68,6 @@ class Problem:
 class TrialReport:
     algorithm: str
     snr_recon_db: float
-    snr_meas_db: float
     iterations: int
     stop_reason: str
     wall_time: float
@@ -104,7 +103,7 @@ def measurement_count(n: int, m: int, r: int, p_over_dr: float) -> int:
     the m*n entries; the ratio must be positive and finite."""
     if not 0 < p_over_dr < math.inf:
         raise ValueError(f"p/d_r must be positive and finite, got {p_over_dr}")
-    return min(int(round(p_over_dr * degrees_of_freedom(n, m, r))), m * n)
+    return int(round(min(p_over_dr * degrees_of_freedom(n, m, r), m * n)))
 
 
 def gen_problem(
@@ -121,8 +120,8 @@ def gen_problem(
     The truth is a product of standard-Gaussian factors (rank exactly r
     almost surely); ``kind`` names the operator family in ``OPERATOR_KINDS``.
     When ``snr_meas_db`` is given, white Gaussian noise is scaled so the
-    measurement SNR matches it exactly; ``None`` and ``inf`` give
-    ``nu = 0``, and NaN or ``-inf`` is a ``ValueError``.
+    measurement SNR matches it exactly; ``None`` and ``inf`` give ``nu = 0``.
+    NaN, ``-inf`` or an SNR whose noise is not finite is a ``ValueError``.
     """
     if r < 1 or r > min(m, n):
         raise ValueError(f"r must be in [1, {min(m, n)}], got {r}")
@@ -145,7 +144,10 @@ def gen_problem(
         if clean_norm == 0.0:
             raise ValueError("cannot set a measurement SNR for zero measurements")
         g = derive_rng(seed, "noise").standard_normal(p)
-        nu = g * (clean_norm / np.linalg.norm(g)) * 10.0 ** (-snr_meas_db / 20.0)
+        with np.errstate(over="ignore"):  # NumPy's power overflows to inf; Python's raises
+            nu = g * (clean_norm / np.linalg.norm(g)) * np.float64(10.0) ** (-snr_meas_db / 20.0)
+        if not np.all(np.isfinite(nu)):
+            raise ValueError(f"measurement SNR {snr_meas_db} dB gives non-finite noise")
     return Problem(x_true, op, b_clean + nu, nu, r)
 
 
@@ -201,7 +203,6 @@ def run_trial(problem: Problem, algorithm: str = "admira", max_iter=None,
     return TrialReport(
         algorithm=algorithm,
         snr_recon_db=snr_recon(problem.x_true, result.matrix()),
-        snr_meas_db=snr_meas(problem.b - problem.nu, problem.nu),
         iterations=result.iterations,
         stop_reason=result.stop_reason,
         wall_time=wall,

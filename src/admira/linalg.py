@@ -90,7 +90,7 @@ def _finalize_triplets(U, s, V, k):
     """The top k triplets without negligible ones, each pair (u_j, v_j)
     flipped so the first nonzero entry of u_j is positive."""
     s = np.asarray(s[:k], dtype=float)
-    if s.size == 0 or s[0] <= 0.0:
+    if s[0] <= 0.0:
         return np.zeros((U.shape[0], 0)), np.zeros(0), np.zeros((V.shape[0], 0))
     keep = s > NEGLIGIBLE_SIGMA * s[0]
     # boolean indexing copies, so the flips leave the inputs alone; each kept
@@ -243,8 +243,6 @@ def least_squares_minnorm(Phi, b) -> np.ndarray:
         raise ValueError(f"b has length {y.shape[0]}, expected {A.shape[0]}")
     if not np.all(np.isfinite(y)):
         raise ValueError("b contains non-finite entries")
-    if not y.any():
-        return np.zeros(A.shape[1])
     if 0 < A.shape[1] <= A.shape[0]:
         G = A.T @ A
         if np.linalg.cond(G) < GRAM_COND_MAX:

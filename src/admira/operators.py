@@ -31,14 +31,12 @@ __all__ = [
 DEFAULT_MEMORY_BUDGET = 1 << 30
 
 
-class MemoryBudgetExceeded(RuntimeError):
+class MemoryBudgetExceeded(MemoryError):
     """Dense operator storage would exceed ``DEFAULT_MEMORY_BUDGET``."""
 
 
 class MeasurementOperator(ABC):
     """Linear map from (m, n) matrices to length-p measurement vectors."""
-
-    kind = "abstract"
 
     def __init__(self, m: int, n: int, p: int):
         if min(m, n, p) < 1:
@@ -187,7 +185,8 @@ class EntrySampler(MeasurementOperator):
     def apply_atoms(self, aset: AtomSet, work=None) -> np.ndarray:
         self._check_atoms(aset)
         t = len(aset)
-        a, c = (self.scratch(t) if work is None else work)[:2 * self.p * t].reshape(2, self.p, t)
+        size = 2 * self.p * t
+        a, c = (np.empty(size) if work is None else work)[:size].reshape(2, self.p, t)
         # np.take gathers rows several times faster than fancy indexing; the indices are
         # checked and read-only, so "clip" never clips ("raise" buffers instead of out)
         np.take(aset.left, self.rows, axis=0, out=a, mode="clip")

@@ -18,7 +18,7 @@ __all__ = ["derive_seed", "derive_rng"]
 
 
 def _key_to_int(key) -> int:
-    if isinstance(key, (bool, float)):
+    if isinstance(key, bool):
         key = str(key)
     if isinstance(key, (int, np.integer)):
         return int(key) % (1 << 32)

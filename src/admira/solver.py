@@ -215,7 +215,7 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
         if rel <= config.residual_tol:
             stop = CONVERGED
             break
-        changes.append(abs(prev_res - res) / max(prev_res, 1e-300))
+        changes.append(abs(prev_res - res) / prev_res)
         prev_res = res
         if len(changes) == STALL_WINDOW and max(changes) < STALL_TOL:
             stop = STALLED

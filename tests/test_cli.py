@@ -39,6 +39,10 @@ class TestGenComplete:
                      "--p-over-dr", "2.0", "--seed", "1", "--out", str(obs)]) == 0
         rows, cols, values = fileio.load_observed_entries(obs)
         assert len(values) == 38  # 2.0 * d_1 = 2 * 19
+        assert main(["gen", "--kind", "entry", "--n", "10", "--m", "10", "--r", "1",
+                     "--p-over-dr", "1e308", "--seed", "1", "--out", str(obs)]) == 0
+        rows, cols, values = fileio.load_observed_entries(obs)
+        assert len(values) == 100  # capped at m * n
 
     def test_complete_with_svt(self, tmp_path):
         obs = tmp_path / "obs.txt"
@@ -252,13 +256,18 @@ class TestUserErrors:
          "p/d_r must be positive and finite, got nan"),
         (["gen", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "-2"],
          "p/d_r must be positive and finite, got -2.0"),
+        (["gen", "--n", "4", "--m", "4", "--r", "1", "--p", "8", "--snr-meas=-1e308"],
+         "measurement SNR -1e+308 dB gives non-finite noise"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "2", "--trials", "1",
+          "--snr-meas=-1e308"], "measurement SNR -1e+308 dB gives non-finite noise"),
     ], ids=["gen_rank", "gen_p_and_ratio", "gen_no_p", "sweep_rank", "missing_obs",
             "missing_config", "gen_memory_budget",
             "sweep_svt_gaussian", "sweep_zero_trials", "sweep_negative_trials",
             "phase_zero_trials", "compare_zero_trials", "sweep_empty_ratios",
             "compare_empty_ranks", "sweep_zero_threads", "gen_snr_nan", "rip_pairs_rank",
             "sweep_tol_nan", "sweep_omp_tol_negative", "complete_svt_tol_nan",
-            "phase_threshold_nan", "sweep_ratio_nan", "gen_ratio_negative"])
+            "phase_threshold_nan", "sweep_ratio_nan", "gen_ratio_negative",
+            "gen_snr_overflow", "sweep_snr_overflow"])
     def test_library_errors_end_in_one_line(self, tmp_path, args, expect):
         (tmp_path / "obs.txt").write_text("1 1 1.0\n1 2 2.0\n2 1 3.0\n")
         out = tmp_path / "out.txt"
@@ -267,6 +276,30 @@ class TestUserErrors:
         assert run.stdout == ""
         assert len(run.stderr.splitlines()) == 1
         assert run.stderr.startswith("admira: ") and expect in run.stderr
+        assert not out.exists()
+
+    def test_allocation_failure_ends_in_one_line(self, tmp_path):
+        # a 10^5 x 10^5 truth (80 GB) in a process whose address space is
+        # capped at 1 GiB: NumPy's own MemoryError ends in one line too
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(admira.__file__)))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        code = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from admira.cli import main\n"
+            "raise SystemExit(main(sys.argv[1:]))"
+        )
+        out = tmp_path / "obs.txt"
+        run = subprocess.run([sys.executable, "-c", code, "gen", "--n", "100000", "--m", "100000",
+                              "--r", "1", "--p", "10", "--out", str(out)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith("admira: Unable to allocate")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, expect", [

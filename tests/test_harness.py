@@ -44,6 +44,7 @@ class TestDegreesOfFreedom:
         assert harness.measurement_count(10, 10, 1, 2.0) == 38
         assert harness.measurement_count(10, 10, 1, 0.51) == 10  # round(9.69)
         assert harness.measurement_count(4, 4, 1, 100.0) == 16
+        assert harness.measurement_count(4, 4, 1, 1e308) == 16  # p/d_r * d_r overflows
 
     @pytest.mark.parametrize("ratio", [0.0, -2.0, float("nan"), float("inf")])
     def test_measurement_count_rejects_bad_ratio(self, ratio):
@@ -89,6 +90,14 @@ class TestGenProblem:
     def test_snr_without_a_noise_level_rejected(self, snr):
         with pytest.raises(ValueError, match="measurement SNR must be a number of dB or inf"):
             gen_problem(6, 6, 1, 10, snr_meas_db=snr, seed=0)
+
+    # -1e308: 10 ** (-snr / 20) overflows; -6160: 10 ** 308 is finite, but the
+    # noise it scales reaches 3e308 on this problem (pytest turns a RuntimeWarning
+    # into an error, so an overflow in NumPy would fail here too)
+    @pytest.mark.parametrize("snr", [-1e308, -6160.0])
+    def test_snr_whose_noise_overflows_rejected(self, snr):
+        with pytest.raises(ValueError, match="dB gives non-finite noise"):
+            gen_problem(12, 12, 2, 100, snr_meas_db=snr, seed=0)
 
     def test_infinite_snr_is_noiseless(self):
         infinite = gen_problem(6, 6, 1, 10, snr_meas_db=math.inf, seed=0)

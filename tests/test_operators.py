@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,7 @@ class TestGaussianOperator:
         # 8 * 20000 * 100 * 100 bytes = 1.6 GB: refused before anything is allocated
         with pytest.raises(MemoryBudgetExceeded):
             GaussianOperator(100, 100, 20000, seed=0)
+        assert issubclass(MemoryBudgetExceeded, MemoryError)
 
     def test_empty_dimension_rejected(self):
         with pytest.raises(ValueError, match="m, n and p must be positive"):
@@ -230,6 +233,23 @@ class TestScratch:
             assert np.array_equal(op.apply_expansion(exp, work), op.apply_expansion(exp))
         y = rng.standard_normal(p)
         assert np.array_equal(op.adjoint(y, work), op.adjoint(y))
+
+    @pytest.mark.parametrize("t", [1, 6])
+    def test_gather_without_work_allocates_its_result(self, t, rng):
+        # a 4000^2 sampler with p = 4e5: the m*n scratch array would be 128 MB,
+        # the (p, t) result and its 2*p*t gather buffer are a few MB
+        m = n = 4000
+        flat = np.arange(400_000) * 40
+        op = EntrySampler(m, n, *np.divmod(flat, n))
+        exp = random_expansion(m, n, t, rng)
+        for call, arg in ((op.apply_atoms, exp.atoms), (op.apply_expansion, exp)):
+            tracemalloc.start()
+            try:
+                call(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * op.p * t * 8
 
 
 class TestExpansionPaths:

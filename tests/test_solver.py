@@ -5,10 +5,14 @@ from hypothesis import strategies as st
 
 from admira.atoms import AtomSet, assemble, empty_expansion, leading_atoms, merge
 from admira.baselines import PursuitConfig, SvtConfig, rank_one_pursuit
+from admira.harness import gen_problem
 from admira.operators import EntrySampler, GaussianOperator
 from admira.seeding import derive_seed
 from admira.solver import (
     CONVERGED,
+    STALL_TOL,
+    STALL_WINDOW,
+    STALLED,
     ZERO_PROXY,
     AdmiraConfig,
     admira_solve,
@@ -211,6 +215,17 @@ class TestAdmiraSolve:
         res = admira_solve(op, b, AdmiraConfig(rank=2, max_iter=7))
         assert res.iterations <= 7
         assert all(np.isfinite(t.residual_l2) for t in res.trace)
+
+    def test_noise_floor_stops_stalled(self):
+        # at 60 dB the residual settles on the noise floor long before the
+        # 1e-7 tolerance; the stall rule ends the run at iteration 96 of 200
+        prob = gen_problem(20, 20, 2, 380, kind="gaussian", snr_meas_db=60.0, seed=0)
+        res = admira_solve(prob.operator, prob.b, AdmiraConfig(rank=2, max_iter=200))
+        assert res.stop_reason == STALLED
+        assert res.iterations < 200
+        rel = [row.rel_residual for row in res.trace]
+        changes = [abs(a - b) / a for a, b in zip(rel[:-1], rel[1:])]
+        assert max(changes[-STALL_WINDOW:]) < STALL_TOL
 
     def test_step6_optimality_each_iteration(self, rng):
         # after the merged fit, the residual is orthogonal to every measured atom;
