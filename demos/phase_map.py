@@ -6,14 +6,16 @@ sharp; cells left of each row's d_r marker can never succeed.
 """
 
 from admira import degrees_of_freedom, phase_transition
+from admira.harness import DEFAULT_SUCCESS_DB
 
 n = 40
 p_grid = [60, 150, 300, 450, 700, 1000, 1300, 1600]
 r_grid = [1, 2, 3, 4]
-grid = phase_transition(n, n, p_grid, r_grid, trials=4, seed=29)
+trials = 4
+successes = phase_transition(n, n, p_grid, r_grid, trials=trials, seed=29)
 
-print(f"successes out of {grid.trials} (SNR >= {grid.threshold_db:.0f} dB), n = m = {n}")
+print(f"successes out of {trials} (SNR >= {DEFAULT_SUCCESS_DB:.0f} dB), n = m = {n}")
 print(f"{'':>10}" + "".join(f"{p:>7}" for p in p_grid))
 for i, r in enumerate(r_grid):
-    cells = "".join(f"{int(c):>7}" for c in grid.successes[i])
+    cells = "".join(f"{int(c):>7}" for c in successes[i])
     print(f"r={r} d_r={degrees_of_freedom(n, n, r):<4}" + cells)

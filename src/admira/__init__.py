@@ -24,7 +24,6 @@ from .baselines import (
     svt_solve,
 )
 from .harness import (
-    PhaseGrid,
     Problem,
     TrialReport,
     compare_table,

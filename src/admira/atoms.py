@@ -60,10 +60,6 @@ class AtomSet:
         self.left = left
         self.right = right
 
-    @classmethod
-    def empty(cls, m: int, n: int) -> "AtomSet":
-        return cls(np.zeros((m, 0)), np.zeros((n, 0)))
-
     @property
     def m(self) -> int:
         return self.left.shape[0]
@@ -101,7 +97,7 @@ class AtomExpansion:
 
 
 def empty_expansion(m: int, n: int) -> AtomExpansion:
-    return AtomExpansion(AtomSet.empty(m, n), np.zeros(0))
+    return AtomExpansion(AtomSet(np.zeros((m, 0)), np.zeros((n, 0))), np.zeros(0))
 
 
 def leading_atoms(M, k: int) -> AtomExpansion:

@@ -8,6 +8,7 @@ also come from a ``key=value`` config file passed with ``--config``
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import fileio, harness, ripcheck
@@ -81,7 +82,7 @@ def cmd_phase(args):
                                     args.trials, args.seed, threshold_db=args.threshold_db,
                                     max_iter=args.max_iter, residual_tol=args.tol,
                                     threads=args.threads, out=args.out)
-    print(f"wrote {len(grid.to_rows())} phase cells to {args.out}")
+    print(f"wrote {grid.size} phase cells to {args.out}")
     return 0
 
 
@@ -110,6 +111,10 @@ def cmd_rip(args):
     return 0
 
 
+# a token that starts like a negative number is a value, not a flag (argparse
+# alone reads "-1e3", "-inf" and "-2,3" as flags); no admira flag starts so
+_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
 # options shared by several subcommands, registered only where read
 _SHARED = {
     "n": dict(type=int, required=True, help="matrix columns"),
@@ -137,6 +142,7 @@ def build_parser(cfg) -> argparse.ArgumentParser:
 
     def command(name, func, help, shared):
         p = sub.add_parser(name, help=help)
+        p._negative_number_matcher = _NUMBER
         p.add_argument("--config", help="key=value file supplying flag defaults")
         p.set_defaults(func=func)
 

@@ -30,7 +30,6 @@ from .solver import AdmiraConfig, AdmiraResult, admira_solve
 __all__ = [
     "Problem",
     "TrialReport",
-    "PhaseGrid",
     "degrees_of_freedom",
     "measurement_count",
     "gen_problem",
@@ -71,24 +70,6 @@ class TrialReport:
     iterations: int
     stop_reason: str
     wall_time: float
-
-
-@dataclass
-class PhaseGrid:
-    """Success counts over a (p, r) grid of completion problems."""
-
-    p_values: tuple[int, ...]
-    r_values: tuple[int, ...]
-    trials: int
-    threshold_db: float
-    successes: np.ndarray  # shape (len(r_values), len(p_values))
-
-    def to_rows(self):
-        rows = []
-        for i, r in enumerate(self.r_values):
-            for j, p in enumerate(self.p_values):
-                rows.append([p, r, int(self.successes[i, j]), self.trials])
-        return rows
 
 
 def degrees_of_freedom(n: int, m: int, r: int) -> int:
@@ -321,25 +302,24 @@ def phase_transition(
     residual_tol: float | None = None,
     threads: int = 1,
     out: str | None = None,
-) -> PhaseGrid:
+) -> np.ndarray:
     """Success counts for matrix completion over a (p, r) grid.
 
     A trial succeeds when its reconstruction SNR reaches ``threshold_db``.
-    CSV rows are ``p, r, successes, trials``.
+    Returns the integer counts, shape ``(len(r_grid), len(p_grid))``: row i
+    holds ``r_grid[i]``. CSV rows are ``p, r, successes, trials``, r-major.
     """
     if math.isnan(threshold_db):
         raise ValueError(f"the success threshold must be a number of dB, got {threshold_db}")
-    p_values = tuple(int(p) for p in p_grid)
-    r_values = tuple(int(r) for r in r_grid)
+    p_values = [int(p) for p in p_grid]
+    r_values = [int(r) for r in r_grid]
     cases = [(n, m, r, p, "entry", None, "admira", (r, p)) for r in r_values for p in p_values]
     groups = _run_cases("phase", cases, trials, seed, threads, max_iter, residual_tol)
-    successes = np.array([sum(rep.snr_recon_db >= threshold_db for rep in group)
-                          for group in groups]).reshape(len(r_values), len(p_values))
-
-    grid = PhaseGrid(p_values, r_values, trials, threshold_db, successes)
+    successes = [sum(rep.snr_recon_db >= threshold_db for rep in group) for group in groups]
     if out is not None:
-        write_csv(out, ["p", "r", "successes", "trials"], grid.to_rows())
-    return grid
+        write_csv(out, ["p", "r", "successes", "trials"],
+                  [[case[3], case[2], count, trials] for case, count in zip(cases, successes)])
+    return np.array(successes).reshape(len(r_values), len(p_values))
 
 
 def compare_table(

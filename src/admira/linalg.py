@@ -94,14 +94,13 @@ def _finalize_triplets(U, s, V, k):
         return np.zeros((U.shape[0], 0)), np.zeros(0), np.zeros((V.shape[0], 0))
     keep = s > NEGLIGIBLE_SIGMA * s[0]
     # boolean indexing copies, so the flips leave the inputs alone; each kept
-    # u_j is a unit vector, so it has a nonzero entry
+    # u_j is a unit vector, so it has a nonzero entry, whose sign is exactly +-1.0
     U, V = U[:, :k][:, keep], V[:, :k][:, keep]
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        lead = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        if col[lead] < 0:
-            U[:, j] = -col
-            V[:, j] = -V[:, j]
+    mag = np.abs(U)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    sign = np.sign(U[lead, np.arange(U.shape[1])])
+    U *= sign
+    V *= sign
     return U, s[keep], V
 
 

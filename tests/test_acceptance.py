@@ -213,24 +213,23 @@ def test_gate_07_restricted_orthogonality():
 def test_gate_08_phase_transition_shape():
     # 40x40 grid, r = 1..6, 8 p values, 10 trials/cell at 70 dB: success
     # counts non-decreasing in p (+-1 slack); p < d_r cells have 0 successes
-    grid = phase_transition(40, 40, PHASE_P_GRID, range(1, 7), trials=10,
-                            seed=SEED_PHASE)
+    r_grid = range(1, 7)
+    successes = phase_transition(40, 40, PHASE_P_GRID, r_grid, trials=10, seed=SEED_PHASE)
     monotone = True
     undersampled_clean = True
-    for i, r in enumerate(grid.r_values):
-        counts = grid.successes[i]
+    for r, counts in zip(r_grid, successes):
         for j in range(len(counts) - 1):
             if counts[j + 1] < counts[j] - 1:
                 monotone = False
         dr = degrees_of_freedom(40, 40, r)
-        for j, p in enumerate(grid.p_values):
+        for j, p in enumerate(PHASE_P_GRID):
             if p < dr and counts[j] != 0:
                 undersampled_clean = False
     ok = monotone and undersampled_clean
     gate("8 phase transition shape", ok,
          f"monotone={monotone}, undersampled-zero={undersampled_clean}; "
-         + " | ".join(f"r={r}:{[int(c) for c in grid.successes[i]]}"
-                      for i, r in enumerate(grid.r_values)))
+         + " | ".join(f"r={r}:{[int(c) for c in counts]}"
+                      for r, counts in zip(r_grid, successes)))
 
 
 def test_gate_09_degrees_of_freedom_arithmetic():

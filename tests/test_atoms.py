@@ -149,7 +149,7 @@ class TestLeadingAtoms:
 
 class TestMerge:
     def test_empty_identity(self):
-        merged = merge(basis_atom(2, 2, 0, 0), AtomSet.empty(2, 2))
+        merged = merge(basis_atom(2, 2, 0, 0), empty_expansion(2, 2).atoms)
         assert len(merged) == 1
 
     def test_duplicate_dropped(self):

@@ -52,6 +52,14 @@ class TestGenComplete:
         assert main(["complete", "--obs", str(obs), "--r", "1", "--alg", "svt",
                      "--max-iter", "200", "--out", str(sol)]) == 0
 
+    def test_exponent_form_negative_value_after_a_space(self, tmp_path):
+        # argparse alone reads "-1e3" as a flag; it is the SNR, as with "="
+        args = ["gen", "--n", "4", "--m", "4", "--r", "1", "--p", "8", "--seed", "2"]
+        spaced, joined = tmp_path / "spaced.txt", tmp_path / "joined.txt"
+        assert main(args + ["--snr-meas", "-1e3", "--out", str(spaced)]) == 0
+        assert main(args + ["--snr-meas=-1e3", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
 
 class TestSolve:
     def test_gaussian_problem_roundtrip(self, tmp_path):
@@ -260,6 +268,12 @@ class TestUserErrors:
          "measurement SNR -1e+308 dB gives non-finite noise"),
         (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "2", "--trials", "1",
           "--snr-meas=-1e308"], "measurement SNR -1e+308 dB gives non-finite noise"),
+        (["gen", "--n", "4", "--m", "4", "--r", "1", "--p", "8", "--snr-meas", "-inf"],
+         "measurement SNR must be a number of dB or inf, got -inf"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "2", "--trials", "1",
+          "--tol", "-1e-3"], "residual tolerance must be positive, got -0.001"),
+        (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "-2,3", "--trials", "1"],
+         "p/d_r must be positive and finite, got -2.0"),
     ], ids=["gen_rank", "gen_p_and_ratio", "gen_no_p", "sweep_rank", "missing_obs",
             "missing_config", "gen_memory_budget",
             "sweep_svt_gaussian", "sweep_zero_trials", "sweep_negative_trials",
@@ -267,7 +281,8 @@ class TestUserErrors:
             "compare_empty_ranks", "sweep_zero_threads", "gen_snr_nan", "rip_pairs_rank",
             "sweep_tol_nan", "sweep_omp_tol_negative", "complete_svt_tol_nan",
             "phase_threshold_nan", "sweep_ratio_nan", "gen_ratio_negative",
-            "gen_snr_overflow", "sweep_snr_overflow"])
+            "gen_snr_overflow", "sweep_snr_overflow", "gen_snr_minus_inf",
+            "sweep_tol_exponent", "sweep_negative_ratio_list"])
     def test_library_errors_end_in_one_line(self, tmp_path, args, expect):
         (tmp_path / "obs.txt").write_text("1 1 1.0\n1 2 2.0\n2 1 3.0\n")
         out = tmp_path / "out.txt"

@@ -78,6 +78,16 @@ class TestProblemFiles:
         with pytest.raises(ValueError):
             fileio.save_problem(tmp_path / "p.txt", op, np.zeros(4))
 
+    @pytest.mark.parametrize("seed, count, expect", [
+        (None, 25, "operator has no stored seed"),
+        (9, 24, "expected 25 measurements, got 24"),
+    ], ids=["unseeded_operator", "short_b"])
+    def test_save_rejected(self, tmp_path, seed, count, expect):
+        path = tmp_path / "p.txt"
+        with pytest.raises(ValueError, match=expect):
+            fileio.save_problem(path, GaussianOperator(7, 6, 25, seed), np.zeros(count))
+        assert not path.exists()
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("kind=gaussian\nm=3\nn=3\n")
@@ -88,7 +98,8 @@ class TestProblemFiles:
         ("seed", "10", "does not match"),
         ("check", "0123456789abcdef", "does not match"),
         ("check", None, "missing check"),
-    ], ids=["edited_seed", "edited_check", "missing_check"])
+        ("kind", "entry", "unsupported problem kind 'entry'"),
+    ], ids=["edited_seed", "edited_check", "missing_check", "entry_kind"])
     def test_operator_check(self, tmp_path, key, value, expect):
         prob = gen_problem(7, 6, 2, 25, kind="gaussian", seed=9)
         path = tmp_path / "prob.txt"
@@ -100,6 +111,16 @@ class TestProblemFiles:
             lines.insert(1, f"{key}={value}")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=expect):
+            fileio.load_problem(path)
+
+    def test_measurement_count_checked_on_load(self, tmp_path):
+        prob = gen_problem(7, 6, 2, 25, kind="gaussian", seed=9)
+        path = tmp_path / "prob.txt"
+        fileio.save_problem(path, prob.operator, prob.b)
+        lines = path.read_text().splitlines()
+        assert lines[-1].startswith("b=")
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="expected 25 measurements, found 24"):
             fileio.load_problem(path)
 
 

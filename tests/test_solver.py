@@ -129,7 +129,7 @@ class TestRestrictedLeastSquares:
     def test_empty_set_rejected(self):
         op = GaussianOperator(3, 3, 5, seed=0)
         with pytest.raises(ValueError):
-            restricted_least_squares(op, np.zeros(5), AtomSet.empty(3, 3))
+            restricted_least_squares(op, np.zeros(5), empty_expansion(3, 3).atoms)
 
 
 class TestAdmiraStep:

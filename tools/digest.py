@@ -9,13 +9,15 @@ The script takes no options. It pins BLAS to one thread before NumPy
 loads, imports ``admira`` from ``PYTHONPATH`` and prints that module's
 path on stderr, so a run shows which library it digested. It covers the
 solvers on the benchmark's problems (seeds 1-3), ``svd_truncated`` on both
-sides of ``GKL_MIN_DIM`` at both tolerances, and the CLI sweep of the
-determinism gate at 1 and 3 worker threads.
+sides of ``GKL_MIN_DIM`` at both tolerances, and every CSV the CLI writes
+from a grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase``
+and ``compare`` at 1 and 3 worker threads, and ``rip``'s two files.
 """
 
 import contextlib
 import hashlib
 import os
+import pathlib
 import sys
 import tempfile
 
@@ -36,6 +38,20 @@ PROBLEMS = {
     "complete-200": (200, 8000, "entry", {"admira": 150, "svt": 500}),
     "gaussian-50": (50, 3920, "gaussian", {"admira": None, "omp": 10, "mp": 10}),
 }
+
+# CLI grid commands, each run at 1 and 3 worker threads; small sizes keep
+# the phase and compare runs to a few seconds
+GRIDS = {
+    "sweep": ["sweep", "--n", "20", "--m", "20", "--r", "1",
+              "--p-over-dr", "4,8", "--trials", "3", "--seed", "20110"],
+    "phase": ["phase", "--n", "12", "--m", "12", "--p-grid", "40,70,100,120,144",
+              "--r-grid", "1,2", "--trials", "3", "--seed", "20111"],
+    "compare": ["compare", "--n", "16", "--m", "16", "--r-list", "1,2", "--p", "150",
+                "--trials", "3", "--seed", "20112"],
+}
+
+RIP = ["rip", "--n", "8", "--m", "8", "--r", "2", "--p", "120", "--samples", "40",
+       "--pairs", "30", "--seed", "20113"]
 
 # matrices of svd_truncated, each on both sides of GKL_MIN_DIM = 100
 MATRICES = {
@@ -96,25 +112,33 @@ def truncations():
                          sha(f.U, f.sigma, f.V))
 
 
-def cli_sweep():
-    args = ["sweep", "--n", "20", "--m", "20", "--r", "1",
-            "--p-over-dr", "4,8", "--trials", "3", "--seed", "20110"]
+def run_cli(args, flags):
+    """Run ``admira`` on ``args`` with each output flag in ``flags`` naming a
+    temporary file; returns the files' bytes in flag order."""
     with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, flag[2:]) for flag in flags]
+        with contextlib.redirect_stdout(sys.stderr):
+            status = cli.main(args + [x for pair in zip(flags, paths) for x in pair])
+        if status != 0:
+            raise SystemExit(f"admira {' '.join(args)} failed")
+        return [pathlib.Path(path).read_bytes() for path in paths]
+
+
+def cli_csvs():
+    for command, args in GRIDS.items():
         for threads in (1, 3):
-            out = os.path.join(tmp, f"sweep{threads}.csv")
-            with contextlib.redirect_stdout(sys.stderr):
-                status = cli.main(args + ["--threads", str(threads), "--out", out])
-            if status != 0:
-                raise SystemExit(f"cli sweep at {threads} threads failed")
-            with open(out, "rb") as fh:
-                emit(f"cli/sweep/threads{threads}", sha(fh.read()))
+            (data,) = run_cli(args + ["--threads", str(threads)], ["--out"])
+            emit(f"cli/{command}/threads{threads}", sha(data))
+    estimate, pairs = run_cli(RIP, ["--out", "--pairs-out"])
+    emit("cli/rip/estimate", sha(estimate))
+    emit("cli/rip/pairs", sha(pairs))
 
 
 def main() -> None:
     print(admira.__file__, file=sys.stderr)
     solves()
     truncations()
-    cli_sweep()
+    cli_csvs()
 
 
 if __name__ == "__main__":
