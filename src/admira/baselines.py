@@ -146,7 +146,7 @@ def _shrink_expansion(Y: np.ndarray, tau: float, s: int) -> AtomExpansion:
     kmax = min(Y.shape)
     s = min(s, kmax)
     while True:
-        f = svd(Y, s)
+        f = svd(Y, s, floor=tau)
         if f.k < s or f.sigma[-1] <= tau or s == kmax:
             break
         s = min(s + SVT_RANK_STEP, kmax)

@@ -8,6 +8,7 @@ return identical factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,11 @@ DEFAULT_RANK_TOL = 1e-10
 # at 1e4-1e5, and 1.4e-12 just below 1e3 without the refinement step)
 GRAM_COND_MAX = 1e3
 
-# a Krylov top-k selection takes some 23 Lanczos steps of a few NumPy calls
-# each at atoms.SELECT_TOL (35 at GKL_TOL); below this min(m, n) one LAPACK
+# a Krylov top-k selection takes 16-24 Lanczos steps of a few NumPy calls
+# each at atoms.SELECT_TOL (24-36 at GKL_TOL); below this min(m, n) one LAPACK
 # SVD of the whole matrix costs less (GKL at SELECT_TOL / dense time on
-# completion proxies, top 4 triplets, one BLAS thread of a 2-core x86-64
-# Xeon VM: 2.4 at 50, 1.1-1.5 at 70-85, 0.7-1.0 at 100, 0.3 at 150)
+# p = 0.2 m n completion proxies, top 4 triplets, one BLAS thread of a 2-core
+# x86-64 Xeon VM: 1.2-1.9 at 50, 0.9-1.6 at 70, 0.4-0.7 at 85-100, 0.2 at 150)
 GKL_MIN_DIM = 100
 
 # svd_truncated's default stop: every requested Ritz residual below GKL_TOL *
@@ -46,7 +47,7 @@ GKL_TOL = 1e-13
 
 # the convergence test costs an SVD of the j x j bidiagonal, as much as
 # several Lanczos steps on a 200 x 200 matrix, so it runs every few steps
-# (at SELECT_TOL, every 3-8 steps tie within noise; every 1-2 cost 20-80% more)
+# (at SELECT_TOL, every 3-8 steps tie within noise; every 1-2 cost 15-45% more)
 GKL_CHECK_EVERY = 4
 
 # beta below GKL_CLOSE (about sqrt(machine epsilon)) times the scale of the
@@ -104,14 +105,14 @@ def _finalize_triplets(U, s, V, k):
     return U, s[keep], V
 
 
-def svd_truncated(M, k: int, tol: float = GKL_TOL) -> SvdFactors:
+def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf) -> SvdFactors:
     """Top-k singular triplets of ``M``.
 
     Computed by Golub-Kahan-Lanczos bidiagonalization (see `_gkl_topk`),
     which touches ``M`` only through products with vectors; below
     ``GKL_MIN_DIM`` rows or columns, LAPACK's full SVD is cheaper and is
-    truncated instead, whatever ``tol``. Triplets with sigma below
-    ``NEGLIGIBLE_SIGMA * sigma_1`` are dropped, so the returned factor
+    truncated instead, whatever ``tol`` and ``floor``. Triplets with sigma
+    below ``NEGLIGIBLE_SIGMA * sigma_1`` are dropped, so the returned factor
     count can be smaller than ``k`` (zero for a zero matrix).
 
     Parameters
@@ -122,6 +123,8 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL) -> SvdFactors:
     tol : float
         Krylov stop: every Ritz residual below ``tol * sigma_1``. The default
         gives the triplets to rounding; atom selection passes a looser one.
+    floor : float
+        Krylov stop, under triplets that met ``tol``: sigma + residual <= floor.
     """
     A = as_matrix(M)
     kmax = min(A.shape)
@@ -131,42 +134,49 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL) -> SvdFactors:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         V = Vt.T
     elif A.shape[0] >= A.shape[1]:
-        U, s, V = _gkl_topk(A.__matmul__, A.T.__matmul__, *A.shape, k, tol)
+        U, s, V = _gkl_topk(A.__matmul__, A.T.__matmul__, *A.shape, k, tol, floor)
     else:
-        V, s, U = _gkl_topk(A.T.__matmul__, A.__matmul__, *A.T.shape, k, tol)
+        V, s, U = _gkl_topk(A.T.__matmul__, A.__matmul__, *A.T.shape, k, tol, floor)
     return SvdFactors(*_finalize_triplets(U, s, V, k))
 
 
 def _unit_complement(w, basis, rng, floor):
-    """Orthonormalize ``w`` against the rows of ``basis``, twice.
+    """Orthonormalize ``w`` against the rows of ``basis``, in place.
 
-    Returns ``(norm, unit)``. A norm at or below ``floor`` is a breakdown:
-    the unit vector then comes from a fresh random vector orthogonalized
-    the same way, and the returned norm is 0.
+    A second Gram-Schmidt pass runs only when the first keeps at most
+    1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart 1976). Returns
+    ``(norm, unit)``; a norm at or below ``floor`` is a breakdown, and the
+    unit then comes from a fresh random vector, with norm 0.
     """
-    for _ in range(2):
-        w = w - basis.T @ (basis @ w)
-    norm = float(np.linalg.norm(w))
+    before = math.sqrt(w.dot(w))
+    w -= basis.T @ (basis @ w)
+    norm = math.sqrt(w.dot(w))
+    if norm <= before * math.sqrt(0.5):
+        w -= basis.T @ (basis @ w)
+        norm = math.sqrt(w.dot(w))
     if norm > floor:
         return norm, w / norm
     return 0.0, _unit_complement(rng.standard_normal(basis.shape[1]), basis, rng, -1.0)[1]
 
 
-def _gkl_topk(matvec, rmatvec, m, n, k, tol):
+def _gkl_topk(matvec, rmatvec, m, n, k, tol, floor=-np.inf):
     """Top-k singular triplets of the m x n ``A`` (``m >= n``) given as
     ``matvec(v) = A v``, a fresh array, and ``rmatvec(u) = A^T u``.
 
     After j steps, ``A V_j = U_j B_j`` with ``B_j`` upper bidiagonal
     (alphas on the diagonal, betas above it) and
     ``A^T U_j = V_j B_j^T + beta_j v_{j+1} e_j^T``, so Ritz triplet i of
-    ``B_j = P diag(s) Q^T`` has residual ``beta_j |P[j, i]|``. The loop stops
-    when the top k residuals are below ``tol * s_1`` (tested every
-    ``GKL_CHECK_EVERY`` steps from ``j = k``), or when ``V_j`` spans all of
-    R^n and the factorization is exact. ``tol`` governs only these tests;
-    the breakdown floors and the negligible-block test detect invariance
-    and stay at ``GKL_TOL``. Both bases double, up to n rows, as j reaches
-    them, and are fully reorthogonalized: a vector that vanishes there is
-    replaced by a fresh orthogonal random one, with a zero coefficient.
+    ``B_j = P diag(s) Q^T`` has residual ``r_i = beta_j |P[j, i]|``. The loop
+    stops when each of the top k triplets has ``r_i <= tol * s_1`` or, below
+    triplets that all have, ``s_i + r_i <= floor`` (some singular value lies
+    within r_i of s_i, and it is sigma_i once those above are found), tested
+    every ``GKL_CHECK_EVERY`` steps from ``j = k``; or when ``V_j`` spans
+    R^n and the factorization is exact. ``tol`` and ``floor`` govern only
+    these tests; the breakdown floors and the negligible-block test detect
+    invariance and stay at ``GKL_TOL``. Both bases double, up to n rows, as
+    j reaches them. Each new vector is orthogonalized against the whole
+    basis: one that vanishes there is replaced by a fresh orthogonal random
+    one, with a zero coefficient.
 
     A single start vector sees one copy of each repeated singular value
     until its Krylov space is (nearly) invariant. When beta falls below
@@ -206,11 +216,16 @@ def _gkl_topk(matvec, rmatvec, m, n, k, tol):
         scale = max(scale, block_scale)
         closed = beta <= GKL_CLOSE * block_scale
         if exhausted or (j >= k and (j - k) % GKL_CHECK_EVERY == 0):
-            B = np.diag(alphas) + np.diag(betas[: j - 1], 1)
+            B = np.zeros((j, j))
+            B.flat[:: j + 1] = alphas
+            B.flat[1 :: j + 1] = betas[: j - 1]
             P, s, Qt = np.linalg.svd(B)
             if exhausted:
                 break
-            done = np.all(beta * np.abs(P[-1, :k]) <= tol * s[0])
+            r = beta * np.abs(P[-1, :k])
+            ok = r <= tol * s[0]
+            ok[1:] |= np.logical_and.accumulate(ok)[:-1] & (s[1:k] + r[1:] <= floor)
+            done = ok.all()
             if start or closed:
                 Pn, sn, _ = np.linalg.svd(B[start:, start:])
                 done = (done and beta * abs(Pn[-1, 0]) <= tol * s[0]

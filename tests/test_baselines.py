@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from admira import baselines, harness, linalg
 from admira.atoms import SELECT_TOL, empty_expansion, leading_atoms
@@ -149,13 +151,43 @@ class TestSvt:
         assert 20 * np.log10(1.0 / err) >= 70
 
     def test_short_prediction_grows_by_rank_step(self, monkeypatch):
-        # the same growth rule on both sides of GKL_MIN_DIM, capped at min(m, n)
+        # the same growth rule on both sides of GKL_MIN_DIM, capped at min(m, n);
+        # every call stops its spare triplet at tau
         calls = []
         real = baselines.svd
-        monkeypatch.setattr(baselines, "svd", lambda Y, s: calls.append(s) or real(Y, s))
+        monkeypatch.setattr(baselines, "svd", lambda Y, s, floor:
+                            calls.append((s, floor)) or real(Y, s, floor=floor))
         exp = baselines._shrink_expansion(np.diag(np.arange(20.0, 0.0, -1.0)), 0.5, 1)
-        assert calls == [1, 6, 11, 16, 20]
+        assert calls == [(s, 0.5) for s in (1, 6, 11, 16, 20)]
         np.testing.assert_allclose(exp.coeffs, np.arange(19.5, 0.0, -1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(2, 60), n=st.integers(2, 50), k=st.integers(1, 6),
+           s=st.integers(1, 8), gaps=st.lists(st.floats(0.025, 0.5), min_size=49, max_size=49),
+           where=st.floats(0.0, 1.0), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**31))
+    # cases where a floor on the first triplet would drop a singular value above tau
+    @example(m=39, n=49, k=2, s=1, gaps=[0.25] * 49, where=1.0, scale=1.0, seed=396)
+    @example(m=15, n=49, k=1, s=3, gaps=[0.025] * 49, where=1.0, scale=1.0, seed=901)
+    def test_shrink_matches_full_svd(self, m, n, k, s, gaps, where, scale, seed):
+        # k singular values above tau, consecutive ones at least 2.5% apart,
+        # tau at least 1% from its neighbours; the Krylov path, whose spare
+        # triplet stops at tau, keeps the rank and coefficients of LAPACK's
+        # full-SVD shrink
+        rng = np.random.default_rng(seed)
+        d = min(m, n)
+        k = min(k, d - 1)
+        sigma = scale * np.cumprod([1.0, *(1.0 - np.array(gaps[: d - 1]))])
+        tau = 1.01 * sigma[k] + where * (0.99 * sigma[k - 1] - 1.01 * sigma[k])
+        qu, _ = np.linalg.qr(rng.standard_normal((m, d)))
+        qv, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        Y = (qu * sigma) @ qv.T
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "GKL_MIN_DIM", 1)
+            exp = baselines._shrink_expansion(Y, tau, s)
+        full = np.linalg.svd(Y, compute_uv=False)
+        want = full[full > tau] - tau
+        assert len(exp) == len(want) == k
+        assert np.abs(exp.coeffs - want).max() <= 1e-12 * full[0]
 
     def test_trace_shape_matches_solver(self, rng):
         op = EntrySampler.random(10, 10, 60, seed=4)
@@ -201,15 +233,19 @@ def test_krylov_path_repeats_exactly(solve, monkeypatch):
 
 def test_selection_loose_svt_tight(monkeypatch):
     # admira's selection stops the Krylov kernel at SELECT_TOL; SVT compares
-    # singular values with tau, so its shrink and sigma_1 keep GKL_TOL
+    # singular values with tau, so its shrink and sigma_1 keep GKL_TOL. Only
+    # the shrink passes a floor, tau, below which its spare triplet stops
     monkeypatch.setattr(linalg, "GKL_MIN_DIM", 1)
-    kernel, tols = linalg._gkl_topk, []
-    monkeypatch.setattr(linalg, "_gkl_topk", lambda matvec, rmatvec, m, n, k, tol:
-                        tols.append(tol) or kernel(matvec, rmatvec, m, n, k, tol))
+    kernel, calls = linalg._gkl_topk, []
+    monkeypatch.setattr(linalg, "_gkl_topk", lambda matvec, rmatvec, m, n, k, tol, floor:
+                        calls.append((tol, floor))
+                        or kernel(matvec, rmatvec, m, n, k, tol, floor))
     prob = harness.gen_problem(30, 30, 2, 700, seed=3)
     op = prob.operator
     assert admira_step(op, prob.b, empty_expansion(op.m, op.n), prob.b, rank=2) is not None
-    assert tols == [SELECT_TOL]
-    tols.clear()
+    assert calls == [(SELECT_TOL, -np.inf)]
+    calls.clear()
     svt_solve(op, prob.b, SvtConfig(max_iter=5))
-    assert len(tols) >= 6 and set(tols) == {linalg.GKL_TOL}
+    tau = baselines.SVT_TAU_SCALE * 30
+    assert len(calls) >= 6 and calls[0] == (linalg.GKL_TOL, -np.inf)
+    assert set(calls[1:]) == {(linalg.GKL_TOL, tau)}

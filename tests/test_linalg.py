@@ -150,6 +150,9 @@ KERNEL_CASES = {
         lambda rng: spectrum_matrix(rng, 14, 12, [3.0, 3.0, 3.0, 2.0, 1.5, 1.0, 0.5]), 4),
     "repeated_diagonal": (lambda rng: np.diag([3.0, 3.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.1]), 4),
     "large_gapless": (lambda rng: rng.standard_normal((200, 150)), 4),
+    # the Krylov space closes on the range, and a second Gram-Schmidt pass runs
+    **{f"rank_{r}_150": (lambda rng, r=r: rng.standard_normal((150, r))
+                         @ rng.standard_normal((r, 150)), r + 2) for r in (1, 3, 6)},
 }
 
 
@@ -177,6 +180,71 @@ def test_kernel_matches_dense_svd(case, rng, path):
     assert np.abs(reconstruct(f) - dense).max() <= tol
     np.testing.assert_allclose(f.U.T @ f.U, np.eye(want), atol=1e-12)
     np.testing.assert_allclose(f.V.T @ f.V, np.eye(want), atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 60), n=st.integers(2, 50), k=st.integers(2, 5),
+       gaps=st.lists(st.floats(0.025, 0.5), min_size=49, max_size=49),
+       where=st.floats(0.0, 1.0), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**31))
+# an early Ritz value of the first triplet, below the floor and within its
+# residual of sigma_2: a floor applied to it would end the call there
+@example(m=33, n=33, k=2, gaps=[0.25] * 49, where=0.5, scale=1.0, seed=34)
+@example(m=54, n=16, k=2, gaps=[0.1] * 49, where=0.5, scale=1.0, seed=168)
+def test_floor_stops_only_the_spare(m, n, k, gaps, where, scale, seed):
+    # consecutive singular values at least 2.5% apart, and a floor between
+    # sigma_{k-1} and sigma_k at least 1% from both: the k - 1 triplets above
+    # it meet the GKL_TOL bound, the spare lies below it (or is dropped)
+    rng = np.random.default_rng(seed)
+    d = min(m, n)
+    k = min(k, d)
+    sigma = scale * np.cumprod([1.0, *(1.0 - np.array(gaps[: d - 1]))])
+    floor = 1.01 * sigma[k - 1] + where * (0.99 * sigma[k - 2] - 1.01 * sigma[k - 1])
+    M = spectrum_matrix(rng, m, n, sigma)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "GKL_MIN_DIM", 1)
+        f = svd_truncated(M, k, floor=floor)
+    assert f.k >= k - 1 and np.all(f.sigma[k - 1:] <= floor)
+    U, s, V = f.U[:, : k - 1], f.sigma[: k - 1], f.V[:, : k - 1]
+    res = np.maximum(np.linalg.norm(M @ V - U * s, axis=0),
+                     np.linalg.norm(M.T @ U - V * s, axis=0))
+    assert res.max() <= (linalg.GKL_TOL + 1e-12) * sigma[0]
+    assert np.abs(s - sigma[: k - 1]).max() <= 1e-12 * sigma[0]
+    np.testing.assert_allclose(f.U.T @ f.U, np.eye(f.k), atol=1e-12)
+    np.testing.assert_allclose(f.V.T @ f.V, np.eye(f.k), atol=1e-12)
+
+
+def test_floor_saves_products(rng):
+    # a rank-2 signal over a 200 x 200 noise bulk (top near 28): the spare
+    # third triplet sits in the bulk, slow to converge but soon known to lie
+    # below the floor, while the top two come out the same either way
+    M = spectrum_matrix(rng, 200, 200, [100.0, 80.0]) + rng.standard_normal((200, 200))
+    runs = []
+    for floor in (-np.inf, 50.0):
+        steps = []
+
+        def matvec(v):
+            steps.append(1)
+            return M @ v
+
+        _, s, _ = linalg._gkl_topk(matvec, M.T.__matmul__, 200, 200, 3, linalg.GKL_TOL, floor)
+        runs.append((len(steps), s))
+    (tight, s_tight), (floored, s_floored) = runs
+    assert floored < tight and s_floored[2] <= 50.0
+    np.testing.assert_allclose(s_floored[:2], s_tight[:2], rtol=1e-12)
+
+
+@pytest.mark.parametrize("left", [1e-1, 1e-5, 1e-9])
+def test_unit_complement_second_pass(rng, left):
+    # w lies in the basis's span but for a part of norm ``left``: one
+    # Gram-Schmidt pass leaves that part tilted by about rounding / left, and
+    # the second pass, taken when the first cancels most of w, removes it
+    Q, _ = np.linalg.qr(rng.standard_normal((150, 7)))
+    basis = Q[:, :6].T
+    w = basis.T @ rng.standard_normal(6) + left * Q[:, 6]
+    norm, unit = linalg._unit_complement(w, basis, rng, linalg.GKL_TOL)
+    assert norm == pytest.approx(left, rel=1e-5)
+    assert np.abs(basis @ unit).max() <= 1e-12
+    assert abs(unit @ unit - 1.0) <= 1e-15
 
 
 def test_kernel_reads_only_a_product_pair(rng):

@@ -9,7 +9,8 @@ The script takes no options. It pins BLAS to one thread before NumPy
 loads, imports ``admira`` from ``PYTHONPATH`` and prints that module's
 path on stderr, so a run shows which library it digested. It covers the
 solvers on the benchmark's problems (seeds 1-3), ``svd_truncated`` on both
-sides of ``GKL_MIN_DIM`` at both tolerances, and every CSV the CLI writes
+sides of ``GKL_MIN_DIM`` at both tolerances and with a floor on completion
+proxies, SVT's shrink of a proxy, and every CSV the CLI writes
 from a grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase``
 and ``compare`` at 1 and 3 worker threads, and ``rip``'s two files.
 """
@@ -27,7 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import admira  # noqa: E402
-from admira import cli, harness, linalg  # noqa: E402
+from admira import baselines, cli, harness, linalg  # noqa: E402
 from admira.atoms import SELECT_TOL  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -112,6 +113,25 @@ def truncations():
                          sha(f.U, f.sigma, f.V))
 
 
+def floored():
+    """``svd_truncated`` with a floor midway between sigma_2 and sigma_3 of
+    the complete-200 and complete-1000 proxies (seed 1), and SVT's shrink of
+    the complete-200 one scaled to put tau there (SVT's proxies have two
+    triplets above tau and the third near 0.8 tau), asking for 2 + 1."""
+    for n, p in ((200, 8000), (1000, 200_000)):
+        prob = harness.gen_problem(n, n, 2, p, seed=1)
+        Y = prob.operator.adjoint(prob.b)
+        s = np.linalg.svd(Y, compute_uv=False)
+        mid = (s[1] + s[2]) / 2
+        f = linalg.svd_truncated(Y, 3, floor=mid)
+        emit(f"svd_truncated/proxy/{n}x{n}/floor/k3", sha(f.U, f.sigma, f.V))
+        if n == 200:
+            tau = baselines.SVT_TAU_SCALE * n
+            exp = baselines._shrink_expansion(Y * (tau / mid), tau, 3)
+            emit("svt_shrink/complete-200/seed1",
+                 sha(exp.atoms.left, exp.atoms.right, exp.coeffs))
+
+
 def run_cli(args, flags):
     """Run ``admira`` on ``args`` with each output flag in ``flags`` naming a
     temporary file; returns the files' bytes in flag order."""
@@ -138,6 +158,7 @@ def main() -> None:
     print(admira.__file__, file=sys.stderr)
     solves()
     truncations()
+    floored()
     cli_csvs()
 
 
