@@ -32,11 +32,9 @@ from .harness import (
     phase_transition,
     run_sweep,
     run_trial,
-    snr_meas,
     snr_recon,
 )
 from .linalg import (
-    SvdFactors,
     frobenius_norm,
     least_squares_minnorm,
     svd_truncated,

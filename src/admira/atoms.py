@@ -113,8 +113,8 @@ def leading_atoms(M, k: int) -> AtomExpansion:
     # svd_truncated checks that M is 2-d and finite and that k >= 1; one scan
     # of the proxy is enough
     A = np.asarray(M, dtype=float)
-    f = svd_truncated(A, min(k, min(A.shape)), SELECT_TOL)
-    return AtomExpansion(AtomSet(f.U, f.V), f.sigma)
+    U, sigma, V = svd_truncated(A, min(k, min(A.shape)), SELECT_TOL)
+    return AtomExpansion(AtomSet(U, V), sigma)
 
 
 def merge(set_a: AtomSet, set_b: AtomSet) -> AtomSet:

@@ -7,6 +7,7 @@ harness can treat every algorithm uniformly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,12 +147,12 @@ def _shrink_expansion(Y: np.ndarray, tau: float, s: int) -> AtomExpansion:
     kmax = min(Y.shape)
     s = min(s, kmax)
     while True:
-        f = svd(Y, s, floor=tau)
-        if f.k < s or f.sigma[-1] <= tau or s == kmax:
+        U, sigma, V = svd(Y, s, floor=tau)
+        if len(sigma) < s or sigma[-1] <= tau or s == kmax:
             break
         s = min(s + SVT_RANK_STEP, kmax)
-    keep = f.sigma > tau
-    return AtomExpansion(AtomSet(f.U[:, keep], f.V[:, keep]), f.sigma[keep] - tau)
+    keep = sigma > tau
+    return AtomExpansion(AtomSet(U[:, keep], V[:, keep]), sigma[keep] - tau)
 
 
 def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
@@ -181,8 +182,12 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     if b_norm == 0.0:
         return AdmiraResult(empty_expansion(m, n), [], ZERO_PROXY, algorithm="svt")
 
-    sigma1 = float(svd(sampler.adjoint(y), 1).sigma[0])
-    k0 = int(np.ceil(tau / (step * sigma1)))
+    sigma1 = float(svd(sampler.adjoint(y), 1)[1][0])
+    # in Python floats, where overflow is inf, not a warning; z's multiplier must be finite
+    kick = float(tau) / (step * sigma1)
+    if not math.isfinite(kick * step):
+        raise ValueError(f"measurements too small for the SVT threshold tau = {tau:g}")
+    k0 = math.ceil(kick)
     z = (k0 * step) * y
 
     exp = empty_expansion(m, n)

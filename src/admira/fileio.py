@@ -177,7 +177,7 @@ def save_rip_estimates(path, estimates) -> None:
 
 def save_orthogonality_pairs(path, report) -> None:
     """Export per-pair orthogonality checks as ``pair_id,lhs,rhs_sqrt2,rhs_1``."""
-    rows = [[c.pair_id, c.lhs, c.rhs_sqrt2, c.rhs_1] for c in report.pairs]
+    rows = [[i, c.lhs, c.rhs_sqrt2, c.rhs_1] for i, c in enumerate(report.pairs)]
     write_csv(path, ["pair_id", "lhs", "rhs_sqrt2", "rhs_1"], rows)
 
 

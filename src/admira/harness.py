@@ -34,7 +34,6 @@ __all__ = [
     "measurement_count",
     "gen_problem",
     "snr_recon",
-    "snr_meas",
     "solve",
     "run_trial",
     "run_sweep",
@@ -144,14 +143,6 @@ def snr_recon(x_true, x_hat) -> float:
     if err == 0.0:
         return math.inf
     return 20.0 * math.log10(ref / err)
-
-
-def snr_meas(b_clean, nu) -> float:
-    """Measurement SNR in dB; ``inf`` for noiseless measurements."""
-    noise = float(np.linalg.norm(np.asarray(nu, dtype=float)))
-    if noise == 0.0:
-        return math.inf
-    return 20.0 * math.log10(float(np.linalg.norm(np.asarray(b_clean, dtype=float))) / noise)
 
 
 def solve(algorithm: str, op, b, rank: int, max_iter=None, residual_tol=None) -> AdmiraResult:

@@ -9,12 +9,10 @@ return identical factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SvdFactors",
     "svd_truncated",
     "least_squares_minnorm",
     "frobenius_norm",
@@ -69,24 +67,6 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Singular triplets ``U @ diag(sigma) @ V.T``.
-
-    ``U`` (m, k) and ``V`` (n, k) have orthonormal columns; ``sigma`` is
-    non-negative and non-increasing. ``k`` may be smaller than requested
-    when trailing singular values are negligible.
-    """
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.sigma.shape[0]
-
-
 def _finalize_triplets(U, s, V, k):
     """The top k triplets without negligible ones, each pair (u_j, v_j)
     flipped so the first nonzero entry of u_j is positive."""
@@ -105,8 +85,11 @@ def _finalize_triplets(U, s, V, k):
     return U, s[keep], V
 
 
-def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf) -> SvdFactors:
-    """Top-k singular triplets of ``M``.
+def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf) -> tuple:
+    """Top-k singular triplets ``(U, sigma, V)`` of ``M ~ U @ diag(sigma) @ V.T``.
+
+    ``U`` (m, k) and ``V`` (n, k) have orthonormal columns (``V``, not the
+    ``Vt`` of ``np.linalg.svd``); ``sigma`` is non-negative and non-increasing.
 
     Computed by Golub-Kahan-Lanczos bidiagonalization (see `_gkl_topk`),
     which touches ``M`` only through products with vectors; below
@@ -137,7 +120,7 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf) -> Sv
         U, s, V = _gkl_topk(A.__matmul__, A.T.__matmul__, *A.shape, k, tol, floor)
     else:
         V, s, U = _gkl_topk(A.T.__matmul__, A.__matmul__, *A.T.shape, k, tol, floor)
-    return SvdFactors(*_finalize_triplets(U, s, V, k))
+    return _finalize_triplets(U, s, V, k)
 
 
 def _unit_complement(w, basis, rng, floor):

@@ -47,7 +47,6 @@ class RipEstimate:
 
 @dataclass(frozen=True)
 class PairCheck:
-    pair_id: int
     lhs: float
     rhs_sqrt2: float
     rhs_1: float
@@ -63,7 +62,6 @@ class OrthogonalityReport:
     bound (real-field improvement) is tracked informationally.
     """
 
-    trials: int
     delta_hat: float
     max_ratio: float
     violations_sqrt2: int
@@ -157,13 +155,13 @@ def restricted_orthogonality_check(op, r: int, trials: int, seed: int) -> Orthog
     max_ratio = 0.0
     bad_sqrt2 = 0
     bad_1 = 0
-    for i, (lhs, nx, ny) in enumerate(measured):
+    for lhs, nx, ny in measured:
         scale = delta * nx * ny  # the constant-1 bound
         rhs_sqrt2 = float(np.sqrt(2.0) * scale)
         ratio = lhs / scale if scale > 0.0 else (0.0 if lhs == 0.0 else np.inf)
         max_ratio = max(max_ratio, ratio)
         bad_sqrt2 += lhs > rhs_sqrt2
         bad_1 += lhs > scale
-        checks.append(PairCheck(i, lhs, rhs_sqrt2, scale))
+        checks.append(PairCheck(lhs, rhs_sqrt2, scale))
 
-    return OrthogonalityReport(trials, delta, max_ratio, bad_sqrt2, bad_1, tuple(checks))
+    return OrthogonalityReport(delta, max_ratio, bad_sqrt2, bad_1, tuple(checks))

@@ -38,9 +38,9 @@ def singular_values_charpoly(M):
     return scale * np.sort(np.sqrt(eigs))[::-1]
 
 
-def reconstruct(factors):
-    """The matrix ``U @ diag(sigma) @ V.T`` of an ``SvdFactors``."""
-    return (factors.U * factors.sigma) @ factors.V.T
+def reconstruct(U, sigma, V):
+    """The matrix ``U @ diag(sigma) @ V.T`` of a ``svd_truncated`` triple."""
+    return (U * sigma) @ V.T
 
 
 def load_dense_matrix(path):

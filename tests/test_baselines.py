@@ -197,6 +197,13 @@ class TestSvt:
         assert res.iterations == len(res.trace)
         assert all(np.isfinite(row.rel_residual) for row in res.trace)
 
+    def test_tiny_measurements_rejected(self, rng):
+        # the first kick tau / (step * sigma_1) is too large for a double
+        op = EntrySampler.random(20, 20, 200, seed=1)
+        X = rng.standard_normal((20, 1)) @ rng.standard_normal((1, 20))
+        with pytest.raises(ValueError, match="measurements too small for the SVT threshold"):
+            svt_solve(op, op.apply(X) * 1e-312)
+
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
     def test_extreme_scales_keep_finite_residuals(self, scale, rng):
         op = EntrySampler.random(10, 10, 60, seed=4)

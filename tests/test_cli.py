@@ -274,6 +274,8 @@ class TestUserErrors:
           "--tol", "-1e-3"], "residual tolerance must be positive, got -0.001"),
         (["sweep", "--n", "4", "--m", "4", "--r", "1", "--p-over-dr", "-2,3", "--trials", "1"],
          "p/d_r must be positive and finite, got -2.0"),
+        (["complete", "--obs", "{tmp}/tiny.txt", "--r", "1", "--alg", "svt"],
+         "measurements too small for the SVT threshold tau = 10"),
     ], ids=["gen_rank", "gen_p_and_ratio", "gen_no_p", "sweep_rank", "missing_obs",
             "missing_config", "gen_memory_budget",
             "sweep_svt_gaussian", "sweep_zero_trials", "sweep_negative_trials",
@@ -282,9 +284,10 @@ class TestUserErrors:
             "sweep_tol_nan", "sweep_omp_tol_negative", "complete_svt_tol_nan",
             "phase_threshold_nan", "sweep_ratio_nan", "gen_ratio_negative",
             "gen_snr_overflow", "sweep_snr_overflow", "gen_snr_minus_inf",
-            "sweep_tol_exponent", "sweep_negative_ratio_list"])
+            "sweep_tol_exponent", "sweep_negative_ratio_list", "complete_svt_tiny"])
     def test_library_errors_end_in_one_line(self, tmp_path, args, expect):
         (tmp_path / "obs.txt").write_text("1 1 1.0\n1 2 2.0\n2 1 3.0\n")
+        (tmp_path / "tiny.txt").write_text("1 1 1e-312\n1 2 2e-312\n2 1 3e-312\n")
         out = tmp_path / "out.txt"
         run = run_cli(*[a.format(tmp=tmp_path) for a in args], "--out", str(out))
         assert run.returncode == 1

@@ -26,47 +26,46 @@ def svd(M):
 
 class TestSvd:
     def test_identity(self):
-        f = svd(np.eye(2))
-        np.testing.assert_allclose(f.sigma, [1.0, 1.0])
+        _, sigma, _ = svd(np.eye(2))
+        np.testing.assert_allclose(sigma, [1.0, 1.0])
 
     def test_diagonal(self):
-        f = svd(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(f.sigma, [3.0, 1.0])
-        np.testing.assert_allclose(f.U, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(f.V, np.eye(2), atol=1e-14)
+        U, sigma, V = svd(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(sigma, [3.0, 1.0])
+        np.testing.assert_allclose(U, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(V, np.eye(2), atol=1e-14)
 
     def test_ones_matrix(self):
         # char poly of the Gram matrix [[2,2],[2,2]] is l^2 - 4l, roots {4, 0};
         # the zero singular value is negligible and dropped
-        f = svd(np.ones((2, 2)))
-        np.testing.assert_allclose(f.sigma, [2.0], atol=1e-14)
-        np.testing.assert_allclose(f.U[:, 0], [1 / RT2, 1 / RT2])
-        np.testing.assert_allclose(f.V[:, 0], [1 / RT2, 1 / RT2])
+        U, sigma, V = svd(np.ones((2, 2)))
+        np.testing.assert_allclose(sigma, [2.0], atol=1e-14)
+        np.testing.assert_allclose(U[:, 0], [1 / RT2, 1 / RT2])
+        np.testing.assert_allclose(V[:, 0], [1 / RT2, 1 / RT2])
 
     def test_reconstructs(self, rng):
         M = rng.standard_normal((7, 4))
-        f = svd(M)
-        assert f.k == 4
-        np.testing.assert_allclose(reconstruct(f), M, atol=1e-10 * frobenius_norm(M))
+        U, sigma, V = svd(M)
+        assert len(sigma) == 4
+        np.testing.assert_allclose(reconstruct(U, sigma, V), M, atol=1e-10 * frobenius_norm(M))
 
     def test_orthonormal_factors(self, rng):
-        f = svd(rng.standard_normal((5, 6)))
-        np.testing.assert_allclose(f.U.T @ f.U, np.eye(5), atol=1e-10)
-        np.testing.assert_allclose(f.V.T @ f.V, np.eye(5), atol=1e-10)
+        U, _, V = svd(rng.standard_normal((5, 6)))
+        np.testing.assert_allclose(U.T @ U, np.eye(5), atol=1e-10)
+        np.testing.assert_allclose(V.T @ V, np.eye(5), atol=1e-10)
 
     def test_sign_convention(self, rng):
         for _ in range(20):
-            f = svd(rng.standard_normal((4, 4)))
-            for j in range(f.k):
-                col = f.U[:, j]
+            U, _, _ = svd(rng.standard_normal((4, 4)))
+            for col in U.T:
                 lead = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
                 assert col[lead] > 0
 
     def test_deterministic(self, rng):
         M = rng.standard_normal((6, 6))
-        f1, f2 = svd(M), svd(M.copy())
-        np.testing.assert_array_equal(f1.U, f2.U)
-        np.testing.assert_array_equal(f1.V, f2.V)
+        (U1, _, V1), (U2, _, V2) = svd(M), svd(M.copy())
+        np.testing.assert_array_equal(U1, U2)
+        np.testing.assert_array_equal(V1, V2)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -80,38 +79,38 @@ class TestSvd:
         for _ in range(100):
             m, n = rng.integers(2, 4, size=2)
             M = rng.standard_normal((m, n))
-            got = svd(M).sigma
+            _, got, _ = svd(M)
             want = singular_values_charpoly(M)
             assert np.abs(got - want).max() <= 1e-8 * max(got[0], 1.0)
 
 
 class TestSvdTruncated:
     def test_diagonal_truncation(self):
-        f = svd_truncated(np.diag([3.0, 2.0, 1.0]), 2)
-        np.testing.assert_allclose(f.sigma, [3.0, 2.0])
+        _, sigma, _ = svd_truncated(np.diag([3.0, 2.0, 1.0]), 2)
+        np.testing.assert_allclose(sigma, [3.0, 2.0])
 
     def test_rank_deficient_drops_triplets(self, rng):
         u = rng.standard_normal(5)
         v = rng.standard_normal(4)
         M = 2.5 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
-        f = svd_truncated(M, 3)
-        assert f.k == 1
-        np.testing.assert_allclose(f.sigma, [2.5])
+        _, sigma, _ = svd_truncated(M, 3)
+        assert len(sigma) == 1
+        np.testing.assert_allclose(sigma, [2.5])
 
     def test_ones_matrix_top1(self):
-        f = svd_truncated(np.ones((2, 2)), 1)
-        np.testing.assert_allclose(f.sigma, [2.0], atol=1e-14)
+        _, sigma, _ = svd_truncated(np.ones((2, 2)), 1)
+        np.testing.assert_allclose(sigma, [2.0], atol=1e-14)
 
     def test_agrees_with_full(self, rng):
         M = rng.standard_normal((8, 6))
-        full = svd(M)
+        _, full, _ = svd(M)
         for k in (1, 3, 6):
-            f = svd_truncated(M, k)
-            np.testing.assert_allclose(f.sigma, full.sigma[:k], atol=1e-8)
+            _, sigma, _ = svd_truncated(M, k)
+            np.testing.assert_allclose(sigma, full[:k], atol=1e-8)
 
     def test_zero_matrix(self):
-        f = svd_truncated(np.zeros((3, 4)), 2)
-        assert f.k == 0
+        U, sigma, V = svd_truncated(np.zeros((3, 4)), 2)
+        assert U.shape == (3, 0) and sigma.shape == (0,) and V.shape == (4, 0)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -123,11 +122,10 @@ class TestSvdTruncated:
         # ||M - M_k||_F^2 equals the sum of the squared trailing singular values
         for _ in range(50):
             M = rng.standard_normal((8, 8))
-            full = svd(M)
+            _, full, _ = svd(M)
             for k in (1, 2, 3):
-                f = svd_truncated(M, k)
-                tail = np.sum(full.sigma[k:] ** 2)
-                got = frobenius_norm(M - reconstruct(f)) ** 2
+                tail = np.sum(full[k:] ** 2)
+                got = frobenius_norm(M - reconstruct(*svd_truncated(M, k))) ** 2
                 assert abs(got - tail) <= 1e-9 * frobenius_norm(M) ** 2
 
 
@@ -168,18 +166,18 @@ def test_kernel_matches_dense_svd(case, rng, path):
     """Either path agrees with LAPACK's full SVD to 1e-12 * sigma_1."""
     build, k = KERNEL_CASES[case]
     M = build(rng)
-    f = svd_truncated(M, k)
+    fU, fsigma, fV = svd_truncated(M, k)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     want = int(np.sum(s[:k] > 1e-12 * s[0])) if s[0] > 0 else 0
-    assert f.k == want
+    assert len(fsigma) == want
     if want == 0:
         return
     tol = 1e-12 * s[0]
-    assert np.abs(f.sigma - s[:want]).max() <= tol
+    assert np.abs(fsigma - s[:want]).max() <= tol
     dense = (U[:, :want] * s[:want]) @ Vt[:want]
-    assert np.abs(reconstruct(f) - dense).max() <= tol
-    np.testing.assert_allclose(f.U.T @ f.U, np.eye(want), atol=1e-12)
-    np.testing.assert_allclose(f.V.T @ f.V, np.eye(want), atol=1e-12)
+    assert np.abs(reconstruct(fU, fsigma, fV) - dense).max() <= tol
+    np.testing.assert_allclose(fU.T @ fU, np.eye(want), atol=1e-12)
+    np.testing.assert_allclose(fV.T @ fV, np.eye(want), atol=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -202,15 +200,15 @@ def test_floor_stops_only_the_spare(m, n, k, gaps, where, scale, seed):
     M = spectrum_matrix(rng, m, n, sigma)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "GKL_MIN_DIM", 1)
-        f = svd_truncated(M, k, floor=floor)
-    assert f.k >= k - 1 and np.all(f.sigma[k - 1:] <= floor)
-    U, s, V = f.U[:, : k - 1], f.sigma[: k - 1], f.V[:, : k - 1]
+        fU, fsigma, fV = svd_truncated(M, k, floor=floor)
+    assert len(fsigma) >= k - 1 and np.all(fsigma[k - 1:] <= floor)
+    U, s, V = fU[:, : k - 1], fsigma[: k - 1], fV[:, : k - 1]
     res = np.maximum(np.linalg.norm(M @ V - U * s, axis=0),
                      np.linalg.norm(M.T @ U - V * s, axis=0))
     assert res.max() <= (linalg.GKL_TOL + 1e-12) * sigma[0]
     assert np.abs(s - sigma[: k - 1]).max() <= 1e-12 * sigma[0]
-    np.testing.assert_allclose(f.U.T @ f.U, np.eye(f.k), atol=1e-12)
-    np.testing.assert_allclose(f.V.T @ f.V, np.eye(f.k), atol=1e-12)
+    np.testing.assert_allclose(fU.T @ fU, np.eye(len(fsigma)), atol=1e-12)
+    np.testing.assert_allclose(fV.T @ fV, np.eye(len(fsigma)), atol=1e-12)
 
 
 def test_floor_saves_products(rng):
@@ -350,10 +348,8 @@ def test_repeat_calls_bit_identical(rng, path, shape):
     held = []
     for words in range(8):
         held.append(np.empty(int(rng.integers(1, 5000))))
-        f = svd_truncated(at_offset(M, words), 4)
-        np.testing.assert_array_equal(f.U, first.U)
-        np.testing.assert_array_equal(f.sigma, first.sigma)
-        np.testing.assert_array_equal(f.V, first.V)
+        for got, want in zip(svd_truncated(at_offset(M, words), 4), first):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_global_random_state_untouched(rng, path):
@@ -495,4 +491,4 @@ class TestNorms:
         # frobenius >= spectral for every matrix
         for _ in range(50):
             M = rng.standard_normal((5, 7))
-            assert frobenius_norm(M) >= svd_truncated(M, 1).sigma[0] - 1e-12
+            assert frobenius_norm(M) >= svd_truncated(M, 1)[1][0] - 1e-12

@@ -111,7 +111,6 @@ class TestRestrictedOrthogonality:
         op = GaussianOperator(10, 10, 600, seed=41)
         rep = restricted_orthogonality_check(op, 2, 100, seed=42)
         assert rep.violations_sqrt2 == 0
-        assert rep.trials == 100
         assert len(rep.pairs) == 100
         assert all(np.isfinite(c.lhs) for c in rep.pairs)
 

@@ -110,7 +110,7 @@ def truncations():
                 for k in (1, 4, 10):
                     f = linalg.svd_truncated(M, k, tol)
                     emit(f"svd_truncated/{kind}/{shape[0]}x{shape[1]}/{tol_name}/k{k}",
-                         sha(f.U, f.sigma, f.V))
+                         sha(*f))
 
 
 def floored():
@@ -124,7 +124,7 @@ def floored():
         s = np.linalg.svd(Y, compute_uv=False)
         mid = (s[1] + s[2]) / 2
         f = linalg.svd_truncated(Y, 3, floor=mid)
-        emit(f"svd_truncated/proxy/{n}x{n}/floor/k3", sha(f.U, f.sigma, f.V))
+        emit(f"svd_truncated/proxy/{n}x{n}/floor/k3", sha(*f))
         if n == 200:
             tau = baselines.SVT_TAU_SCALE * n
             exp = baselines._shrink_expansion(Y * (tau / mid), tau, 3)
