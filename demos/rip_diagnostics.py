@@ -21,13 +21,13 @@ for p in (200, 600, 2000):
     op = GaussianOperator(m, n, p, seed=3)
     line = f"  p = {p:5d}: "
     for r in (1, 2, 3):
-        est = estimate_delta(op, r, 400, seed=17)
-        line += f"delta_{r} >= {est.delta_hat:.3f}  "
+        delta_hat = estimate_delta(op, r, 400, seed=17)
+        line += f"delta_{r} >= {delta_hat:.3f}  "
     print(line)
 
 full = EntrySampler.random(m, n, m * n, seed=0)
-est = estimate_delta(full, 3, 200, seed=5)
-print(f"\nexhaustive sampler is an exact isometry: delta_3 >= {est.delta_hat:.2e}")
+delta_hat = estimate_delta(full, 3, 200, seed=5)
+print(f"\nexhaustive sampler is an exact isometry: delta_3 >= {delta_hat:.2e}")
 
 op = GaussianOperator(m, n, 600, seed=3)
 rep = restricted_orthogonality_check(op, 2, 300, seed=23)

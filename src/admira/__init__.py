@@ -47,7 +47,6 @@ from .operators import (
 )
 from .ripcheck import (
     OrthogonalityReport,
-    RipEstimate,
     estimate_delta,
     restricted_orthogonality_check,
 )

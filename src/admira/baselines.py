@@ -117,7 +117,7 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
             break
 
     coeffs = np.ldexp(exp.coeffs, e)
-    return AdmiraResult(AtomExpansion(exp.atoms, coeffs), trace, stop, algorithm=config.variant)
+    return AdmiraResult(AtomExpansion(exp.atoms, coeffs), trace, stop)
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,14 @@ def _shrink_expansion(Y: np.ndarray, tau: float, s: int) -> AtomExpansion:
     return AtomExpansion(AtomSet(U[:, keep], V[:, keep]), sigma[keep] - tau)
 
 
+def _norm(v: np.ndarray) -> float:
+    """``||v||_2`` taken at v's own power-of-two scale, so no square under- or
+    overflows; ``inf``, without a warning, when the norm is past the double range."""
+    e = int(np.frexp(np.abs(v).max())[1])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+
+
 def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     """Matrix completion by iterative singular value shrinkage.
 
@@ -175,12 +183,13 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     tau = SVT_TAU_SCALE * np.sqrt(m * n)
     step = 1.2 * m * n / p
 
-    # norms are taken on y·2^-e (exact) and mapped back, so none under- or
-    # overflows at any finite scale; the iteration itself runs on y
-    y_scaled, e = scale_measurements(sampler, y)
-    b_norm = float(np.linalg.norm(y_scaled))
+    # norms are taken at their own scale: the residual's is tau's, not y's
+    b_norm = _norm(y)
     if b_norm == 0.0:
-        return AdmiraResult(empty_expansion(m, n), [], ZERO_PROXY, algorithm="svt")
+        return AdmiraResult(empty_expansion(m, n), [], ZERO_PROXY)
+    # sigma_1 <= ||y||_2, so a finite norm keeps the kick's SVD in range
+    if not math.isfinite(b_norm):
+        raise ValueError("measurements too large for SVT: their 2-norm is not a finite double")
 
     sigma1 = float(svd(sampler.adjoint(y), 1)[1][0])
     # in Python floats, where overflow is inf, not a warning; z's multiplier must be finite
@@ -197,12 +206,12 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
         # the shrunk rank rarely rises by more than one per iteration
         exp = _shrink_expansion(sampler.adjoint(z), tau, len(exp) + 1)
         residual = y - sampler.apply_expansion(exp)
-        res = float(np.linalg.norm(np.ldexp(residual, -e)))
+        res = _norm(residual)
         rel = res / b_norm
-        trace.append(TraceRow(k, float(np.ldexp(res, e)), rel))
+        trace.append(TraceRow(k, res, rel))
         if rel <= config.residual_tol:
             stop = CONVERGED
             break
         z += step * residual
 
-    return AdmiraResult(exp, trace, stop, algorithm="svt")
+    return AdmiraResult(exp, trace, stop)

@@ -63,7 +63,7 @@ def cmd_solve(args):
         fileio.save_trace(args.trace_out, result)
         print(f"wrote trace to {args.trace_out}")
     last = result.trace[-1].rel_residual if result.trace else 0.0
-    print(f"{result.algorithm}: stop={result.stop_reason} "
+    print(f"{args.alg}: stop={result.stop_reason} "
           f"iterations={result.iterations} rel_residual={last:.3e}")
     return 0
 
@@ -96,13 +96,13 @@ def cmd_compare(args):
 
 def cmd_rip(args):
     op = OPERATOR_KINDS[args.kind](args.m, args.n, args.p, derive_seed(args.seed, "rip-op"))
-    estimate = ripcheck.estimate_delta(op, args.r, args.samples, args.seed)
+    delta_hat = ripcheck.estimate_delta(op, args.r, args.samples, args.seed)
     # both checks run before either file is written, so a bad input writes none
     report = (ripcheck.restricted_orthogonality_check(op, max(args.r, 2), args.pairs, args.seed)
               if args.pairs_out else None)
-    fileio.save_rip_estimates(args.out, [estimate])
-    print(f"delta_hat(r={args.r}) >= {estimate.delta_hat:.6f} "
-          f"from {estimate.samples_used} samples; wrote {args.out}")
+    samples = args.r * args.samples
+    fileio.save_rip_estimate(args.out, args.r, delta_hat, samples, args.seed)
+    print(f"delta_hat(r={args.r}) >= {delta_hat:.6f} from {samples} samples; wrote {args.out}")
     if report:
         fileio.save_orthogonality_pairs(args.pairs_out, report)
         print(f"orthogonality: max_ratio={report.max_ratio:.4f} "

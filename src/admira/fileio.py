@@ -25,7 +25,7 @@ __all__ = [
     "save_problem",
     "load_problem",
     "save_trace",
-    "save_rip_estimates",
+    "save_rip_estimate",
     "save_orthogonality_pairs",
     "save_dense_matrix",
 ]
@@ -169,10 +169,9 @@ def save_trace(path, result) -> None:
     write_csv(path, header, rows)
 
 
-def save_rip_estimates(path, estimates) -> None:
-    """Export isometry-constant estimates as ``r,delta_hat,samples,seed``."""
-    rows = [[e.r, e.delta_hat, e.samples_used, e.seed] for e in estimates]
-    write_csv(path, ["r", "delta_hat", "samples", "seed"], rows)
+def save_rip_estimate(path, r, delta_hat, samples, seed) -> None:
+    """Export one isometry-constant estimate as ``r,delta_hat,samples,seed``."""
+    write_csv(path, ["r", "delta_hat", "samples", "seed"], [[r, delta_hat, samples, seed]])
 
 
 def save_orthogonality_pairs(path, report) -> None:

@@ -64,7 +64,6 @@ class Problem:
 
 @dataclass
 class TrialReport:
-    algorithm: str
     snr_recon_db: float
     iterations: int
     stop_reason: str
@@ -173,7 +172,6 @@ def run_trial(problem: Problem, algorithm: str = "admira", max_iter=None,
     result = solve(algorithm, problem.operator, problem.b, problem.r_true, max_iter, residual_tol)
     wall = time.perf_counter() - start
     return TrialReport(
-        algorithm=algorithm,
         snr_recon_db=snr_recon(problem.x_true, result.matrix()),
         iterations=result.iterations,
         stop_reason=result.stop_reason,

@@ -17,7 +17,6 @@ from .linalg import frobenius_norm
 from .seeding import derive_rng, derive_seed
 
 __all__ = [
-    "RipEstimate",
     "OrthogonalityReport",
     "PairCheck",
     "random_low_rank",
@@ -27,22 +26,6 @@ __all__ = [
 
 # samples per rank level behind the orthogonality check's delta_hat
 DELTA_SAMPLES_PER_RANK = 200
-
-
-@dataclass(frozen=True)
-class RipEstimate:
-    """Sampled lower bound on the rank-r isometry constant.
-
-    ``worst_rank``/``worst_index`` identify the sample achieving the bound
-    within the substream derived from (seed, rank).
-    """
-
-    r: int
-    delta_hat: float
-    samples_used: int
-    seed: int
-    worst_rank: int
-    worst_index: int
 
 
 @dataclass(frozen=True)
@@ -87,12 +70,12 @@ def _deviation(op, Z) -> float:
     return abs(float(np.sum(op.apply(Z) ** 2)) - 1.0)
 
 
-def estimate_delta(op, r: int, num_samples: int, seed: int) -> RipEstimate:
+def estimate_delta(op, r: int, num_samples: int, seed: int) -> float:
     """Lower-bound the rank-r isometry constant by sampling.
 
     For each rank level s = 1..r, ``num_samples`` unit-Frobenius rank-s
-    matrices are drawn from a substream derived from (seed, s), and
-    ``delta_hat`` is the largest observed ``| ||A Z||^2 - 1 |``. Reusing the
+    matrices are drawn from a substream derived from (seed, s); the bound
+    returned is the largest observed ``| ||A Z||^2 - 1 |``. Reusing the
     per-rank substreams makes the estimate monotone non-decreasing in r.
     """
     if not 1 <= r <= min(op.m, op.n):
@@ -103,12 +86,10 @@ def estimate_delta(op, r: int, num_samples: int, seed: int) -> RipEstimate:
     def samples():
         for s in range(1, r + 1):
             rng = derive_rng(seed, "rip-rank", s)
-            for i in range(num_samples):
-                yield _deviation(op, random_low_rank(op.m, op.n, s, rng)), s, i
+            for _ in range(num_samples):
+                yield _deviation(op, random_low_rank(op.m, op.n, s, rng))
 
-    # max keeps the first of equal values: the earliest worst sample
-    delta_hat, s, i = max(samples(), key=lambda item: item[0])
-    return RipEstimate(r, delta_hat, r * num_samples, seed, s, i)
+    return max(samples())
 
 
 def _orthogonal_pair(m, n, rank_x, rank_y, rng):
@@ -142,7 +123,7 @@ def restricted_orthogonality_check(op, r: int, trials: int, seed: int) -> Orthog
     if trials < 1:
         raise ValueError("trials must be positive")
 
-    delta = estimate_delta(op, r, DELTA_SAMPLES_PER_RANK, derive_seed(seed, "rop-delta")).delta_hat
+    delta = estimate_delta(op, r, DELTA_SAMPLES_PER_RANK, derive_seed(seed, "rop-delta"))
     measured = []
     for i in range(trials):
         X, Y = _orthogonal_pair(op.m, op.n, (r + 1) // 2, r // 2, derive_rng(seed, "rop-pair", i))

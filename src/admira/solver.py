@@ -106,7 +106,6 @@ class AdmiraResult:
     expansion: AtomExpansion
     trace: list[TraceRow] = field(default_factory=list)
     stop_reason: str = MAX_ITER
-    algorithm: str = "admira"
 
     @property
     def iterations(self) -> int:

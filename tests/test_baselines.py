@@ -193,7 +193,6 @@ class TestSvt:
         op = EntrySampler.random(10, 10, 60, seed=4)
         X = rng.standard_normal((10, 1)) @ rng.standard_normal((1, 10))
         res = svt_solve(op, op.apply(X), SvtConfig(max_iter=20))
-        assert res.algorithm == "svt"
         assert res.iterations == len(res.trace)
         assert all(np.isfinite(row.rel_residual) for row in res.trace)
 
@@ -218,6 +217,25 @@ class TestSvt:
         want = np.linalg.norm(r) / np.linalg.norm(np.ldexp(b, -e))
         assert res.trace[-1].rel_residual == pytest.approx(want, rel=1e-9)
         assert res.trace[-1].residual_l2 == pytest.approx(np.ldexp(np.linalg.norm(r), e), rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-307])
+    def test_residual_norm_far_above_tiny_measurements(self, scale):
+        # the first shrink lives at the scale of tau, so the residual is some
+        # 2^1000 above b: each norm must be taken at its own vector's scale
+        prob = harness.gen_problem(20, 20, 1, 200, kind="entry", seed=1)
+        b = prob.b * scale
+        res = svt_solve(prob.operator, b, SvtConfig(max_iter=1))
+        r = b - prob.operator.apply(res.matrix())
+        want = np.abs(r).max() * np.linalg.norm(r / np.abs(r).max())
+        assert res.trace[0].residual_l2 == pytest.approx(want, rel=1e-9)
+        b_norm = np.abs(b).max() * np.linalg.norm(b / np.abs(b).max())
+        assert res.trace[0].rel_residual == pytest.approx(want / b_norm, rel=1e-9)
+
+    def test_measurement_norm_past_the_double_range_rejected(self):
+        # sigma_1 of A*(b) is 2e308: the kick's SVD would return no triplet
+        op = EntrySampler(2, 2, np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0]))
+        with pytest.raises(ValueError, match="2-norm is not a finite double"):
+            svt_solve(op, np.full(4, 1e308))
 
 
 @pytest.mark.parametrize("solve", [

@@ -10,6 +10,7 @@ import pytest
 import admira
 from admira.cli import build_parser, main
 from admira import fileio
+from admira.seeding import derive_seed
 
 from oracles import load_dense_matrix
 
@@ -185,13 +186,20 @@ class TestCompareRip:
         assert lines[0] == "r,p_over_n2,p_over_dr,alg,snr_db,iters"
         assert len(lines) == 3
 
-    def test_rip_outputs(self, tmp_path):
+    def test_rip_outputs(self, tmp_path, capsys):
         out = tmp_path / "rip.csv"
         pairs = tmp_path / "pairs.csv"
         assert main(["rip", "--kind", "gaussian", "--m", "8", "--n", "8",
                      "--p", "300", "--r", "2", "--samples", "50", "--pairs", "20",
                      "--seed", "29", "--out", str(out), "--pairs-out", str(pairs)]) == 0
-        assert read_lines(out)[0] == "r,delta_hat,samples,seed"
+        op = admira.GaussianOperator(8, 8, 300, derive_seed(29, "rip-op"))
+        delta_hat = admira.estimate_delta(op, 2, 50, 29)
+        header, row = read_lines(out)
+        assert header == "r,delta_hat,samples,seed"
+        r, written, samples, seed = row.split(",")
+        assert (r, float(written), samples, seed) == ("2", delta_hat, "100", "29")
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary == f"delta_hat(r=2) >= {delta_hat:.6f} from 100 samples; wrote {out}"
         assert read_lines(pairs)[0] == "pair_id,lhs,rhs_sqrt2,rhs_1"
         assert len(read_lines(pairs)) == 21
 
@@ -276,6 +284,8 @@ class TestUserErrors:
          "p/d_r must be positive and finite, got -2.0"),
         (["complete", "--obs", "{tmp}/tiny.txt", "--r", "1", "--alg", "svt"],
          "measurements too small for the SVT threshold tau = 10"),
+        (["complete", "--obs", "{tmp}/huge.txt", "--r", "1", "--alg", "svt"],
+         "measurements too large for SVT: their 2-norm is not a finite double"),
     ], ids=["gen_rank", "gen_p_and_ratio", "gen_no_p", "sweep_rank", "missing_obs",
             "missing_config", "gen_memory_budget",
             "sweep_svt_gaussian", "sweep_zero_trials", "sweep_negative_trials",
@@ -284,10 +294,12 @@ class TestUserErrors:
             "sweep_tol_nan", "sweep_omp_tol_negative", "complete_svt_tol_nan",
             "phase_threshold_nan", "sweep_ratio_nan", "gen_ratio_negative",
             "gen_snr_overflow", "sweep_snr_overflow", "gen_snr_minus_inf",
-            "sweep_tol_exponent", "sweep_negative_ratio_list", "complete_svt_tiny"])
+            "sweep_tol_exponent", "sweep_negative_ratio_list", "complete_svt_tiny",
+            "complete_svt_huge"])
     def test_library_errors_end_in_one_line(self, tmp_path, args, expect):
         (tmp_path / "obs.txt").write_text("1 1 1.0\n1 2 2.0\n2 1 3.0\n")
         (tmp_path / "tiny.txt").write_text("1 1 1e-312\n1 2 2e-312\n2 1 3e-312\n")
+        (tmp_path / "huge.txt").write_text("1 1 1e308\n2 2 1e308\n1 2 1e308\n2 1 1e308\n")
         out = tmp_path / "out.txt"
         run = run_cli(*[a.format(tmp=tmp_path) for a in args], "--out", str(out))
         assert run.returncode == 1

@@ -158,14 +158,14 @@ class TestTraceExport:
 class TestReportExports:
     def test_rip_estimate_csv(self, tmp_path):
         op = GaussianOperator(6, 6, 100, seed=2)
-        est = estimate_delta(op, 2, 50, seed=3)
+        delta_hat = estimate_delta(op, 2, 50, seed=3)
         path = tmp_path / "rip.csv"
-        fileio.save_rip_estimates(path, [est])
+        fileio.save_rip_estimate(path, 2, delta_hat, 100, 3)
         lines = path.read_text().splitlines()
         assert lines[0] == "r,delta_hat,samples,seed"
         fields = lines[1].split(",")
         assert int(fields[0]) == 2
-        assert float(fields[1]) == est.delta_hat
+        assert float(fields[1]) == delta_hat
 
     def test_pairs_csv(self, tmp_path):
         op = GaussianOperator(6, 6, 150, seed=4)

@@ -10,9 +10,11 @@ loads, imports ``admira`` from ``PYTHONPATH`` and prints that module's
 path on stderr, so a run shows which library it digested. It covers the
 solvers on the benchmark's problems (seeds 1-3), ``svd_truncated`` on both
 sides of ``GKL_MIN_DIM`` at both tolerances and with a floor on completion
-proxies, SVT's shrink of a proxy, and every CSV the CLI writes
-from a grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase``
-and ``compare`` at 1 and 3 worker threads, and ``rip``'s two files.
+proxies, SVT's shrink of a proxy, SVT on a problem scaled by 2^-60 and
+2^+60 (its residual far from the measurements' scale), and every CSV the
+CLI writes from a grid or a diagnostic: ``sweep`` (the determinism gate's),
+``phase`` and ``compare`` at 1 and 3 worker threads, and ``rip``'s two
+files.
 """
 
 import contextlib
@@ -132,6 +134,15 @@ def floored():
                  sha(exp.atoms.left, exp.atoms.right, exp.coeffs))
 
 
+def scaled_svt():
+    """20 SVT iterations on a 20x20 rank-1 problem scaled far from unit size."""
+    prob = harness.gen_problem(20, 20, 1, 200, kind="entry", seed=1)
+    for e in (-60, 60):
+        res = baselines.svt_solve(prob.operator, np.ldexp(prob.b, e),
+                                  baselines.SvtConfig(max_iter=20))
+        emit(f"svt/scaled/2^{e:+d}", sha(res.matrix(), res.stop_reason, res.trace))
+
+
 def run_cli(args, flags):
     """Run ``admira`` on ``args`` with each output flag in ``flags`` naming a
     temporary file; returns the files' bytes in flag order."""
@@ -159,6 +170,7 @@ def main() -> None:
     solves()
     truncations()
     floored()
+    scaled_svt()
     cli_csvs()
 
 
