@@ -75,9 +75,6 @@ class AtomSet:
         """Pairwise Frobenius inner products ``<psi_i, phi_j>`` as a matrix."""
         return (self.left.T @ other.left) * (self.right.T @ other.right)
 
-    def __repr__(self) -> str:
-        return f"AtomSet(m={self.m}, n={self.n}, atoms={len(self)})"
-
 
 @dataclass(frozen=True, eq=False)
 class AtomExpansion:

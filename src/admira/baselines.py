@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import AtomExpansion, AtomSet, empty_expansion, leading_atoms, merge
+from .linalg import rescale, unit_scale
 # the shrink keeps only triplets above tau, so a partial SVD serves it
 from .linalg import svd_truncated as svd
 from .operators import EntrySampler
@@ -26,7 +27,6 @@ from .solver import (
     TraceRow,
     check_stop_rule,
     restricted_least_squares,
-    scale_measurements,
 )
 
 __all__ = [
@@ -85,9 +85,9 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
     the new atom its correlation coefficient
     ``<residual, A psi> / ||A psi||^2`` (the single-atom least-squares fit),
     so both variants coincide on the first iteration. Like ``admira_solve``
-    it iterates on ``b`` scaled by a power of two, so any finite scale works.
+    it iterates on ``b`` scaled by a power of two and maps back by `rescale`.
     """
-    y, e = scale_measurements(op, b)
+    y, e = unit_scale(op.check_measurements(b))
     b_norm = float(np.linalg.norm(y))
     exp = empty_expansion(op.m, op.n)
     residual = y.copy()
@@ -111,13 +111,12 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
         residual = y - op.apply_expansion(exp)
         res = float(np.linalg.norm(residual))
         rel = res / b_norm
-        trace.append(TraceRow(k, float(np.ldexp(res, e)), rel))
+        trace.append(TraceRow(k, float(rescale(res, e, "the residual norm")), rel))
         if rel <= config.residual_tol:
             stop = CONVERGED
             break
 
-    coeffs = np.ldexp(exp.coeffs, e)
-    return AdmiraResult(AtomExpansion(exp.atoms, coeffs), trace, stop)
+    return AdmiraResult(AtomExpansion(exp.atoms, rescale(exp.coeffs, e)), trace, stop)
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,9 @@ def _shrink_expansion(Y: np.ndarray, tau: float, s: int) -> AtomExpansion:
 def _norm(v: np.ndarray) -> float:
     """``||v||_2`` taken at v's own power-of-two scale, so no square under- or
     overflows; ``inf``, without a warning, when the norm is past the double range."""
-    e = int(np.frexp(np.abs(v).max())[1])
+    y, e = unit_scale(v)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+        return float(np.ldexp(np.linalg.norm(y), e))
 
 
 def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:

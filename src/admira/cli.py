@@ -124,6 +124,10 @@ _SHARED = {
     "max-iter": dict(type=int, help="iteration / atom budget override"),
     "tol": dict(type=float, help="relative residual tolerance override"),
     "threads": dict(type=int, default=1, help="worker processes for trials"),
+    "alg": dict(choices=list(harness.ALGORITHMS), default="admira"),
+    "kind": dict(choices=list(OPERATOR_KINDS), default="entry"),
+    "snr-meas": dict(type=float, help="measurement SNR in dB (omit for noiseless)"),
+    "trace-out": dict(help="CSV path for the iteration trace"),
 }
 
 
@@ -158,36 +162,29 @@ def build_parser(cfg) -> argparse.ArgumentParser:
             add(f"--{key}", **_SHARED[key])
         return add
 
-    add = command("gen", cmd_gen, "generate a problem and write it to disk", "n m r seed")
+    add = command("gen", cmd_gen, "generate a problem and write it to disk",
+                  "n m r seed kind snr-meas")
     add("--p", type=int, help="measurement count")
     add("--p-over-dr", type=float, help="measurement count as a multiple of d_r")
-    add("--kind", choices=list(OPERATOR_KINDS), default="entry")
-    add("--snr-meas", type=float, help="measurement SNR in dB (omit for noiseless)")
     add("--out", required=True, help="output path")
     add("--truth-out", help="optional CSV path for the ground-truth matrix")
 
-    add = command("solve", cmd_solve, "solve a Gaussian-operator problem file", "r max-iter tol")
+    add = command("solve", cmd_solve, "solve a Gaussian-operator problem file",
+                  "r max-iter tol alg trace-out")
     add("--problem", required=True, help="problem file from 'gen --kind gaussian'")
-    add("--alg", choices=list(harness.ALGORITHMS), default="admira")
     add("--out", help="CSV path for the recovered matrix")
-    add("--trace-out", help="CSV path for the iteration trace")
 
     add = command("complete", cmd_solve, "complete a matrix from observed-entry triples",
-                  "r max-iter tol")
+                  "r max-iter tol alg trace-out")
     add("--obs", required=True, help="observed entries, one 'row col value' per line")
     add("--n", type=int, help="matrix columns (default: largest observed column)")
     add("--m", type=int, help="matrix rows (default: largest observed row)")
-    add("--alg", choices=list(harness.ALGORITHMS), default="admira")
     add("--out", help="CSV path for the recovered matrix")
-    add("--trace-out", help="CSV path for the iteration trace")
 
     add = command("sweep", cmd_sweep, "mean SNR/iterations vs oversampling ratio",
-                  "n m r seed max-iter tol threads")
+                  "n m r seed max-iter tol threads kind alg snr-meas")
     add("--p-over-dr", type=_float_list, required=True, help="comma-separated ratios")
     add("--trials", type=int, default=20)
-    add("--kind", choices=list(OPERATOR_KINDS), default="entry")
-    add("--alg", choices=list(harness.ALGORITHMS), default="admira")
-    add("--snr-meas", type=float, help="measurement SNR in dB (omit for noiseless)")
     add("--out", required=True)
 
     add = command("phase", cmd_phase, "success counts over a (p, r) grid",

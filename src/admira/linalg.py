@@ -17,6 +17,8 @@ __all__ = [
     "least_squares_minnorm",
     "frobenius_norm",
     "as_matrix",
+    "unit_scale",
+    "rescale",
 ]
 
 # singular values below NEGLIGIBLE_SIGMA * sigma_1 count as numerical noise
@@ -251,3 +253,19 @@ def least_squares_minnorm(Phi, b) -> np.ndarray:
 
 def frobenius_norm(M) -> float:
     return float(np.linalg.norm(as_matrix(M), "fro"))
+
+
+def unit_scale(v) -> tuple[np.ndarray, int]:
+    """``(v / 2^e, e)``, exact, with ``max|v / 2^e|`` in [0.5, 1): no norm of it overflows."""
+    e = int(np.frexp(np.abs(v).max())[1])
+    return np.ldexp(v, -e), e
+
+
+def rescale(x, e: int, what: str = "the solution"):
+    """``x * 2^e``, exact; a ``ValueError`` naming ``what`` when a value is past
+    the double range at the scale ``e`` that `unit_scale` took from ``b``."""
+    with np.errstate(over="ignore"):
+        y = np.ldexp(x, e)
+    if not np.isfinite(y).all():
+        raise ValueError(f"{what} is past the double range at the scale of b")
+    return y

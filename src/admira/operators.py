@@ -88,9 +88,6 @@ class MeasurementOperator(ABC):
         """``work`` array for calls on up to t atoms; None if none is needed."""
         return None
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(m={self.m}, n={self.n}, p={self.p})"
-
 
 class GaussianOperator(MeasurementOperator):
     """Dense i.i.d. Gaussian measurement map with entry variance 1/p.

@@ -23,7 +23,7 @@ from .atoms import (
     merge,
     truncate_expansion,
 )
-from .linalg import as_matrix, frobenius_norm, least_squares_minnorm
+from .linalg import as_matrix, frobenius_norm, least_squares_minnorm, rescale, unit_scale
 
 __all__ = [
     "AdmiraConfig",
@@ -32,7 +32,6 @@ __all__ = [
     "proxy",
     "admira_step",
     "restricted_least_squares",
-    "scale_measurements",
     "admira_solve",
     "check_stop_rule",
     "RESIDUAL_TOL",
@@ -153,19 +152,6 @@ def admira_step(op, b, expansion: AtomExpansion, residual, rank: int,
     return truncated, b - op.apply_expansion(truncated, work)
 
 
-def scale_measurements(op, b) -> tuple[np.ndarray, int]:
-    """``(b / 2^e, e)`` with ``max|b / 2^e|`` in [0.5, 1); ``b`` is checked
-    against ``op`` first.
-
-    No norm of the scaled vector under- or overflows at any finite scale of
-    ``b``; a power of two scales exactly, and ``np.ldexp(., e)`` maps
-    coefficients and norms back without rounding.
-    """
-    y = op.check_measurements(b)
-    e = int(np.frexp(np.abs(y).max())[1])
-    return np.ldexp(y, -e), e
-
-
 def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
     """Run the full greedy recovery loop.
 
@@ -183,9 +169,9 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
     -------
     AdmiraResult
         Stop reason is "converged" (relative residual <= residual_tol),
-        "stalled", "max_iter", or "zero_proxy".
+        "stalled", "max_iter", or "zero_proxy"; past the double range, `rescale` raises.
     """
-    y, e = scale_measurements(op, b)
+    y, e = unit_scale(op.check_measurements(b))
     if truth is not None:
         truth = as_matrix(truth, "truth")
         if truth.shape != (op.m, op.n):
@@ -209,8 +195,8 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
         res = float(np.linalg.norm(residual))
         rel = res / b_norm
         err = frobenius_norm(truth - assemble(expansion)) if truth is not None else None
-        trace.append(TraceRow(k, float(np.ldexp(res, e)), rel,
-                              None if err is None else float(np.ldexp(err, e))))
+        trace.append(TraceRow(k, float(rescale(res, e, "the residual norm")), rel,
+                              None if err is None else float(rescale(err, e, "the error norm"))))
         if rel <= config.residual_tol:
             stop = CONVERGED
             break
@@ -220,4 +206,4 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
             stop = STALLED
             break
 
-    return AdmiraResult(AtomExpansion(expansion.atoms, np.ldexp(expansion.coeffs, e)), trace, stop)
+    return AdmiraResult(AtomExpansion(expansion.atoms, rescale(expansion.coeffs, e)), trace, stop)

@@ -18,7 +18,7 @@ def test_digest_sections_run(tmp_path):
     path = [src, str(TOOLS), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     code = ("import digest; digest.truncations(); digest.floored(); digest.scaled_svt(); "
-            "digest.cli_csvs()")
+            "digest.scaled_greedy(); digest.cli_csvs()")
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

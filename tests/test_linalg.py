@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import admira
 from admira import linalg
 from admira.atoms import DUPLICATE_TOL
-from admira.linalg import frobenius_norm, least_squares_minnorm, svd_truncated
+from admira.linalg import frobenius_norm, least_squares_minnorm, rescale, svd_truncated, unit_scale
 
 from oracles import least_squares_exact, reconstruct, singular_values_charpoly
 
@@ -492,3 +492,20 @@ class TestNorms:
         for _ in range(50):
             M = rng.standard_normal((5, 7))
             assert frobenius_norm(M) >= svd_truncated(M, 1)[1][0] - 1e-12
+
+
+class TestScaleRule:
+    @pytest.mark.parametrize("k", [-1060, -600, 0, 600, 1023])
+    def test_unit_scale_is_exact(self, rng, k):
+        v = np.ldexp(rng.standard_normal(7), k)
+        y, e = unit_scale(v)
+        assert 0.5 <= np.abs(y).max() < 1.0
+        np.testing.assert_array_equal(rescale(y, e), v)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rescale_past_the_range_is_one_error(self):
+        assert rescale(0.75, 1024) == 0.75 * 2.0**1023 * 2
+        with pytest.raises(ValueError, match="^the residual norm is past the double range"):
+            rescale(1.0, 1024, "the residual norm")
+        with pytest.raises(ValueError, match="^the solution is past the double range"):
+            rescale(np.array([1.0, 0.5]), 1024)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admira.atoms import AtomSet, assemble, empty_expansion, leading_atoms, merge
 from admira.baselines import PursuitConfig, SvtConfig, rank_one_pursuit
-from admira.harness import gen_problem
+from admira.harness import gen_problem, solve
+from admira.linalg import unit_scale
 from admira.operators import EntrySampler, GaussianOperator
 from admira.seeding import derive_seed
 from admira.solver import (
@@ -361,3 +362,46 @@ class TestScaleEquivariance:
         assert err <= 1e-9
         assert all(np.isfinite(t.residual_l2) and np.isfinite(t.rel_residual)
                    for t in scaled.trace)
+
+    # the 20x20 rank-1 problems at the top of the double range: on the Gaussian
+    # one (p = 200) every greedy answer overflows; on the entry one (p = 100)
+    # ||b||_2 is finite but ADMiRA's sigma_1 is not, while OMP's and MP's
+    # coefficients stay finite doubles
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alg, kind, p, norm, size", [
+        ("admira", "gaussian", 200, np.inf, 1.7e308),
+        ("omp", "gaussian", 200, np.inf, 1.7e308),
+        ("mp", "gaussian", 200, np.inf, 1.7e308),
+        ("admira", "entry", 100, 2, 1.5e308),
+    ])
+    def test_answer_past_the_double_range_is_an_error(self, alg, kind, p, norm, size):
+        prob = gen_problem(20, 20, 1, p, kind=kind, seed=1)
+        b = prob.b / np.linalg.norm(prob.b, norm) * size
+        with pytest.raises(ValueError, match="past the double range at the scale of b"):
+            solve(alg, prob.operator, b, 1)
+
+    # unit-scale answers reach 1.1-3.1, so only k >= 1023 overflows: half the
+    # draws come from the top exponents
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=40, deadline=None)
+    @given(alg=st.sampled_from(["admira", "omp", "mp"]),
+           kind=st.sampled_from(["gaussian", "entry"]),
+           k=st.integers(900, 1024) | st.integers(1020, 1024))
+    @example(alg="admira", kind="entry", k=1023)
+    def test_top_of_the_range_scales_exactly_or_raises(self, alg, kind, k):
+        prob = gen_problem(20, 20, 1, 200 if kind == "gaussian" else 100, kind=kind, seed=1)
+        y, _ = unit_scale(prob.b)
+        base = solve(alg, prob.operator, y, 1)
+        with np.errstate(over="ignore"):
+            coeffs = np.ldexp(base.expansion.coeffs, k)
+            norms = np.ldexp([t.residual_l2 for t in base.trace], k)
+        fits = np.isfinite(coeffs).all() and np.isfinite(norms).all()
+        try:
+            scaled = solve(alg, prob.operator, np.ldexp(y, k), 1)
+        except ValueError as exc:
+            assert not fits and "past the double range" in str(exc)
+            return
+        assert fits
+        assert scaled.stop_reason == base.stop_reason
+        np.testing.assert_array_equal(scaled.expansion.coeffs, coeffs)
+        np.testing.assert_array_equal([t.residual_l2 for t in scaled.trace], norms)

@@ -11,10 +11,11 @@ path on stderr, so a run shows which library it digested. It covers the
 solvers on the benchmark's problems (seeds 1-3), ``svd_truncated`` on both
 sides of ``GKL_MIN_DIM`` at both tolerances and with a floor on completion
 proxies, SVT's shrink of a proxy, SVT on a problem scaled by 2^-60 and
-2^+60 (its residual far from the measurements' scale), and every CSV the
-CLI writes from a grid or a diagnostic: ``sweep`` (the determinism gate's),
-``phase`` and ``compare`` at 1 and 3 worker threads, and ``rip``'s two
-files.
+2^+60 (its residual far from the measurements' scale), ADMiRA and OMP on a
+Gaussian problem scaled the same way (their answers mapped back by
+``linalg.rescale``), and every CSV the CLI writes from a grid or a
+diagnostic: ``sweep`` (the determinism gate's), ``phase`` and ``compare``
+at 1 and 3 worker threads, and ``rip``'s two files.
 """
 
 import contextlib
@@ -143,6 +144,17 @@ def scaled_svt():
         emit(f"svt/scaled/2^{e:+d}", sha(res.matrix(), res.stop_reason, res.trace))
 
 
+def scaled_greedy():
+    """ADMiRA and 10 OMP atoms on a 20x20 rank-1 Gaussian problem scaled far
+    from unit size (their answers mapped back from it)."""
+    prob = harness.gen_problem(20, 20, 1, 200, kind="gaussian", seed=1)
+    for algorithm, max_iter in (("admira", None), ("omp", 10)):
+        for e in (-60, 60):
+            res = harness.solve(algorithm, prob.operator, np.ldexp(prob.b, e), 1, max_iter)
+            emit(f"{algorithm}/scaled/2^{e:+d}",
+                 sha(res.matrix(), res.expansion.coeffs, res.stop_reason, res.trace))
+
+
 def run_cli(args, flags):
     """Run ``admira`` on ``args`` with each output flag in ``flags`` naming a
     temporary file; returns the files' bytes in flag order."""
@@ -171,6 +183,7 @@ def main() -> None:
     truncations()
     floored()
     scaled_svt()
+    scaled_greedy()
     cli_csvs()
 
 
