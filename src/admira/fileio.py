@@ -102,8 +102,11 @@ def load_observed_entries(path):
         where = f"{path}:{lineno}"
         if len(parts) != 3:
             raise ValueError(f"{where}: expected 'row col value'")
-        rows.append(_number(int, parts[0], where) - 1)
-        cols.append(_number(int, parts[1], where) - 1)
+        row, col = (_number(int, text, where) - 1 for text in parts[:2])
+        if max(abs(row), abs(col)) >= np.iinfo(np.intp).max:
+            raise ValueError(f"{where}: an index is past the integer range")
+        rows.append(row)
+        cols.append(col)
         values.append(_number(float, parts[2], where))
     return np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(values)
 

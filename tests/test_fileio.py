@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ class TestObservedEntries:
         path = tmp_path / "bad.txt"
         path.write_text("1 2\n")
         with pytest.raises(ValueError):
+            fileio.load_observed_entries(path)
+
+    @pytest.mark.parametrize("line", ["99999999999999999999 1 1.0", "1 -9223372036854775808 1.0"])
+    def test_index_past_the_integer_range(self, tmp_path, line):
+        path = tmp_path / "big.txt"
+        path.write_text(f"1 1 2.0\n{line}\n")
+        want = f"^{re.escape(str(path))}:2: an index is past the integer range$"
+        with pytest.raises(ValueError, match=want):
             fileio.load_observed_entries(path)
 
     def test_value_count_mismatch(self, tmp_path):

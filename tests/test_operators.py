@@ -141,7 +141,9 @@ class TestEntrySampler:
         op = EntrySampler(3, 3, r, c)
         r[0], c[0] = 7, 2
         assert op.rows.tolist() == [0, 1] and op.cols.tolist() == [0, 1]
+        assert op.flat.tolist() == [0, 4]
         assert not np.shares_memory(op.rows, r) and not np.shares_memory(op.cols, c)
+        assert not np.shares_memory(op.flat, r) and not np.shares_memory(op.flat, c)
 
     def test_indices_read_only(self):
         op = EntrySampler(3, 3, [0, 1], [0, 1])
@@ -149,6 +151,14 @@ class TestEntrySampler:
             op.rows[0] = 0
         with pytest.raises(ValueError, match="read-only"):
             op.cols[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            op.flat[0] = 1
+
+    def test_shape_past_the_index_range_rejected(self):
+        # rows * n would wrap to 0 for both positions, so they looked like one
+        with pytest.raises(ValueError, match="a 8589934592x8589934592 matrix has more "
+                                             "entries than np.intp holds"):
+            EntrySampler(2**33, 2**33, [0, 2**31], [0, 0])
 
     def test_atoms_of_another_shape_rejected(self, rng):
         # "clip" gathers would clamp the rows of a smaller matrix
@@ -166,6 +176,54 @@ class TestEntrySampler:
         for work in (None, op.scratch(6), np.full_like(op.scratch(6), np.nan)):
             assert np.array_equal(op.apply_atoms(s, work), want)
             assert np.array_equal(op.apply_expansion(exp, work), want @ exp.coeffs)
+
+
+@st.composite
+def positions(draw):
+    """(m, n, flat) with m, n in [1, 9] and distinct flat positions in [0, mn)."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    flat = draw(st.lists(st.integers(0, m * n - 1), min_size=1, max_size=m * n, unique=True))
+    return m, n, flat
+
+
+class TestFlatIndex:
+    # apply and adjoint read the flat index; fancy indexing on (rows, cols)
+    # is the reference, and gathers and scatters must match it bit for bit
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=positions(), seed=st.integers(0, 2**31))
+    def test_apply_equals_fancy_indexing(self, case, seed):
+        m, n, flat = case
+        op = EntrySampler(m, n, *np.divmod(flat, n))
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((m, n))
+        strided = rng.standard_normal((2 * m + 1, 3 * n))[1::2, ::3]
+        for Y in (X, np.asfortranarray(X), strided):
+            got = op.apply(Y)
+            assert got.dtype == Y.dtype and np.array_equal(got, Y[op.rows, op.cols])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=positions(), seed=st.integers(0, 2**31))
+    def test_adjoint_equals_scatter(self, case, seed):
+        m, n, flat = case
+        op = EntrySampler(m, n, *np.divmod(flat, n))
+        y = np.random.default_rng(seed).standard_normal(len(flat))
+        want = np.zeros((m, n))
+        want[op.rows, op.cols] = y
+        for work in (None, np.full_like(op.scratch(2), np.nan)):
+            got = op.adjoint(y, work)
+            assert got.shape == (m, n) and np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=positions(), data=st.data())
+    def test_distinctness(self, case, data):
+        m, n, flat = case
+        assert EntrySampler(m, n, *np.divmod(flat, n)).flat.tolist() == flat
+        copy = data.draw(st.sampled_from(flat))
+        repeated = list(flat)
+        repeated.insert(data.draw(st.integers(0, len(flat))), copy)
+        with pytest.raises(ValueError, match="sample positions must be distinct"):
+            EntrySampler(m, n, *np.divmod(repeated, n))
 
 
 @st.composite

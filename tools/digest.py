@@ -13,9 +13,10 @@ sides of ``GKL_MIN_DIM`` at both tolerances and with a floor on completion
 proxies, SVT's shrink of a proxy, SVT on a problem scaled by 2^-60 and
 2^+60 (its residual far from the measurements' scale), ADMiRA and OMP on a
 Gaussian problem scaled the same way (their answers mapped back by
-``linalg.rescale``), and every CSV the CLI writes from a grid or a
-diagnostic: ``sweep`` (the determinism gate's), ``phase`` and ``compare``
-at 1 and 3 worker threads, and ``rip``'s two files.
+``linalg.rescale``), an entry sampler's ``apply`` of an F-order and a
+strided matrix and its ``adjoint``, and every CSV the CLI writes from a
+grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase`` and
+``compare`` at 1 and 3 worker threads, and ``rip``'s two files.
 """
 
 import contextlib
@@ -155,6 +156,17 @@ def scaled_greedy():
                  sha(res.matrix(), res.expansion.coeffs, res.stop_reason, res.trace))
 
 
+def sampler():
+    """A 37x23 sampler's ``apply`` of an F-order and a strided matrix, and
+    its ``adjoint``."""
+    op = admira.EntrySampler.random(37, 23, 300, seed=20114)
+    rng = np.random.default_rng(20115)
+    X = np.asfortranarray(rng.standard_normal((37, 23)))
+    strided = rng.standard_normal((75, 69))[1::2, ::3]
+    emit("entry/apply", sha(op.apply(X), op.apply(strided)))
+    emit("entry/adjoint", sha(op.adjoint(rng.standard_normal(op.p))))
+
+
 def run_cli(args, flags):
     """Run ``admira`` on ``args`` with each output flag in ``flags`` naming a
     temporary file; returns the files' bytes in flag order."""
@@ -184,6 +196,7 @@ def main() -> None:
     floored()
     scaled_svt()
     scaled_greedy()
+    sampler()
     cli_csvs()
 
 
