@@ -22,6 +22,6 @@ for factor in (5, 10, 20):
           f"iterations={res.iterations:2d}  SNR_recon = {snr:6.1f} dB")
     if factor == 20:
         print("\nper-iteration trace at p = 20*d_r:")
-        for row in res.trace:
-            print(f"  iter {row.iteration:2d}: relative residual {row.rel_residual:.3e}"
+        for k, row in enumerate(res.trace, start=1):
+            print(f"  iter {k:2d}: relative residual {row.rel_residual:.3e}"
                   f"   error {row.error_fro:.3e}")

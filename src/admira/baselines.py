@@ -94,7 +94,7 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
     trace: list[TraceRow] = []
     stop = MAX_ITER
 
-    for k in range(1, config.max_atoms + 1):
+    for _ in range(config.max_atoms):
         selection = leading_atoms(op.adjoint(residual), 1)
         if len(selection) == 0:
             stop = ZERO_PROXY
@@ -111,7 +111,7 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
         residual = y - op.apply_expansion(exp)
         res = float(np.linalg.norm(residual))
         rel = res / b_norm
-        trace.append(TraceRow(k, float(rescale(res, e, "the residual norm")), rel))
+        trace.append(TraceRow(float(rescale(res, e, "the residual norm")), rel))
         if rel <= config.residual_tol:
             stop = CONVERGED
             break
@@ -201,13 +201,13 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     exp = empty_expansion(m, n)
     trace: list[TraceRow] = []
     stop = MAX_ITER
-    for k in range(1, config.max_iter + 1):
+    for _ in range(config.max_iter):
         # the shrunk rank rarely rises by more than one per iteration
         exp = _shrink_expansion(sampler.adjoint(z), tau, len(exp) + 1)
         residual = y - sampler.apply_expansion(exp)
         res = _norm(residual)
         rel = res / b_norm
-        trace.append(TraceRow(k, res, rel))
+        trace.append(TraceRow(res, rel))
         if rel <= config.residual_tol:
             stop = CONVERGED
             break

@@ -164,8 +164,8 @@ def save_trace(path, result) -> None:
     with_error = any(row.error_fro is not None for row in result.trace)
     header = ["iter", "residual_l2", "rel_residual"] + (["error_fro"] if with_error else [])
     rows = []
-    for row in result.trace:
-        out = [row.iteration, row.residual_l2, row.rel_residual]
+    for k, row in enumerate(result.trace, start=1):
+        out = [k, row.residual_l2, row.rel_residual]
         if with_error:
             out.append(row.error_fro)
         rows.append(out)
@@ -179,7 +179,8 @@ def save_rip_estimate(path, r, delta_hat, samples, seed) -> None:
 
 def save_orthogonality_pairs(path, report) -> None:
     """Export per-pair orthogonality checks as ``pair_id,lhs,rhs_sqrt2,rhs_1``."""
-    rows = [[i, c.lhs, c.rhs_sqrt2, c.rhs_1] for i, c in enumerate(report.pairs)]
+    rows = [[i, lhs, float(np.sqrt(2.0) * b), b]
+            for i, (lhs, b) in enumerate(zip(report.lhs, report.bound))]
     write_csv(path, ["pair_id", "lhs", "rhs_sqrt2", "rhs_1"], rows)
 
 

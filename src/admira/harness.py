@@ -3,9 +3,9 @@ phase-transition grids, and algorithm comparison tables.
 
 Every randomized quantity derives from the master seed through the
 documented splittable scheme, trials run with BLAS pinned to one thread,
-and per-trial results are aggregated in a fixed order, so any run is
-exactly reproducible regardless of worker or core count. All CSV output
-goes through :mod:`admira.fileio` at full precision.
+and per-trial results are aggregated in a fixed order, so a run gives the
+same bits for any worker count, on one OpenBLAS build and kernel set. All
+CSV output goes through :mod:`admira.fileio` at full precision.
 """
 
 from __future__ import annotations
@@ -181,25 +181,30 @@ def run_trial(problem: Problem, algorithm: str = "admira", max_iter=None,
 
 @functools.cache
 def _openblas():
-    """``(get, set)`` thread-count functions of NumPy's bundled OpenBLAS,
-    or ``None`` when the library or its symbols are not found."""
+    """``(get, set, core)`` functions of NumPy's bundled OpenBLAS: the
+    thread count's reader and setter, and the reader of its kernel set's
+    name (say ``b'SkylakeX'``); ``None`` when the library or a symbol is
+    not found."""
     libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*"))):
         lib = ctypes.CDLL(path)
         for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
+            funcs = [getattr(lib, f"scipy_openblas_{name}{suffix}", None)
+                     for name in ("get_num_threads", "set_num_threads", "get_corename")]
+            if None not in funcs:
+                get, put, core = funcs
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+                core.argtypes, core.restype = [], ctypes.c_char_p
+                return get, put, core
     return None
 
 
 def _pin_blas() -> int | None:
     """Pin NumPy's OpenBLAS to one thread and return its previous count
     (``None`` when the library is not found). BLAS rounding depends on its
-    thread count, so trials pinned to one give the same bits on any machine."""
+    thread count, so trials pinned to one give the same bits for any worker
+    count, on one OpenBLAS build and kernel set."""
     blas = _openblas()
     if blas is None:
         return None

@@ -18,7 +18,6 @@ from .seeding import derive_rng, derive_seed
 
 __all__ = [
     "OrthogonalityReport",
-    "PairCheck",
     "random_low_rank",
     "estimate_delta",
     "restricted_orthogonality_check",
@@ -29,27 +28,23 @@ DELTA_SAMPLES_PER_RANK = 200
 
 
 @dataclass(frozen=True)
-class PairCheck:
-    lhs: float
-    rhs_sqrt2: float
-    rhs_1: float
-
-
-@dataclass(frozen=True)
 class OrthogonalityReport:
     """Outcome of the restricted-orthogonality stress test.
 
-    ``max_ratio`` is the largest ``lhs / (delta_hat * ||X||_F * ||Y||_F)``
-    over the tested pairs; the sqrt(2) bound must never be violated, since
-    ``delta_hat`` covers every tested pair's combinations, while the constant-1
-    bound (real-field improvement) is tracked informationally.
+    Pair i has ``lhs[i] = |<A X_i, A Y_i>|`` and the constant-1 bound
+    ``bound[i] = delta_hat * ||X_i||_F * ||Y_i||_F``. ``max_ratio`` is the
+    largest ``lhs / bound`` (0 for a zero pair under a zero bound, else
+    inf). The sqrt(2) bound ``sqrt(2) * bound`` must never be violated,
+    since ``delta_hat`` covers every tested pair's combinations, while the
+    constant-1 bound (real-field improvement) is tracked informationally.
     """
 
     delta_hat: float
     max_ratio: float
     violations_sqrt2: int
     violations_1: int
-    pairs: tuple[PairCheck, ...]
+    lhs: tuple[float, ...]
+    bound: tuple[float, ...]
 
 
 def random_low_rank(m: int, n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,17 +127,8 @@ def restricted_orthogonality_check(op, r: int, trials: int, seed: int) -> Orthog
             delta = max(delta, _deviation(op, Z / frobenius_norm(Z)))
         measured.append((abs(float(op.apply(X) @ op.apply(Y))), nx, ny))
 
-    checks = []
-    max_ratio = 0.0
-    bad_sqrt2 = 0
-    bad_1 = 0
-    for lhs, nx, ny in measured:
-        scale = delta * nx * ny  # the constant-1 bound
-        rhs_sqrt2 = float(np.sqrt(2.0) * scale)
-        ratio = lhs / scale if scale > 0.0 else (0.0 if lhs == 0.0 else np.inf)
-        max_ratio = max(max_ratio, ratio)
-        bad_sqrt2 += lhs > rhs_sqrt2
-        bad_1 += lhs > scale
-        checks.append(PairCheck(lhs, rhs_sqrt2, scale))
-
-    return OrthogonalityReport(delta, max_ratio, bad_sqrt2, bad_1, tuple(checks))
+    lhs, nx, ny = np.array(measured).T
+    bound = delta * nx * ny
+    ratio = np.divide(lhs, bound, out=np.where(lhs == 0.0, 0.0, np.inf), where=bound > 0.0)
+    return OrthogonalityReport(delta, float(ratio.max()), int(np.sum(lhs > np.sqrt(2.0) * bound)),
+                               int(np.sum(lhs > bound)), tuple(lhs.tolist()), tuple(bound.tolist()))

@@ -10,7 +10,7 @@ residual, a stalled residual, an iteration cap, or a zero proxy.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +92,6 @@ class AdmiraConfig:
 
 @dataclass
 class TraceRow:
-    iteration: int
     residual_l2: float
     rel_residual: float
     error_fro: float | None = None
@@ -100,11 +99,11 @@ class TraceRow:
 
 @dataclass
 class AdmiraResult:
-    """Final expansion plus the per-iteration trace and the stop reason."""
+    """Final expansion, the trace (row k is iteration k + 1) and the stop reason."""
 
     expansion: AtomExpansion
-    trace: list[TraceRow] = field(default_factory=list)
-    stop_reason: str = MAX_ITER
+    trace: list[TraceRow]
+    stop_reason: str
 
     @property
     def iterations(self) -> int:
@@ -186,7 +185,7 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
     stop = MAX_ITER
     work = op.scratch(3 * config.rank)  # one per solve, never kept on the operator
 
-    for k in range(1, config.iteration_limit + 1):
+    for _ in range(config.iteration_limit):
         step = admira_step(op, y, expansion, residual, config.rank, work)
         if step is None:
             stop = ZERO_PROXY
@@ -195,7 +194,7 @@ def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:
         res = float(np.linalg.norm(residual))
         rel = res / b_norm
         err = frobenius_norm(truth - assemble(expansion)) if truth is not None else None
-        trace.append(TraceRow(k, float(rescale(res, e, "the residual norm")), rel,
+        trace.append(TraceRow(float(rescale(res, e, "the residual norm")), rel,
                               None if err is None else float(rescale(err, e, "the error norm"))))
         if rel <= config.residual_tol:
             stop = CONVERGED

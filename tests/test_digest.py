@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import admira
+from admira import harness
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
@@ -17,12 +18,16 @@ def test_digest_sections_run(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(admira.__file__)))
     path = [src, str(TOOLS), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    code = ("import digest; digest.truncations(); digest.floored(); digest.scaled_svt(); "
-            "digest.scaled_greedy(); digest.sampler(); digest.cli_csvs()")
+    code = ("import digest; print('openblas-core', digest.core()); digest.truncations(); "
+            "digest.floored(); digest.scaled_svt(); digest.scaled_greedy(); digest.sampler(); "
+            "digest.cli_csvs(); digest.cli_traces()")
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
+    core, *lines = run.stdout.splitlines()
+    blas = harness._openblas()
+    assert core == f"openblas-core {'unknown' if blas is None else blas[2]().decode()}"
+    assert "cli/complete/trace/svt" in run.stdout
     assert lines and all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     names = [line.split()[0] for line in lines]
     assert len(set(names)) == len(names)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from admira import fileio
-from admira.harness import gen_problem
+from admira.harness import gen_problem, solve
 from admira.operators import EntrySampler, GaussianOperator
 from admira.ripcheck import estimate_delta, restricted_orthogonality_check
 from admira.solver import AdmiraConfig, admira_solve
@@ -163,6 +163,25 @@ class TestTraceExport:
         fileio.save_trace(path, res)
         assert path.read_text().splitlines()[0] == "iter,residual_l2,rel_residual"
 
+    @pytest.mark.parametrize("algorithm, kind", [
+        ("admira", "entry"), ("omp", "gaussian"), ("svt", "entry")])
+    def test_rows_number_and_read_back(self, tmp_path, algorithm, kind):
+        # the writer numbers the rows 1..N; every value parses back exactly
+        prob = gen_problem(8, 8, 1, 40, kind=kind, seed=2)
+        if algorithm == "admira":
+            res = admira_solve(prob.operator, prob.b, AdmiraConfig(rank=1), truth=prob.x_true)
+        else:
+            res = solve(algorithm, prob.operator, prob.b, 1, max_iter=30)
+        path = tmp_path / "trace.csv"
+        fileio.save_trace(path, res)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert res.iterations >= 2
+        assert [int(row[0]) for row in rows] == list(range(1, res.iterations + 1))
+        with_error = algorithm == "admira"
+        assert [[float(x) for x in row[1:]] for row in rows] == [
+            [t.residual_l2, t.rel_residual] + ([t.error_fro] if with_error else [])
+            for t in res.trace]
+
 
 class TestReportExports:
     def test_rip_estimate_csv(self, tmp_path):
@@ -183,7 +202,12 @@ class TestReportExports:
         fileio.save_orthogonality_pairs(path, rep)
         lines = path.read_text().splitlines()
         assert lines[0] == "pair_id,lhs,rhs_sqrt2,rhs_1"
-        assert len(lines) == 11
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert [row[0] for row in rows] == list(range(10))
+        assert [row[1] for row in rows] == list(rep.lhs)
+        assert [row[3] for row in rows] == list(rep.bound)
+        # the sqrt(2) column is computed from the constant-1 bound, bit for bit
+        assert all(row[2] == np.sqrt(2.0) * row[3] for row in rows)
 
 
 class TestDenseMatrixFiles:

@@ -256,7 +256,7 @@ class TestWorkerPool:
         blas = harness._openblas()
         if blas is None:
             pytest.skip("NumPy's bundled OpenBLAS not found")
-        get, put = blas
+        get, put, _ = blas
         seen = []
         real = harness.run_trial
         monkeypatch.setattr(harness, "run_trial",

@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admira.atoms import vectorize
 from admira.linalg import frobenius_norm
 from admira.operators import EntrySampler, GaussianOperator, MeasurementOperator
 from admira.ripcheck import (
+    _orthogonal_pair,
     estimate_delta,
     random_low_rank,
     restricted_orthogonality_check,
@@ -32,6 +35,16 @@ class ScaledFullSampler(MeasurementOperator):
 
     def apply_atoms(self, aset):
         return self.c * vectorize(aset)
+
+
+class RankParity:
+    """Not linear: measures Z as the unit vector e_(rank(Z) mod 2), so every
+    sampled deviation, and with it the bound, is exactly 0."""
+
+    m = n = 4
+
+    def apply(self, X):
+        return np.eye(2)[np.linalg.matrix_rank(X) % 2]
 
 
 class TestRandomLowRank:
@@ -104,8 +117,8 @@ class TestRestrictedOrthogonality:
         op = GaussianOperator(10, 10, 600, seed=41)
         rep = restricted_orthogonality_check(op, 2, 100, seed=42)
         assert rep.violations_sqrt2 == 0
-        assert len(rep.pairs) == 100
-        assert all(np.isfinite(c.lhs) for c in rep.pairs)
+        assert len(rep.lhs) == len(rep.bound) == 100
+        assert np.all(np.isfinite(rep.lhs)) and np.all(np.isfinite(rep.bound))
 
     def test_delta_hat_is_raised_by_pair_combinations(self, monkeypatch):
         # recomputed here: the plain estimate, raised by |<A Z, A Z> - 1| for
@@ -129,8 +142,6 @@ class TestRestrictedOrthogonality:
         assert rep.violations_sqrt2 == 0
 
     def test_pairs_are_orthogonal_low_rank(self, rng):
-        from admira.ripcheck import _orthogonal_pair
-
         for _ in range(20):
             X, Y = _orthogonal_pair(8, 7, 2, 1, rng)
             assert abs(np.sum(X * Y)) <= 1e-10
@@ -152,6 +163,7 @@ class TestRestrictedOrthogonality:
         op = GaussianOperator(6, 6, 40, seed=1)
         rep = restricted_orthogonality_check(op, 2, 5, seed=1)
         assert type(rep.violations_sqrt2) is int and type(rep.violations_1) is int
+        assert all(type(x) is float for x in rep.lhs + rep.bound)
         json.dumps(dataclasses.asdict(rep))
 
     def test_rank_above_matrix_size_rejected(self):
@@ -163,5 +175,39 @@ class TestRestrictedOrthogonality:
     def test_bound_holds_pairwise(self):
         op = GaussianOperator(8, 8, 300, seed=51)
         rep = restricted_orthogonality_check(op, 2, 50, seed=52)
-        for check in rep.pairs:
-            assert check.lhs <= check.rhs_sqrt2
+        assert len(rep.lhs) == len(rep.bound) == 50
+        for lhs, bound in zip(rep.lhs, rep.bound):
+            assert lhs <= np.sqrt(2.0) * bound
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(2, 6), n=st.integers(2, 6), r=st.integers(2, 6),
+           full=st.booleans(), op_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
+           trials=st.integers(1, 6))
+    def test_summaries_recomputed_from_each_pair(self, m, n, r, full, op_seed, seed, trials):
+        # small Gaussian operators, or every entry observed (bound near 0);
+        # each pair is redrawn from its substream and measured again
+        r = min(r, m, n)
+        op = (EntrySampler.random(m, n, m * n, op_seed) if full
+              else GaussianOperator(m, n, 3 * m * n, op_seed))
+        rep = restricted_orthogonality_check(op, r, trials, seed)
+        pairs = list(zip(rep.lhs, rep.bound))
+        assert len(pairs) == trials
+        for i, (lhs, bound) in enumerate(pairs):
+            X, Y = _orthogonal_pair(m, n, (r + 1) // 2, r // 2, derive_rng(seed, "rop-pair", i))
+            assert lhs == abs(float(op.apply(X) @ op.apply(Y)))
+            assert bound == rep.delta_hat * frobenius_norm(X) * frobenius_norm(Y)
+        ratios = [a / b if b > 0 else (0.0 if a == 0 else np.inf) for a, b in pairs]
+        assert rep.max_ratio == max(ratios)
+        assert rep.violations_sqrt2 == sum(a > np.sqrt(2.0) * b for a, b in pairs) == 0
+        assert rep.violations_1 == sum(a > b for a, b in pairs)
+
+    @pytest.mark.parametrize("r, lhs, max_ratio, violations", [
+        (3, 0.0, 0.0, 0), (2, 1.0, np.inf, 1)])
+    def test_zero_bound(self, r, lhs, max_ratio, violations):
+        # r = 3 measures X (rank 2) and Y (rank 1) as e_0 and e_1, so the
+        # pair is 0 under a 0 bound; r = 2 measures both as e_1
+        rep = restricted_orthogonality_check(RankParity(), r, 3, seed=6)
+        assert rep.delta_hat == 0.0
+        assert rep.lhs == (lhs,) * 3 and rep.bound == (0.0,) * 3
+        assert rep.max_ratio == max_ratio
+        assert rep.violations_sqrt2 == rep.violations_1 == 3 * violations

@@ -7,19 +7,25 @@ Two checkouts give bit-identical outputs when their digests diff clean:
 
 The script takes no options. It pins BLAS to one thread before NumPy
 loads, imports ``admira`` from ``PYTHONPATH`` and prints that module's
-path on stderr, so a run shows which library it digested. It covers the
-solvers on the benchmark's problems (seeds 1-3), ``svd_truncated`` on both
-sides of ``GKL_MIN_DIM`` at both tolerances and with a floor on completion
-proxies, SVT's shrink of a proxy, SVT on a problem scaled by 2^-60 and
-2^+60 (its residual far from the measurements' scale), ADMiRA and OMP on a
-Gaussian problem scaled the same way (their answers mapped back by
-``linalg.rescale``), an entry sampler's ``apply`` of an F-order and a
-strided matrix and its ``adjoint``, and every CSV the CLI writes from a
-grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase`` and
-``compare`` at 1 and 3 worker threads, and ``rip``'s two files.
+path on stderr, so a run shows which library it digested. Its first line,
+``openblas-core <name>``, names the OpenBLAS kernel set the bits hold on
+(OpenBLAS picks its kernels by CPU, and they round differently), so a diff
+across machines explains itself. A trace is hashed by its values, not by
+its record type, so a field added to ``TraceRow`` changes no line. It
+covers the solvers on the benchmark's problems (seeds 1-3),
+``svd_truncated`` on both sides of ``GKL_MIN_DIM`` at both tolerances and
+with a floor on completion proxies, SVT's shrink of a proxy, SVT on a
+problem scaled by 2^-60 and 2^+60 (its residual far from the measurements'
+scale), ADMiRA and OMP on a Gaussian problem scaled the same way (their
+answers mapped back by ``linalg.rescale``), an entry sampler's ``apply``
+of an F-order and a strided matrix and its ``adjoint``, and every CSV the
+CLI writes from a grid or a diagnostic: ``sweep`` (the determinism
+gate's), ``phase`` and ``compare`` at 1 and 3 worker threads, ``rip``'s
+two files, and the ``complete --trace-out`` CSV of ADMiRA and SVT.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import os
 import pathlib
@@ -55,6 +61,9 @@ GRIDS = {
                 "--trials", "3", "--seed", "20112"],
 }
 
+# a generated 20x20 entry problem for ``complete --trace-out``
+COMPLETE = ["--n", "20", "--m", "20", "--r", "2", "--max-iter", "40"]
+
 RIP = ["rip", "--n", "8", "--m", "8", "--r", "2", "--p", "120", "--samples", "40",
        "--pairs", "30", "--seed", "20113"]
 
@@ -83,6 +92,11 @@ def emit(name: str, digest: str) -> None:
     print(name, digest, flush=True)
 
 
+def values(trace) -> list:
+    """A trace's values, without the record type that holds them."""
+    return [(row.residual_l2, row.rel_residual, row.error_fro) for row in trace]
+
+
 def solves():
     for label, (n, p, kind, algorithms) in PROBLEMS.items():
         for seed in SEEDS:
@@ -94,7 +108,7 @@ def solves():
                 atoms = res.expansion.atoms
                 emit(f"{name}/factors", sha(atoms.left, atoms.right))
                 emit(f"{name}/coeffs", sha(res.expansion.coeffs))
-                emit(f"{name}/trace", sha(res.stop_reason, res.trace))
+                emit(f"{name}/trace", sha(res.stop_reason, values(res.trace)))
 
 
 def matrix(kind: str, shape, rng) -> np.ndarray:
@@ -142,7 +156,7 @@ def scaled_svt():
     for e in (-60, 60):
         res = baselines.svt_solve(prob.operator, np.ldexp(prob.b, e),
                                   baselines.SvtConfig(max_iter=20))
-        emit(f"svt/scaled/2^{e:+d}", sha(res.matrix(), res.stop_reason, res.trace))
+        emit(f"svt/scaled/2^{e:+d}", sha(res.matrix(), res.stop_reason, values(res.trace)))
 
 
 def scaled_greedy():
@@ -153,7 +167,7 @@ def scaled_greedy():
         for e in (-60, 60):
             res = harness.solve(algorithm, prob.operator, np.ldexp(prob.b, e), 1, max_iter)
             emit(f"{algorithm}/scaled/2^{e:+d}",
-                 sha(res.matrix(), res.expansion.coeffs, res.stop_reason, res.trace))
+                 sha(res.matrix(), res.expansion.coeffs, res.stop_reason, values(res.trace)))
 
 
 def sampler():
@@ -189,8 +203,36 @@ def cli_csvs():
     emit("cli/rip/pairs", sha(pairs))
 
 
+def cli_traces():
+    """``complete --trace-out`` of ADMiRA and SVT, which numbers the rows."""
+    (obs,) = run_cli(["gen", *COMPLETE[:6], "--p", "200", "--seed", "20116"], ["--out"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obs.txt")
+        pathlib.Path(path).write_bytes(obs)
+        for algorithm in ("admira", "svt"):
+            (trace,) = run_cli(["complete", "--obs", path, *COMPLETE, "--alg", algorithm],
+                               ["--trace-out"])
+            emit(f"cli/complete/trace/{algorithm}", sha(trace))
+
+
+def core() -> str:
+    """The kernel set of NumPy's bundled OpenBLAS, or ``unknown`` without it.
+    Read here, not through ``harness._openblas``, so that the script runs on
+    a checkout whose harness does not return the reader."""
+    libdir = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            read = getattr(lib, name, None)
+            if read is not None:
+                read.argtypes, read.restype = [], ctypes.c_char_p
+                return read().decode()
+    return "unknown"
+
+
 def main() -> None:
     print(admira.__file__, file=sys.stderr)
+    print("openblas-core", core(), flush=True)
     solves()
     truncations()
     floored()
@@ -198,6 +240,7 @@ def main() -> None:
     scaled_greedy()
     sampler()
     cli_csvs()
+    cli_traces()
 
 
 if __name__ == "__main__":
