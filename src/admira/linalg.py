@@ -50,6 +50,9 @@ GKL_TOL = 1e-13
 # (at SELECT_TOL, every 3-8 steps tie within noise; every 1-2 cost 15-45% more)
 GKL_CHECK_EVERY = 4
 
+# floor stop at s + FLOOR_MARGIN * r <= floor (near-tau SVT shrinks: 10/30000 wrong at 1, 0 at 8)
+FLOOR_MARGIN = 8
+
 # beta below GKL_CLOSE (about sqrt(machine epsilon)) times the scale of the
 # current Lanczos block marks that block's Krylov space as invariant
 GKL_CLOSE = 1e-8
@@ -87,7 +90,7 @@ def _finalize_triplets(U, s, V, k):
     return U, s[keep], V
 
 
-def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf) -> tuple:
+def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf, start=None) -> tuple:
     """Top-k singular triplets ``(U, sigma, V)`` of ``M ~ U @ diag(sigma) @ V.T``.
 
     ``U`` (m, k) and ``V`` (n, k) have orthonormal columns (``V``, not the
@@ -96,9 +99,9 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf) -> tu
     Computed by Golub-Kahan-Lanczos bidiagonalization (see `_gkl_topk`),
     which touches ``M`` only through products with vectors; below
     ``GKL_MIN_DIM`` rows or columns, LAPACK's full SVD is cheaper and is
-    truncated instead, whatever ``tol`` and ``floor``. Triplets with sigma
-    below ``NEGLIGIBLE_SIGMA * sigma_1`` are dropped, so the returned factor
-    count can be smaller than ``k`` (zero for a zero matrix).
+    truncated instead, whatever ``tol``, ``floor`` and ``start``. Triplets
+    with sigma below ``NEGLIGIBLE_SIGMA * sigma_1`` are dropped, so the
+    returned factor count can be smaller than ``k`` (zero for a zero matrix).
 
     Parameters
     ----------
@@ -109,7 +112,9 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf) -> tu
         Krylov stop: every Ritz residual below ``tol * sigma_1``. The default
         gives the triplets to rounding; atom selection passes a looser one.
     floor : float
-        Krylov stop, under triplets that met ``tol``: sigma + residual <= floor.
+        Krylov stop under triplets that met ``tol``: sigma + FLOOR_MARGIN residuals <= floor.
+    start : array_like, shape (n,), optional
+        Warm Krylov start, near the top right singular vectors; a zero one is ignored.
     """
     A = as_matrix(M)
     kmax = min(A.shape)
@@ -119,9 +124,10 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf) -> tu
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         V = Vt.T
     elif A.shape[0] >= A.shape[1]:
-        U, s, V = _gkl_topk(A.__matmul__, A.T.__matmul__, *A.shape, k, tol, floor)
+        U, s, V = _gkl_topk(A.__matmul__, A.T.__matmul__, *A.shape, k, tol, floor, start)
     else:
-        V, s, U = _gkl_topk(A.T.__matmul__, A.__matmul__, *A.T.shape, k, tol, floor)
+        V, s, U = _gkl_topk(A.T.__matmul__, A.__matmul__, *A.T.shape, k, tol, floor,
+                            None if start is None else A @ start)
     return _finalize_triplets(U, s, V, k)
 
 
@@ -144,7 +150,7 @@ def _unit_complement(w, basis, rng, floor):
     return 0.0, _unit_complement(rng.standard_normal(basis.shape[1]), basis, rng, -1.0)[1]
 
 
-def _gkl_topk(matvec, rmatvec, m, n, k, tol, floor=-np.inf):
+def _gkl_topk(matvec, rmatvec, m, n, k, tol, floor=-np.inf, start=None):
     """Top-k singular triplets of the m x n ``A`` (``m >= n``) given as
     ``matvec(v) = A v``, a fresh array, and ``rmatvec(u) = A^T u``.
 
@@ -153,15 +159,17 @@ def _gkl_topk(matvec, rmatvec, m, n, k, tol, floor=-np.inf):
     ``A^T U_j = V_j B_j^T + beta_j v_{j+1} e_j^T``, so Ritz triplet i of
     ``B_j = P diag(s) Q^T`` has residual ``r_i = beta_j |P[j, i]|``. The loop
     stops when each of the top k triplets has ``r_i <= tol * s_1`` or, below
-    triplets that all have, ``s_i + r_i <= floor`` (some singular value lies
-    within r_i of s_i, and it is sigma_i once those above are found), tested
-    every ``GKL_CHECK_EVERY`` steps from ``j = k``; or when ``V_j`` spans
-    R^n and the factorization is exact. ``tol`` and ``floor`` govern only
-    these tests; the breakdown floors and the negligible-block test detect
-    invariance and stay at ``GKL_TOL``. Both bases double, up to n rows, as
-    j reaches them. Each new vector is orthogonalized against the whole
-    basis: one that vanishes there is replaced by a fresh orthogonal random
-    one, with a zero coefficient.
+    triplets that all have, ``s_i + FLOOR_MARGIN * r_i <= floor`` (some singular
+    value lies within r_i of s_i, not always sigma_i), tested every
+    ``GKL_CHECK_EVERY`` steps from ``j = k``; or when ``V_j`` spans R^n and the
+    factorization is exact. Ritz values are lower bounds (s_i <= sigma_i), so a
+    triplet within r_i of ``floor`` also waits for ``r_i <= GKL_TOL * s_1``.
+    ``tol`` and ``floor`` govern only these tests; the breakdown floors and the
+    negligible-block test stay at ``GKL_TOL``. ``V`` starts at a seeded random
+    unit vector g or, for a nonzero finite ``start``, along start / ||start||
+    + 0.3 g. Both bases double, up to n rows, as j reaches them. Each new
+    vector is orthogonalized against the whole basis, and one that vanishes is
+    replaced by a fresh orthogonal random one, with a zero coefficient.
 
     A single start vector sees one copy of each repeated singular value
     until its Krylov space is (nearly) invariant. When beta falls below
@@ -179,9 +187,11 @@ def _gkl_topk(matvec, rmatvec, m, n, k, tol, floor=-np.inf):
     alphas: list[float] = []
     betas: list[float] = []
     v = rng.standard_normal(n)
+    if start is not None and 0.0 < (size := np.linalg.norm(start)) < np.inf:
+        v = start / size + 0.3 * v / np.linalg.norm(v)
     v /= np.linalg.norm(v)
     beta = scale = block_scale = 0.0
-    j = start = 0
+    j = block = 0
     while True:
         if j == len(V):
             U, V = (np.concatenate([X, np.empty((min(j, n - j), X.shape[1]))]) for X in (U, V))
@@ -209,16 +219,19 @@ def _gkl_topk(matvec, rmatvec, m, n, k, tol, floor=-np.inf):
                 break
             r = beta * np.abs(P[-1, :k])
             ok = r <= tol * s[0]
-            ok[1:] |= np.logical_and.accumulate(ok)[:-1] & (s[1:k] + r[1:] <= floor)
+            if floor > -np.inf:
+                ok &= (np.abs(s[:k] - floor) > r) | (r <= GKL_TOL * s[0])
+                under = s[1:k] + FLOOR_MARGIN * r[1:] <= floor
+                ok[1:] |= np.logical_and.accumulate(ok)[:-1] & under
             done = ok.all()
-            if start or closed:
-                Pn, sn, _ = np.linalg.svd(B[start:, start:])
+            if block or closed:
+                Pn, sn, _ = np.linalg.svd(B[block:, block:])
                 done = (done and beta * abs(Pn[-1, 0]) <= tol * s[0]
                         and (sn[0] < s[k - 1] or sn[0] <= GKL_TOL * s[0]))
             if done:
                 break
         if closed:
-            start, block_scale = j, 0.0
+            block, block_scale = j, 0.0
     return U[:j].T @ P[:, :k], s[:k], V[:j].T @ Qt[:k].T
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admira import baselines, harness, linalg
-from admira.atoms import SELECT_TOL, empty_expansion, leading_atoms
+from admira.atoms import SELECT_TOL, AtomExpansion, AtomSet, empty_expansion, leading_atoms
 from admira.baselines import (
     PursuitConfig,
     SvtConfig,
@@ -26,6 +26,23 @@ from admira.solver import (
 
 def full_sampler(m, n):
     return EntrySampler.random(m, n, m * n, seed=0)
+
+
+def near_tau_problem(shape, tau, head, tail_top, c, eta, seed):
+    """An m x n matrix with singular values ``head``, then a tail drawn below
+    ``tail_top`` (its largest at it), and a previous SVT iterate of c atoms:
+    the leading left singular vectors, and right ones tilted by ``eta``."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    d = min(shape)
+    tail = np.sort(rng.uniform(0.0, tail_top, d - len(head)))[::-1]
+    tail[0] = tail_top
+    qu, _ = np.linalg.qr(rng.standard_normal((m, d)))
+    qv, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    Y = (qu * np.concatenate([head, tail])) @ qv.T
+    right = qv[:, :c] + eta * rng.standard_normal((n, c))
+    prev = AtomExpansion(AtomSet(qu[:, :c], right / np.linalg.norm(right, axis=0)), np.ones(c))
+    return Y, prev
 
 
 class TestRankOnePursuit:
@@ -152,13 +169,14 @@ class TestSvt:
 
     def test_short_prediction_grows_by_rank_step(self, monkeypatch):
         # the same growth rule on both sides of GKL_MIN_DIM, capped at min(m, n);
-        # every call stops its spare triplet at tau
+        # every call stops at SVT_TOL, its spare triplet at tau
         calls = []
         real = baselines.svd
-        monkeypatch.setattr(baselines, "svd", lambda Y, s, floor:
-                            calls.append((s, floor)) or real(Y, s, floor=floor))
-        exp = baselines._shrink_expansion(np.diag(np.arange(20.0, 0.0, -1.0)), 0.5, 1)
-        assert calls == [(s, 0.5) for s in (1, 6, 11, 16, 20)]
+        monkeypatch.setattr(baselines, "svd", lambda Y, s, tol, floor, start:
+                            calls.append((s, tol, floor)) or real(Y, s, tol, floor, start))
+        exp = baselines._shrink_expansion(np.diag(np.arange(20.0, 0.0, -1.0)), 0.5, 1,
+                                          empty_expansion(20, 20))
+        assert calls == [(s, baselines.SVT_TOL, 0.5) for s in (1, 6, 11, 16, 20)]
         np.testing.assert_allclose(exp.coeffs, np.arange(19.5, 0.0, -1.0))
 
     @settings(max_examples=100, deadline=None)
@@ -183,11 +201,87 @@ class TestSvt:
         Y = (qu * sigma) @ qv.T
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "GKL_MIN_DIM", 1)
-            exp = baselines._shrink_expansion(Y, tau, s)
+            exp = baselines._shrink_expansion(Y, tau, s, empty_expansion(m, n))
         full = np.linalg.svd(Y, compute_uv=False)
         want = full[full > tau] - tau
         assert len(exp) == len(want) == k
         assert np.abs(exp.coeffs - want).max() <= 1e-12 * full[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(120, 120), (150, 110), (110, 150)]), above=st.integers(0, 4),
+           gaps=st.lists(st.floats(0.05, 0.5), min_size=4, max_size=4),
+           side=st.sampled_from([-1.0, 1.0]), log_d=st.floats(-12, -5),
+           log_tau=st.floats(-3, 3), spare=st.booleans(), log_eta=st.floats(-6, -1),
+           seed=st.integers(0, 2**31))
+    # draws where a sigma just above tau met SVT_TOL with its Ritz value at or
+    # below tau: without the GKL_TOL wait for such a triplet it is dropped
+    @example(shape=(120, 120), above=3, gaps=[0.3] * 4, side=1.0, log_d=-12.0,
+             log_tau=2.0, spare=False, log_eta=-4.0, seed=2022848208)
+    @example(shape=(110, 150), above=1, gaps=[0.2] * 4, side=1.0, log_d=-11.9,
+             log_tau=-2.9, spare=False, log_eta=-4.4, seed=1990664737)
+    # warm only
+    @example(shape=(150, 110), above=2, gaps=[0.1] * 4, side=1.0, log_d=-11.9,
+             log_tau=0.4, spare=True, log_eta=-3.2, seed=1714321611)
+    def test_near_tau_sigma_lands_on_its_side(self, shape, above, gaps, side, log_d, log_tau,
+                                              spare, log_eta, seed):
+        # one sigma at tau (1 +- d), d in [1e-12, 1e-5], the ones above it at
+        # least 5% apart and the rest at or below 0.9 tau: the Krylov shrink,
+        # cold or started from a previous iterate's right factors, keeps
+        # exactly the count of LAPACK's full SVD
+        tau = 10.0**log_tau
+        near = tau * (1.0 + side * 10.0**log_d)
+        top = near * np.cumprod(1.0 + np.array(gaps[:above]))[::-1]
+        Y, prev = near_tau_problem(shape, tau, [*top, near], 0.9 * tau, above + spare,
+                                   10.0**log_eta, seed)
+        full = np.linalg.svd(Y, compute_uv=False)
+        for start in (empty_expansion(*shape), prev):
+            exp = baselines._shrink_expansion(Y, tau, len(prev) + 1, start)
+            assert len(exp) == np.sum(full > tau)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(120, 120), (150, 110), (110, 150)]), above=st.integers(0, 4),
+           gaps=st.lists(st.floats(0.05, 0.5), min_size=4, max_size=4),
+           log_x=st.floats(-3, np.log10(0.05)), log_depth=st.floats(-4, -1),
+           log_tau=st.floats(-3, 3), spare=st.booleans(), log_eta=st.floats(-6, -1),
+           seed=st.integers(0, 2**31))
+    def test_kept_triplets_lie_above_tau(self, shape, above, gaps, log_x, log_depth, log_tau,
+                                         spare, log_eta, seed):
+        # one sigma 0.1-5% above tau over a dense tail up to tau (1 - 10^-4 ...
+        # 10^-1): the floor stop may drop a sigma above tau here (the residual
+        # bound places some sigma near the Ritz value, not always sigma_i),
+        # but Ritz values are lower bounds, so every kept triplet's sigma
+        # exceeds tau and its coefficient is at most sigma - tau
+        tau = 10.0**log_tau
+        first = tau * (1.0 + 10.0**log_x)
+        top = first * np.cumprod(1.0 + np.array(gaps[:above]))[::-1]
+        Y, prev = near_tau_problem(shape, tau, [*top, first], tau * (1.0 - 10.0**log_depth),
+                                   above + spare, 10.0**log_eta, seed)
+        full = np.linalg.svd(Y, compute_uv=False)
+        for start in (empty_expansion(*shape), prev):
+            exp = baselines._shrink_expansion(Y, tau, len(prev) + 1, start)
+            k = len(exp)
+            assert k <= np.sum(full > tau)
+            assert np.all(exp.coeffs <= full[:k] - tau + 1e-12 * full[0])
+
+    def test_solve_shrinks_keep_the_dense_rank(self, monkeypatch):
+        # 300 SVT iterations on a 120 x 120 completion problem, p = 0.2 m n, on
+        # the Krylov path: every warm-started shrink keeps the rank of a full
+        # SVD, with its coefficients within 1e-9 sigma_1
+        prob = harness.gen_problem(120, 120, 2, 2880, seed=20117)
+        real, seen = baselines._shrink_expansion, []
+
+        def checked(Y, tau, s, prev):
+            exp = real(Y, tau, s, prev)
+            full = np.linalg.svd(Y, compute_uv=False)
+            want = full[full > tau] - tau
+            assert len(exp) == len(want)
+            assert np.abs(exp.coeffs - want).max(initial=0.0) <= 1e-9 * full[0]
+            seen.append(len(prev))
+            return exp
+
+        monkeypatch.setattr(baselines, "_shrink_expansion", checked)
+        res = svt_solve(prob.operator, prob.b, SvtConfig(max_iter=300))
+        assert len(seen) == res.iterations == 300 and max(seen) >= 2
 
     def test_trace_shape_matches_solver(self, rng):
         op = EntrySampler.random(10, 10, 60, seed=4)
@@ -257,20 +351,23 @@ def test_krylov_path_repeats_exactly(solve, monkeypatch):
 
 
 def test_selection_loose_svt_tight(monkeypatch):
-    # admira's selection stops the Krylov kernel at SELECT_TOL; SVT compares
-    # singular values with tau, so its shrink and sigma_1 keep GKL_TOL. Only
-    # the shrink passes a floor, tau, below which its spare triplet stops
+    # admira's selection stops the Krylov kernel at SELECT_TOL, from the
+    # seeded start. SVT's sigma_1 keeps GKL_TOL, since the first step's
+    # multiple ceil(tau / (step * sigma_1)) depends on it; its shrinks stop at
+    # SVT_TOL with tau as the floor, and start from the previous iterate's
+    # right factors (a zero start, so cold, on the first)
     monkeypatch.setattr(linalg, "GKL_MIN_DIM", 1)
     kernel, calls = linalg._gkl_topk, []
-    monkeypatch.setattr(linalg, "_gkl_topk", lambda matvec, rmatvec, m, n, k, tol, floor:
-                        calls.append((tol, floor))
-                        or kernel(matvec, rmatvec, m, n, k, tol, floor))
+    monkeypatch.setattr(linalg, "_gkl_topk", lambda matvec, rmatvec, m, n, k, tol, floor, start:
+                        calls.append((tol, floor, start))
+                        or kernel(matvec, rmatvec, m, n, k, tol, floor, start))
     prob = harness.gen_problem(30, 30, 2, 700, seed=3)
     op = prob.operator
     assert admira_step(op, prob.b, empty_expansion(op.m, op.n), prob.b, rank=2) is not None
-    assert calls == [(SELECT_TOL, -np.inf)]
+    assert calls == [(SELECT_TOL, -np.inf, None)]
     calls.clear()
     svt_solve(op, prob.b, SvtConfig(max_iter=5))
     tau = baselines.SVT_TAU_SCALE * 30
-    assert len(calls) >= 6 and calls[0] == (linalg.GKL_TOL, -np.inf)
-    assert set(calls[1:]) == {(linalg.GKL_TOL, tau)}
+    assert len(calls) >= 6 and calls[0] == (linalg.GKL_TOL, -np.inf, None)
+    assert {call[:2] for call in calls[1:]} == {(baselines.SVT_TOL, tau)}
+    assert not calls[1][2].any() and calls[-1][2].any()

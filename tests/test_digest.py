@@ -19,15 +19,17 @@ def test_digest_sections_run(tmp_path):
     path = [src, str(TOOLS), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     code = ("import digest; print('openblas-core', digest.core()); digest.truncations(); "
-            "digest.floored(); digest.scaled_svt(); digest.scaled_greedy(); digest.sampler(); "
-            "digest.cli_csvs(); digest.cli_traces()")
+            "digest.floored(); digest.wide_svt(); digest.scaled_svt(); digest.scaled_greedy(); "
+            "digest.sampler(); digest.cli_csvs(); digest.cli_traces()")
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     core, *lines = run.stdout.splitlines()
     blas = harness._openblas()
     assert core == f"openblas-core {'unknown' if blas is None else blas[2]().decode()}"
-    assert "cli/complete/trace/svt" in run.stdout
+    for name in ("cli/complete/trace/svt", "svt/wide/100x140",
+                 "svd_truncated/proxy/200x200/start/k3", "svd_truncated/proxy/150x200/start/k3"):
+        assert name in run.stdout
     assert lines and all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     names = [line.split()[0] for line in lines]
     assert len(set(names)) == len(names)

@@ -231,6 +231,40 @@ def test_floor_saves_products(rng):
     np.testing.assert_allclose(s_floored[:2], s_tight[:2], rtol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(300, 120), (120, 300)], ids=["tall", "wide"])
+def test_warm_start_gives_the_cold_triplets(rng, shape):
+    # a start near the top right singular vectors (V's side, of either
+    # shape) changes the Krylov path, not the triplets: values within
+    # tol * sigma_1 and vectors within tol * sigma_1 / gap of the cold call
+    m, n = shape
+    sigma = np.array([10.0, 7.0, 5.0, 3.5, *np.linspace(1.0, 0.01, 116)])
+    qu, _ = np.linalg.qr(rng.standard_normal((m, 120)))
+    qv, _ = np.linalg.qr(rng.standard_normal((n, 120)))
+    M = (qu * sigma) @ qv.T
+    start = qv[:, :3].sum(axis=1) + 1e-3 * rng.standard_normal(n)
+    tol = 1e-6
+    cold, warm = svd_truncated(M, 4, tol), svd_truncated(M, 4, tol, start=start)
+    assert np.abs(warm[1] - cold[1]).max() <= tol * sigma[0]
+    for w, c in ((warm[0], cold[0]), (warm[2], cold[2])):
+        assert np.abs(w - c).max() <= tol * sigma[0] / 1.5
+
+
+@pytest.mark.parametrize("shape", [(300, 120), (120, 300)], ids=["tall", "wide"])
+def test_kernel_starts_on_its_right_side(rng, monkeypatch, shape):
+    # the kernel runs on M, or on M^T when M is wide, so its start is the
+    # given right vector, or M @ start; a zero start (an empty previous SVT
+    # iterate's) leaves the seeded start, bit for bit
+    M = rng.standard_normal(shape)
+    start = rng.standard_normal(shape[1])
+    kernel, starts = linalg._gkl_topk, []
+    monkeypatch.setattr(linalg, "_gkl_topk", lambda *args: starts.append(args[7])
+                        or kernel(*args))
+    svd_truncated(M, 3, start=start)
+    np.testing.assert_array_equal(starts[0], start if shape[0] >= shape[1] else M @ start)
+    for got, want in zip(svd_truncated(M, 3, start=np.zeros(shape[1])), svd_truncated(M, 3)):
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("left", [1e-1, 1e-5, 1e-9])
 def test_unit_complement_second_pass(rng, left):
     # w lies in the basis's span but for a part of norm ``left``: one

@@ -14,14 +14,16 @@ across machines explains itself. A trace is hashed by its values, not by
 its record type, so a field added to ``TraceRow`` changes no line. It
 covers the solvers on the benchmark's problems (seeds 1-3),
 ``svd_truncated`` on both sides of ``GKL_MIN_DIM`` at both tolerances and
-with a floor on completion proxies, SVT's shrink of a proxy, SVT on a
-problem scaled by 2^-60 and 2^+60 (its residual far from the measurements'
-scale), ADMiRA and OMP on a Gaussian problem scaled the same way (their
-answers mapped back by ``linalg.rescale``), an entry sampler's ``apply``
-of an F-order and a strided matrix and its ``adjoint``, and every CSV the
-CLI writes from a grid or a diagnostic: ``sweep`` (the determinism
-gate's), ``phase`` and ``compare`` at 1 and 3 worker threads, ``rip``'s
-two files, and the ``complete --trace-out`` CSV of ADMiRA and SVT.
+with a floor on completion proxies, and at SVT's tolerance from a warm
+start on a tall and a wide proxy, SVT's shrink of a proxy, SVT on a wide
+100x140 entry problem, SVT on a problem scaled by 2^-60 and 2^+60 (its
+residual far from the measurements' scale), ADMiRA and OMP on a Gaussian
+problem scaled the same way (their answers mapped back by
+``linalg.rescale``), an entry sampler's ``apply`` of an F-order and a
+strided matrix and its ``adjoint``, and every CSV the CLI writes from a
+grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase`` and
+``compare`` at 1 and 3 worker threads, ``rip``'s two files, and the
+``complete --trace-out`` CSV of ADMiRA and SVT.
 """
 
 import contextlib
@@ -39,7 +41,7 @@ import numpy as np  # noqa: E402
 
 import admira  # noqa: E402
 from admira import baselines, cli, harness, linalg  # noqa: E402
-from admira.atoms import SELECT_TOL  # noqa: E402
+from admira.atoms import SELECT_TOL, empty_expansion  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
@@ -133,8 +135,10 @@ def truncations():
 
 def floored():
     """``svd_truncated`` with a floor midway between sigma_2 and sigma_3 of
-    the complete-200 and complete-1000 proxies (seed 1), and SVT's shrink of
-    the complete-200 one scaled to put tau there (SVT's proxies have two
+    the complete-200 and complete-1000 proxies (seed 1); on the complete-200
+    one and its top 150 rows (a wide operand), also at ``SVT_TOL`` from the
+    sum of a cold call's top two right vectors; and SVT's cold shrink of the
+    complete-200 proxy scaled to put tau there (SVT's proxies have two
     triplets above tau and the third near 0.8 tau), asking for 2 + 1."""
     for n, p in ((200, 8000), (1000, 200_000)):
         prob = harness.gen_problem(n, n, 2, p, seed=1)
@@ -144,10 +148,22 @@ def floored():
         f = linalg.svd_truncated(Y, 3, floor=mid)
         emit(f"svd_truncated/proxy/{n}x{n}/floor/k3", sha(*f))
         if n == 200:
+            start = linalg.svd_truncated(Y, 2)[2].sum(axis=1)
+            for rows in (200, 150):
+                f = linalg.svd_truncated(Y[:rows], 3, baselines.SVT_TOL, mid, start)
+                emit(f"svd_truncated/proxy/{rows}x{n}/start/k3", sha(*f))
             tau = baselines.SVT_TAU_SCALE * n
-            exp = baselines._shrink_expansion(Y * (tau / mid), tau, 3)
+            exp = baselines._shrink_expansion(Y * (tau / mid), tau, 3, empty_expansion(n, n))
             emit("svt_shrink/complete-200/seed1",
                  sha(exp.atoms.left, exp.atoms.right, exp.coeffs))
+
+
+def wide_svt():
+    """SVT on a wide 100x140 entry problem (p = 0.2 m n), whose Krylov
+    kernel runs on the transposed proxy from M @ start."""
+    prob = harness.gen_problem(140, 100, 2, 2800, kind="entry", seed=1)
+    res = baselines.svt_solve(prob.operator, prob.b)
+    emit("svt/wide/100x140", sha(res.matrix(), res.stop_reason, values(res.trace)))
 
 
 def scaled_svt():
@@ -236,6 +252,7 @@ def main() -> None:
     solves()
     truncations()
     floored()
+    wide_svt()
     scaled_svt()
     scaled_greedy()
     sampler()
