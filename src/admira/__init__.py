@@ -39,12 +39,7 @@ from .linalg import (
     least_squares_minnorm,
     svd_truncated,
 )
-from .operators import (
-    EntrySampler,
-    GaussianOperator,
-    MeasurementOperator,
-    MemoryBudgetExceeded,
-)
+from .operators import EntrySampler, GaussianOperator, MeasurementOperator
 from .ripcheck import (
     OrthogonalityReport,
     estimate_delta,

@@ -29,7 +29,7 @@ def _float_list(text):
 
 def cmd_gen(args):
     if (args.p is None) == (args.p_over_dr is None):
-        raise SystemExit("admira: gen takes exactly one of --p and --p-over-dr")
+        raise ValueError("gen takes exactly one of --p and --p-over-dr")
     p = args.p if args.p_over_dr is None else harness.measurement_count(
         args.n, args.m, args.r, args.p_over_dr)
     problem = harness.gen_problem(args.n, args.m, args.r, p, kind=args.kind,
@@ -51,7 +51,7 @@ def cmd_solve(args):
     else:
         rows, cols, b = fileio.load_observed_entries(args.obs)
         if rows.size == 0:
-            raise SystemExit(f"admira: no observed entries in {args.obs}")
+            raise ValueError(f"no observed entries in {args.obs}")
         m = args.m if args.m is not None else int(rows.max()) + 1
         n = args.n if args.n is not None else int(cols.max()) + 1
         op = EntrySampler(m, n, rows, cols)
@@ -72,7 +72,8 @@ def cmd_sweep(args):
     rows = harness.run_sweep(args.n, args.m, args.r, args.p_over_dr, args.trials,
                              args.seed, kind=args.kind, algorithm=args.alg,
                              snr_meas_db=args.snr_meas, max_iter=args.max_iter,
-                             residual_tol=args.tol, threads=args.threads, out=args.out)
+                             residual_tol=args.tol, threads=args.threads)
+    fileio.write_csv(args.out, ["p_over_dr", "p", "mean_snr_db", "mean_iterations"], rows)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
@@ -81,7 +82,10 @@ def cmd_phase(args):
     grid = harness.phase_transition(args.n, args.m, args.p_grid, args.r_grid,
                                     args.trials, args.seed, threshold_db=args.threshold_db,
                                     max_iter=args.max_iter, residual_tol=args.tol,
-                                    threads=args.threads, out=args.out)
+                                    threads=args.threads)
+    fileio.write_csv(args.out, ["p", "r", "successes", "trials"],
+                     [[p, r, count, args.trials] for r, counts in zip(args.r_grid, grid)
+                      for p, count in zip(args.p_grid, counts)])
     print(f"wrote {grid.size} phase cells to {args.out}")
     return 0
 
@@ -89,7 +93,8 @@ def cmd_phase(args):
 def cmd_compare(args):
     rows = harness.compare_table(args.n, args.m, args.r_list, args.p, args.trials,
                                  args.seed, max_iter=args.max_iter,
-                                 residual_tol=args.tol, threads=args.threads, out=args.out)
+                                 residual_tol=args.tol, threads=args.threads)
+    fileio.write_csv(args.out, ["r", "p_over_n2", "p_over_dr", "alg", "snr_db", "iters"], rows)
     print(f"wrote {len(rows)} comparison rows to {args.out}")
     return 0
 

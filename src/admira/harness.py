@@ -4,8 +4,8 @@ phase-transition grids, and algorithm comparison tables.
 Every randomized quantity derives from the master seed through the
 documented splittable scheme, trials run with BLAS pinned to one thread,
 and per-trial results are aggregated in a fixed order, so a run gives the
-same bits for any worker count, on one OpenBLAS build and kernel set. All
-CSV output goes through :mod:`admira.fileio` at full precision.
+same bits for any worker count, on one OpenBLAS build and kernel set. The
+grid functions return rows and counts; writing them is the caller's.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import PursuitConfig, SvtConfig, rank_one_pursuit, svt_solve
-from .fileio import write_csv
 from .linalg import frobenius_norm
 from .operators import OPERATOR_KINDS
 from .seeding import derive_rng, derive_seed
@@ -268,20 +267,16 @@ def run_sweep(
     max_iter: int | None = None,
     residual_tol: float | None = None,
     threads: int = 1,
-    out: str | None = None,
 ):
     """Mean SNR and iteration count as the oversampling ratio p/d_r varies.
 
     Returns one row per ratio: ``[p_over_dr, p, mean_snr_db,
-    mean_iterations]``; also written as CSV when ``out`` is given.
+    mean_iterations]``.
     """
     ps = [measurement_count(n, m, r, ratio) for ratio in p_over_dr]
     groups = _run_cases("sweep", [(n, m, r, p, kind, snr_meas_db, algorithm, (p,)) for p in ps],
                         trials, seed, threads, max_iter, residual_tol)
-    rows = [[ratio, p, *_means(group)] for ratio, p, group in zip(p_over_dr, ps, groups)]
-    if out is not None:
-        write_csv(out, ["p_over_dr", "p", "mean_snr_db", "mean_iterations"], rows)
-    return rows
+    return [[ratio, p, *_means(group)] for ratio, p, group in zip(p_over_dr, ps, groups)]
 
 
 def phase_transition(
@@ -295,13 +290,12 @@ def phase_transition(
     max_iter: int | None = None,
     residual_tol: float | None = None,
     threads: int = 1,
-    out: str | None = None,
 ) -> np.ndarray:
     """Success counts for matrix completion over a (p, r) grid.
 
     A trial succeeds when its reconstruction SNR reaches ``threshold_db``.
     Returns the integer counts, shape ``(len(r_grid), len(p_grid))``: row i
-    holds ``r_grid[i]``. CSV rows are ``p, r, successes, trials``, r-major.
+    holds ``r_grid[i]``.
     """
     if math.isnan(threshold_db):
         raise ValueError(f"the success threshold must be a number of dB, got {threshold_db}")
@@ -310,9 +304,6 @@ def phase_transition(
     cases = [(n, m, r, p, "entry", None, "admira", (r, p)) for r in r_values for p in p_values]
     groups = _run_cases("phase", cases, trials, seed, threads, max_iter, residual_tol)
     successes = [sum(rep.snr_recon_db >= threshold_db for rep in group) for group in groups]
-    if out is not None:
-        write_csv(out, ["p", "r", "successes", "trials"],
-                  [[case[3], case[2], count, trials] for case, count in zip(cases, successes)])
     return np.array(successes).reshape(len(r_values), len(p_values))
 
 
@@ -326,7 +317,6 @@ def compare_table(
     max_iter: int | None = None,
     residual_tol: float | None = None,
     threads: int = 1,
-    out: str | None = None,
 ):
     """Algorithm comparison on identical completion problems.
 
@@ -337,8 +327,5 @@ def compare_table(
     pairs = [(r, alg) for r in r_list for alg in COMPARE_ALGORITHMS]
     groups = _run_cases("compare", [(n, m, r, p, "entry", None, alg, (r,)) for r, alg in pairs],
                         trials, seed, threads, max_iter, residual_tol)
-    rows = [[r, p / (n * m), p / degrees_of_freedom(n, m, r), alg, *_means(group)]
+    return [[r, p / (n * m), p / degrees_of_freedom(n, m, r), alg, *_means(group)]
             for (r, alg), group in zip(pairs, groups)]
-    if out is not None:
-        write_csv(out, ["r", "p_over_n2", "p_over_dr", "alg", "snr_db", "iters"], rows)
-    return rows

@@ -22,17 +22,12 @@ __all__ = [
     "MeasurementOperator",
     "GaussianOperator",
     "EntrySampler",
-    "MemoryBudgetExceeded",
     "DEFAULT_MEMORY_BUDGET",
     "OPERATOR_KINDS",
 ]
 
 # bytes of dense coefficient storage a Gaussian operator may allocate
 DEFAULT_MEMORY_BUDGET = 1 << 30
-
-
-class MemoryBudgetExceeded(MemoryError):
-    """Dense operator storage would exceed ``DEFAULT_MEMORY_BUDGET``."""
 
 
 class MeasurementOperator(ABC):
@@ -102,7 +97,7 @@ class GaussianOperator(MeasurementOperator):
         super().__init__(m, n, p)
         need = 8 * self.p * self.m * self.n
         if need > DEFAULT_MEMORY_BUDGET:
-            raise MemoryBudgetExceeded(
+            raise MemoryError(
                 f"dense operator needs {need} bytes, budget is {DEFAULT_MEMORY_BUDGET}"
             )
         self.seed = seed

@@ -34,9 +34,10 @@ class OrthogonalityReport:
     Pair i has ``lhs[i] = |<A X_i, A Y_i>|`` and the constant-1 bound
     ``bound[i] = delta_hat * ||X_i||_F * ||Y_i||_F``. ``max_ratio`` is the
     largest ``lhs / bound`` (0 for a zero pair under a zero bound, else
-    inf). The sqrt(2) bound ``sqrt(2) * bound`` must never be violated,
-    since ``delta_hat`` covers every tested pair's combinations, while the
-    constant-1 bound (real-field improvement) is tracked informationally.
+    inf). Since ``delta_hat`` covers every tested pair's combinations, the
+    constant-1 bound holds by construction up to rounding, and the sqrt(2)
+    bound ``sqrt(2) * bound`` with room to spare. A ``delta_hat`` at
+    rounding level (an exact isometry) leaves a ratio of noise over noise.
     """
 
     delta_hat: float
@@ -105,11 +106,13 @@ def restricted_orthogonality_check(op, r: int, trials: int, seed: int) -> Orthog
     Pairs (X, Y) with disjoint singular supports (Frobenius-orthogonal,
     rank(X) + rank(Y) <= r) are sampled; ``delta_hat`` is the plain
     `estimate_delta` raised to the deviation of every tested pair's
-    normalized combinations ``X/||X|| +- Y/||Y||``, which makes
-    ``|<A X, A Y>| <= sqrt(2) * delta_hat * ||X||_F * ||Y||_F`` hold by the
-    parallelogram identity. Violations of the sqrt(2) bound are therefore
-    implementation failures; the tighter constant-1 bound (real field) is
-    only counted.
+    normalized combinations ``X/||X|| +- Y/||Y||``. For the unit pair x, y
+    and z = (x +- y)/||x +- y||, ``||x +- y||^2 = 2 +- 2<x, y>`` and the
+    parallelogram identity give ``|<A x, A y>| <= delta_hat + |<x, y>|``,
+    and ``<x, y>`` is at rounding level, so the constant-1 bound
+    ``|<A X, A Y>| <= delta_hat * ||X||_F * ||Y||_F`` holds up to rounding
+    in the real field, and the sqrt(2) bound with it. Unless ``delta_hat``
+    is itself at rounding level, a violation is an implementation failure.
     """
     if r < 2:
         raise ValueError("r must be at least 2 to split between two matrices")

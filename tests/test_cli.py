@@ -85,6 +85,7 @@ class TestDeterminism:
         assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
         assert main(args + ["--threads", "3", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        assert read_lines(out1)[0] == "p_over_dr,p,mean_snr_db,mean_iterations"
 
     def test_phase_identical_across_runs(self, tmp_path):
         args = ["phase", "--n", "10", "--m", "10", "--p-grid", "40,100",
@@ -176,6 +177,26 @@ class TestOptionSets:
             assert alg.choices == list(admira.harness.ALGORITHMS)
 
 
+class TestGridFiles:
+    # the grid functions return data; the CLI writes their CSVs
+    def test_phase_lines_are_r_major(self, tmp_path):
+        out = tmp_path / "phase.csv"
+        assert main(["phase", "--n", "8", "--m", "8", "--p-grid", "64", "--r-grid", "1,2",
+                     "--trials", "3", "--seed", "31", "--out", str(out)]) == 0
+        assert read_lines(out) == ["p,r,successes,trials", "64,1,3,3", "64,2,3,3"]
+
+
+def test_import_leaves_file_layer_unloaded():
+    # only the CLI writes files: the library alone loads neither module
+    src = os.path.dirname(os.path.dirname(admira.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, admira\n"
+            "print([m for m in ('admira.fileio', 'admira.cli') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestCompareRip:
     def test_compare_schema(self, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -184,7 +205,7 @@ class TestCompareRip:
                      "--out", str(out)]) == 0
         lines = read_lines(out)
         assert lines[0] == "r,p_over_n2,p_over_dr,alg,snr_db,iters"
-        assert len(lines) == 3
+        assert [line.split(",")[3] for line in lines[1:]] == ["admira", "svt"]
 
     def test_rip_outputs(self, tmp_path, capsys):
         out = tmp_path / "rip.csv"

@@ -164,15 +164,12 @@ class TestRunTrial:
 
 
 class TestRunSweep:
-    def test_full_sampling_recovers(self, tmp_path):
-        out = tmp_path / "sweep.csv"
+    def test_full_sampling_recovers(self):
         dr = degrees_of_freedom(10, 10, 1)
-        rows = run_sweep(10, 10, 1, [100 / dr], trials=3, seed=21, out=str(out))
+        rows = run_sweep(10, 10, 1, [100 / dr], trials=3, seed=21)
         assert rows[0][1] == 100  # p capped at m*n
         assert rows[0][2] >= 140.0  # exact recovery
         assert rows[0][3] <= 2.0
-        header = out.read_text().splitlines()[0]
-        assert header == "p_over_dr,p,mean_snr_db,mean_iterations"
 
     def test_snr_improves_with_sampling(self):
         rows = run_sweep(16, 16, 1, [3.0, 8.0], trials=4, seed=22, max_iter=30)
@@ -183,11 +180,9 @@ class TestRunSweep:
         threaded = run_sweep(12, 12, 1, [4.0], trials=4, seed=23, threads=3)
         assert serial == threaded
 
-    def test_empty_ratio_list_rejected(self, tmp_path):
-        out = tmp_path / "sweep.csv"
+    def test_empty_ratio_list_rejected(self):
         with pytest.raises(ValueError, match="the sweep grid is empty"):
-            run_sweep(12, 12, 1, [], trials=1, seed=0, out=str(out))
-        assert not out.exists()
+            run_sweep(12, 12, 1, [], trials=1, seed=0)
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_rejected(self, threads):
@@ -196,13 +191,10 @@ class TestRunSweep:
 
 
 class TestPhaseTransition:
-    def test_full_sampling_cell_all_succeed(self, tmp_path):
-        out = tmp_path / "phase.csv"
-        successes = phase_transition(8, 8, [64], [1, 2], trials=3, seed=31, out=str(out))
+    def test_full_sampling_cell_all_succeed(self):
+        successes = phase_transition(8, 8, [64], [1, 2], trials=3, seed=31)
         np.testing.assert_array_equal(successes, [[3], [3]])
         assert successes.dtype.kind == "i"
-        lines = out.read_text().splitlines()
-        assert lines == ["p,r,successes,trials", "64,1,3,3", "64,2,3,3"]
 
     def test_undersampled_cell_always_fails(self):
         # p below the degree count cannot support recovery
@@ -221,13 +213,10 @@ class TestPhaseTransition:
 
 
 class TestCompareTable:
-    def test_schema_and_ordering(self, tmp_path):
-        out = tmp_path / "cmp.csv"
-        rows = compare_table(14, 14, [1], 196, trials=2, seed=41, out=str(out))
+    def test_schema_and_ordering(self):
+        rows = compare_table(14, 14, [1], 196, trials=2, seed=41)
         assert [r[3] for r in rows] == ["admira", "svt"]
         assert rows[0][1] == 1.0  # p / n^2 for exhaustive sampling
-        header = out.read_text().splitlines()[0]
-        assert header == "r,p_over_n2,p_over_dr,alg,snr_db,iters"
 
     def test_shared_problems_between_algorithms(self):
         rows = compare_table(12, 12, [1], 100, trials=2, seed=42)

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admira.atoms import AtomExpansion, AtomSet, assemble, empty_expansion
-from admira.operators import (
-    OPERATOR_KINDS,
-    EntrySampler,
-    GaussianOperator,
-    MemoryBudgetExceeded,
-)
+from admira.operators import OPERATOR_KINDS, EntrySampler, GaussianOperator
 
 
 def random_expansion(m, n, t, rng):
@@ -58,9 +53,8 @@ class TestGaussianOperator:
 
     def test_memory_budget(self):
         # 8 * 20000 * 100 * 100 bytes = 1.6 GB: refused before anything is allocated
-        with pytest.raises(MemoryBudgetExceeded):
+        with pytest.raises(MemoryError, match="dense operator needs"):
             GaussianOperator(100, 100, 20000, seed=0)
-        assert issubclass(MemoryBudgetExceeded, MemoryError)
 
     def test_empty_dimension_rejected(self):
         with pytest.raises(ValueError, match="m, n and p must be positive"):

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from admira.atoms import vectorize
@@ -200,6 +200,25 @@ class TestRestrictedOrthogonality:
         assert rep.max_ratio == max(ratios)
         assert rep.violations_sqrt2 == sum(a > np.sqrt(2.0) * b for a, b in pairs) == 0
         assert rep.violations_1 == sum(a > b for a, b in pairs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(3, 8), n=st.integers(3, 8), r=st.integers(2, 8), entry=st.booleans(),
+           frac=st.floats(0.2, 3.0), op_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16),
+           trials=st.integers(1, 10))
+    def test_constant_one_bound_holds(self, m, n, r, entry, frac, op_seed, seed, trials):
+        # for the unit pair x, y, delta_hat covers | ||A z||^2 - 1 | at
+        # z = (x +- y)/||x +- y||, and ||x +- y||^2 = 2 +- 2<x, y>, so the
+        # parallelogram identity gives |<A x, A y>| <= delta_hat + |<x, y>|,
+        # where <x, y> is at rounding level; a delta_hat at rounding level
+        # leaves noise over noise (an exact isometry), so it is skipped
+        r = min(r, m, n)
+        p = max(1, round(frac * m * n))
+        op = (EntrySampler.random(m, n, min(p, m * n - 1), op_seed) if entry
+              else GaussianOperator(m, n, p, op_seed))
+        rep = restricted_orthogonality_check(op, r, trials, seed)
+        assume(rep.delta_hat > 1e-6)
+        assert rep.violations_1 == 0
+        assert rep.max_ratio <= 1.0
 
     @pytest.mark.parametrize("r, lhs, max_ratio, violations", [
         (3, 0.0, 0.0, 0), (2, 1.0, np.inf, 1)])
