@@ -97,20 +97,23 @@ def empty_expansion(m: int, n: int) -> AtomExpansion:
     return AtomExpansion(AtomSet(np.zeros((m, 0)), np.zeros((n, 0))), np.zeros(0))
 
 
-def leading_atoms(M, k: int) -> AtomExpansion:
+def leading_atoms(M, k: int, work=None) -> AtomExpansion:
     """Best orthonormal atom selection for ``M``: its top-k singular triplets.
 
     Coefficients are the singular values. Negligible triplets are dropped,
     so fewer than ``k`` atoms may come back; a zero matrix yields an empty
     expansion (nothing worth selecting) rather than an error. Among all atom
     sets of size <= k this maximizes the Frobenius norm of the projection of
-    ``M``, to within ``SELECT_TOL``: each triplet's Ritz residual is below
-    ``SELECT_TOL * sigma_1`` (exact to rounding on the dense path).
+    ``M``, to within ``SELECT_TOL``: each triplet's residual is below
+    ``SELECT_TOL * sigma_1`` in float64 (exact to rounding on the dense
+    path). From ``linalg.SINGLE_MIN_DIM`` rows and columns the Krylov
+    products read a float32 copy of ``M``, held in ``work`` past ``M``'s
+    m n doubles when it has room (see `svd_truncated`). The atoms share no
+    memory with ``M`` or ``work``.
     """
-    # svd_truncated checks that M is 2-d and finite and that k >= 1; one scan
-    # of the proxy is enough
+    # svd_truncated checks that M is 2-d and finite and that k >= 1
     A = np.asarray(M, dtype=float)
-    U, sigma, V = svd_truncated(A, min(k, min(A.shape)), SELECT_TOL)
+    U, sigma, V = svd_truncated(A, min(k, min(A.shape)), SELECT_TOL, work=work)
     return AtomExpansion(AtomSet(U, V), sigma)
 
 

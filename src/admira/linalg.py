@@ -61,6 +61,36 @@ GKL_CLOSE = 1e-8
 # results are deterministic and the global NumPy random state is never read
 GKL_SEED = 20090106
 
+# svd_truncated reads M as given while ||M||_F^2 lies in [1/SCALE_RANGE,
+# SCALE_RANGE] (or M is zero), where neither the kernel's float32 products
+# nor its float64 squares come near over- or underflow; any other M goes in
+# through unit_scale (a dot product of 2^-540 M underflows, one of 2^510 M
+# overflows, and LAPACK rescales by factors that are not powers of two)
+SCALE_RANGE = 2.0**60
+
+# at a tol of at least SINGLE_MIN_TOL and from min(m, n) = SINGLE_MIN_DIM,
+# the kernel's products read a float32 copy of M: a float32 GEMV carries
+# about sqrt(n) 2^-24 relative error (2e-6 at n = 1000), so SVT_TOL and
+# GKL_TOL stay float64. The GEMV costs half once M no longer fits in cache;
+# the copy and the float64 check cost about five GEMVs (ms per ADMiRA
+# iteration, p = 0.2 m n completion, rank 2, one BLAS thread of a 2-core
+# x86-64 Xeon VM, float64 -> float32: 1.10 -> 1.17 at 150, 1.23 -> 1.24 at
+# 200, 1.76 -> 1.76 at 300, 2.31 -> 2.23 at 350, 2.75 -> 2.46 at 400, 4.19
+# -> 3.43 at 500, 9.99 -> 7.11 at 700, 18.9 -> 15.7 at 1000)
+SINGLE_MIN_TOL = 1e-5
+SINGLE_MIN_DIM = 400
+
+# float32 products blur singular values near 1e-6 sigma_1, which a residual
+# below tol * sigma_1 cannot tell from noise: the float32 path's triplets
+# hold only with sigma_k above SINGLE_MIN_SIGMA * sigma_1
+SINGLE_MIN_SIGMA = 1e-3
+
+# the float64 check reads M in blocks of CHECK_BLOCK entries, each block for
+# both products while it is in cache (ms at 1000^2, k = 4: 0.44 in blocks of
+# 2^16 or 2^17, 0.97 in one GEMM, which also packs M into 0.5 MB more of
+# BLAS buffers; one GEMV takes 0.23)
+CHECK_BLOCK = 2**16
+
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Validate and convert ``M`` to a 2-d float array with finite entries."""
@@ -72,9 +102,10 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def _finalize_triplets(U, s, V, k):
+def _finalize_triplets(U, s, V, k, e: int = 0):
     """The top k triplets without negligible ones, each pair (u_j, v_j)
-    flipped so the first nonzero entry of u_j is positive."""
+    flipped so the first nonzero entry of u_j is positive; the kept sigmas
+    are mapped back from the scale ``2^-e`` that `unit_scale` took."""
     s = np.asarray(s[:k], dtype=float)
     if s[0] <= 0.0:
         return np.zeros((U.shape[0], 0)), np.zeros(0), np.zeros((V.shape[0], 0))
@@ -87,10 +118,12 @@ def _finalize_triplets(U, s, V, k):
     sign = np.sign(U[lead, np.arange(U.shape[1])])
     U *= sign
     V *= sign
-    return U, s[keep], V
+    s = s[keep]
+    return U, rescale(s, e, "a singular value", "the matrix") if e else s, V
 
 
-def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf, start=None) -> tuple:
+def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf, start=None,
+                  work=None) -> tuple:
     """Top-k singular triplets ``(U, sigma, V)`` of ``M ~ U @ diag(sigma) @ V.T``.
 
     ``U`` (m, k) and ``V`` (n, k) have orthonormal columns (``V``, not the
@@ -103,9 +136,21 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf, start
     with sigma below ``NEGLIGIBLE_SIGMA * sigma_1`` are dropped, so the
     returned factor count can be smaller than ``k`` (zero for a zero matrix).
 
+    Either path runs on ``M`` scaled by a power of two into a safe range
+    (see ``SCALE_RANGE``), so ``svd_truncated(2^e M)`` gives ``U``, ``2^e
+    sigma`` and ``V`` at any finite scale; a sigma past the double range is
+    a ``ValueError``. At a ``tol`` of at least ``SINGLE_MIN_TOL`` and from
+    ``SINGLE_MIN_DIM`` rows and columns, the kernel's products read a
+    float32 copy of ``M``; the triplets it returns are checked once against
+    ``M`` in float64, and kept only if each has ``max(||M v - sigma u||,
+    ||M^T u - sigma v||) <= tol * sigma_1`` and sigma_k exceeds
+    ``SINGLE_MIN_SIGMA * sigma_1``. Otherwise the call runs again in float64
+    from the seeded start, as it would have without the copy.
+
     Parameters
     ----------
     M : array_like, shape (m, n)
+        Finite entries, else ``ValueError("matrix contains non-finite entries")``.
     k : int
         Number of triplets requested, ``1 <= k <= min(m, n)``.
     tol : float
@@ -115,20 +160,90 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf, start
         Krylov stop under triplets that met ``tol``: sigma + FLOOR_MARGIN residuals <= floor.
     start : array_like, shape (n,), optional
         Warm Krylov start, near the top right singular vectors; a zero one is ignored.
+    work : float64 array, optional
+        Scratch whose part past its first m n entries may hold the float32
+        copy (the solver's ``op.scratch``, whose head holds ``M``); without
+        room there, or without ``work``, the copy is a new array.
     """
-    A = as_matrix(M)
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"matrix must be 2-dimensional, got shape {A.shape}")
     kmax = min(A.shape)
+    copy = _single_copy(A, work) if tol >= SINGLE_MIN_TOL and kmax >= SINGLE_MIN_DIM else None
+    X, e = _scaled(A, A if copy is None else copy)
     if not 1 <= k <= kmax:
         raise ValueError(f"k must be in [1, {kmax}], got {k}")
     if kmax < GKL_MIN_DIM:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
-        V = Vt.T
-    elif A.shape[0] >= A.shape[1]:
-        U, s, V = _gkl_topk(A.__matmul__, A.T.__matmul__, *A.shape, k, tol, floor, start)
-    else:
-        V, s, U = _gkl_topk(A.T.__matmul__, A.__matmul__, *A.T.shape, k, tol, floor,
-                            None if start is None else A @ start)
-    return _finalize_triplets(U, s, V, k)
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        return _finalize_triplets(U, s, Vt.T, k, e)
+    if copy is not None:
+        if e:
+            copy[...] = X
+        found = _krylov(copy, X, k, tol, floor, start)
+        if _holds(X, *found, tol):
+            return _finalize_triplets(*found, k, e)
+    return _finalize_triplets(*_krylov(X, X, k, tol, floor, start), k, e)
+
+
+def _scaled(A, x) -> tuple[np.ndarray, int]:
+    """``(A, 0)`` while the sum of squares of ``x``, ``A`` or its float32
+    copy, lies in [1/SCALE_RANGE, SCALE_RANGE] or A is zero, else
+    `unit_scale(A)`; a ``ValueError`` when A holds a NaN or an infinity."""
+    with np.errstate(over="ignore"):
+        squares = float(np.vdot(x, x))
+    if 1.0 / SCALE_RANGE <= squares <= SCALE_RANGE:
+        return A, 0
+    if not math.isfinite(squares) and not np.isfinite(A).all():
+        raise ValueError("matrix contains non-finite entries")
+    return (A, 0) if squares == 0.0 and not A.any() else unit_scale(A)
+
+
+def _single_copy(A, work) -> np.ndarray:
+    """A float32 copy of ``A``, held in ``work`` past its first A.size
+    doubles when it fits there without overlapping ``A``."""
+    size = A.size + (A.size + 1) // 2
+    copy = None
+    if work is not None and work.size >= size:
+        copy = work[A.size:size].view(np.float32)[:A.size].reshape(A.shape)
+    if copy is None or np.may_share_memory(copy, A):
+        copy = np.empty(A.shape, np.float32)
+    with np.errstate(over="ignore"):  # an entry past float32's range is inf in the copy
+        copy[...] = A
+    return copy
+
+
+def _krylov(A, X, k, tol, floor, start) -> tuple:
+    """The kernel's top-k triplets ``(U, s, V)`` of ``A``, run on ``A^T``
+    when it is wide (the start then maps through the float64 ``X``); a
+    float32 ``A`` takes the kernel's vectors and hands back float64 products."""
+    def product(B):
+        if B.dtype == np.float64:
+            return B.__matmul__
+        return lambda x: (B @ x.astype(B.dtype)).astype(float)
+
+    if A.shape[0] >= A.shape[1]:
+        return _gkl_topk(product(A), product(A.T), *A.shape, k, tol, floor, start)
+    V, s, U = _gkl_topk(product(A.T), product(A), *A.T.shape, k, tol, floor,
+                        None if start is None else X @ start)
+    return U, s, V
+
+
+def _holds(X, U, s, V, tol: float) -> bool:
+    """Whether float32-path triplets of ``X`` hold in float64: sigma_k above
+    ``SINGLE_MIN_SIGMA * sigma_1``, and each residual within ``tol * sigma_1``.
+    ``X V`` and ``U^T X`` are formed together, ``CHECK_BLOCK`` entries of X
+    at a time, so each block is read from memory once."""
+    if not s[-1] > SINGLE_MIN_SIGMA * s[0]:
+        return False
+    XV, UX = np.empty(U.shape), np.zeros(V.T.shape)
+    rows = max(1, CHECK_BLOCK // X.shape[1])
+    for i in range(0, X.shape[0], rows):
+        block = X[i:i + rows]
+        np.matmul(block, V, out=XV[i:i + rows])
+        UX += U[i:i + rows].T @ block
+    res = np.maximum(np.linalg.norm(XV - U * s, axis=0),
+                     np.linalg.norm(UX - s[:, None] * V.T, axis=1))
+    return bool(res.max() <= tol * s[0])
 
 
 def _unit_complement(w, basis, rng, floor):
@@ -274,11 +389,11 @@ def unit_scale(v) -> tuple[np.ndarray, int]:
     return np.ldexp(v, -e), e
 
 
-def rescale(x, e: int, what: str = "the solution"):
+def rescale(x, e: int, what: str = "the solution", of: str = "b"):
     """``x * 2^e``, exact; a ``ValueError`` naming ``what`` when a value is past
-    the double range at the scale ``e`` that `unit_scale` took from ``b``."""
+    the double range at the scale ``e`` that `unit_scale` took from ``of``."""
     with np.errstate(over="ignore"):
         y = np.ldexp(x, e)
     if not np.isfinite(y).all():
-        raise ValueError(f"{what} is past the double range at the scale of b")
+        raise ValueError(f"{what} is past the double range at the scale of {of}")
     return y

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admira import linalg
+from admira import harness, linalg
 from admira.atoms import (
     SELECT_TOL,
     AtomExpansion,
@@ -15,6 +15,7 @@ from admira.atoms import (
     truncate_expansion,
 )
 from admira.linalg import frobenius_norm
+from admira.solver import admira_step
 
 from oracles import projection, projection_norm_orthonormal, random_orthonormal_atoms
 
@@ -145,6 +146,69 @@ class TestLeadingAtoms:
         assert len(exp) == 4
         for part in (exp.atoms.left, exp.atoms.right, exp.coeffs):
             assert not np.shares_memory(part, M)
+
+
+class TestSingleSelection:
+    """Selection from ``linalg.SINGLE_MIN_DIM`` rows and columns, whose Krylov
+    products read a float32 copy of the proxy."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(extra=st.integers(0, 40), wide=st.booleans(), k=st.integers(1, 4),
+           gaps=st.lists(st.floats(0.01, 0.5), min_size=49, max_size=49),
+           scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**31))
+    def test_within_tolerance(self, extra, wide, k, gaps, scale, seed):
+        # test_loose_selection_within_tolerance's contract, in float64, on
+        # rank-50 spectra whose consecutive values are at least 1% apart
+        rng = np.random.default_rng(seed)
+        m, n = linalg.SINGLE_MIN_DIM + extra, linalg.SINGLE_MIN_DIM
+        if wide:
+            m, n = n, m
+        sigma = scale * np.cumprod([1.0, *(1.0 - np.array(gaps))])
+        qu, _ = np.linalg.qr(rng.standard_normal((m, 50)))
+        qv, _ = np.linalg.qr(rng.standard_normal((n, 50)))
+        M = (qu * sigma) @ qv.T
+        exp = leading_atoms(M, k)
+        U, s, V = exp.atoms.left, exp.coeffs, exp.atoms.right
+        assert len(exp) == k
+        res = np.maximum(np.linalg.norm(M @ V - U * s, axis=0),
+                         np.linalg.norm(M.T @ U - V * s, axis=0))
+        assert res.max() <= (SELECT_TOL + 1e-12) * sigma[0]
+        captured = np.sum(np.einsum("mk,mn,nk->k", U, M, V) ** 2)
+        assert captured >= np.sum(sigma[:k] ** 2) - k * SELECT_TOL * sigma[0] ** 2
+        np.testing.assert_allclose(U.T @ U, np.eye(k), atol=1e-12)
+        np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
+
+    def test_copy_lives_in_work_and_atoms_share_nothing(self, rng):
+        # the solver's work array holds the proxy at its head; the float32
+        # copy goes past it, and the atoms own their memory
+        n = linalg.SINGLE_MIN_DIM
+        work = np.full(3 * n * n, np.nan)
+        M = work[:n * n].reshape(n, n)
+        M[...] = rng.standard_normal((n, n))
+        want = M.copy()
+        exp = leading_atoms(M, 4, work)
+        assert len(exp) == 4
+        np.testing.assert_array_equal(M, want)
+        np.testing.assert_array_equal(work[n * n:].view(np.float32)[:n * n],
+                                      want.astype(np.float32).ravel())
+        for part in (exp.atoms.left, exp.atoms.right, exp.coeffs):
+            assert not np.shares_memory(part, work)
+        np.testing.assert_array_equal(exp.coeffs, leading_atoms(want, 4).coeffs)
+
+    def test_complete_1000_selection_runs_the_kernel_once(self, monkeypatch):
+        # the benchmark's complete-1000 problem (seed 1): each of the solve's
+        # first three selections passes the float64 check on its first run;
+        # a path that always fell back would pass every other test
+        prob = harness.gen_problem(1000, 1000, 2, 200_000, seed=1)
+        op, b = prob.operator, prob.b
+        kernel, calls = linalg._gkl_topk, []
+        monkeypatch.setattr(linalg, "_gkl_topk", lambda *args: calls.append(1)
+                            or kernel(*args))
+        work = op.scratch(6)
+        expansion, residual = empty_expansion(1000, 1000), b
+        for step in range(1, 4):
+            expansion, residual = admira_step(op, b, expansion, residual, 2, work)
+            assert len(calls) == step
 
 
 class TestMerge:

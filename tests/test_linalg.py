@@ -543,3 +543,80 @@ class TestScaleRule:
             rescale(1.0, 1024, "the residual norm")
         with pytest.raises(ValueError, match="^the solution is past the double range"):
             rescale(np.array([1.0, 0.5]), 1024)
+
+
+# one shape per path: LAPACK's, the Krylov kernel's in float64 (wide), and
+# the kernel's with float32 products (tall, at SINGLE_MIN_DIM)
+SCALE_SHAPES = {"dense": (50, 47), "float64": (120, 127),
+                "float32": (linalg.SINGLE_MIN_DIM + 7, linalg.SINGLE_MIN_DIM)}
+
+
+@pytest.mark.parametrize("side", sorted(SCALE_SHAPES))
+@settings(max_examples=25, deadline=None)
+@given(e=st.integers(-1000, 1000), seed=st.integers(0, 2**31))
+# unscaled, the kernel's dot of the 2^-540 matrix underflows (no triplets
+# came back) and one of the 2^510 matrix overflows (it never stopped), and
+# LAPACK rescales both by factors that are not powers of two
+@example(e=-540, seed=0)
+@example(e=510, seed=0)
+def test_exact_at_any_scale(side, e, seed):
+    # entries are multiples of 2^-20 below 2^10 in size, so 2^e M is exact
+    shape = SCALE_SHAPES[side]
+    assert (min(shape) >= linalg.GKL_MIN_DIM) == (side != "dense")
+    assert (min(shape) >= linalg.SINGLE_MIN_DIM) == (side == "float32")
+    rng = np.random.default_rng(seed)
+    M = np.ldexp(np.round(np.ldexp(rng.standard_normal(shape), 20)), -20)
+    U, sigma, V = svd_truncated(M, 4, linalg.SINGLE_MIN_TOL)
+    got = svd_truncated(np.ldexp(M, e), 4, linalg.SINGLE_MIN_TOL)
+    assert len(sigma) == 4
+    for have, want in zip(got, (U, np.ldexp(sigma, e), V)):
+        np.testing.assert_array_equal(have, want)
+
+
+def kernel_calls(monkeypatch) -> list:
+    """Record every run of the Krylov kernel from here on."""
+    kernel, calls = linalg._gkl_topk, []
+    monkeypatch.setattr(linalg, "_gkl_topk", lambda *args: calls.append(args[2:4])
+                        or kernel(*args))
+    return calls
+
+
+@pytest.mark.parametrize("spectrum", [[1.0, 1e-7, 1e-9], [1.0, 1e-6, 1e-6, 1e-6, 1e-9]],
+                         ids=["small", "closed_block"])
+def test_single_fallback_is_the_float64_call(rng, monkeypatch, spectrum):
+    # triplets this far below sigma_1 are float32 noise that a residual below
+    # SELECT_TOL * sigma_1 cannot tell apart, so the float32 path hands the
+    # call back, and it ends bit for bit where the float64 call does
+    n = linalg.SINGLE_MIN_DIM
+    M = spectrum_matrix(rng, n + 10, n, spectrum)
+    k = min(len(spectrum), 4)
+    calls = kernel_calls(monkeypatch)
+    got = svd_truncated(M, k, linalg.SINGLE_MIN_TOL)
+    assert len(calls) == 2
+    monkeypatch.setattr(linalg, "SINGLE_MIN_DIM", 10**9)
+    want = svd_truncated(M, k, linalg.SINGLE_MIN_TOL)
+    assert len(calls) == 3
+    for have, expected in zip(got, want):
+        np.testing.assert_array_equal(have, expected)
+    np.testing.assert_allclose(got[1], spectrum[:k], rtol=1e-6)
+
+
+@pytest.mark.parametrize("n", [150, linalg.SINGLE_MIN_DIM], ids=["float64", "float32"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_krylov_paths_reject_nonfinite(rng, n, bad):
+    M = rng.standard_normal((n, n))
+    M[7, 3] = bad
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        svd_truncated(M, 4, linalg.SINGLE_MIN_TOL)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [150, linalg.SINGLE_MIN_DIM], ids=["float64", "float32"])
+def test_entry_past_float32_range_is_finite(rng, n):
+    # 1e300 is past float32's range but finite: the call scales M, and the
+    # entry's rank-one triplet leaves the others below the negligible cut
+    M = rng.standard_normal((n, n))
+    M[7, 3] = 1e300
+    U, sigma, V = svd_truncated(M, 4, linalg.SINGLE_MIN_TOL)
+    np.testing.assert_allclose(sigma, [1e300], rtol=1e-12)
+    np.testing.assert_allclose([U[7, 0], V[3, 0]], [1.0, 1.0], rtol=1e-12)

@@ -13,16 +13,18 @@ path on stderr, so a run shows which library it digested. Its first line,
 across machines explains itself. A trace is hashed by its values, not by
 its record type, so a field added to ``TraceRow`` changes no line. It
 covers the solvers on the benchmark's problems (seeds 1-3),
-``svd_truncated`` on both sides of ``GKL_MIN_DIM`` at both tolerances and
-with a floor on completion proxies, and at SVT's tolerance from a warm
-start on a tall and a wide proxy, SVT's shrink of a proxy, SVT on a wide
-100x140 entry problem, SVT on a problem scaled by 2^-60 and 2^+60 (its
-residual far from the measurements' scale), ADMiRA and OMP on a Gaussian
-problem scaled the same way (their answers mapped back by
-``linalg.rescale``), an entry sampler's ``apply`` of an F-order and a
-strided matrix and its ``adjoint``, and every CSV the CLI writes from a
-grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase`` and
-``compare`` at 1 and 3 worker threads, ``rip``'s two files, and the
+``svd_truncated`` on both sides of ``GKL_MIN_DIM`` at both tolerances (the
+1000x1000 matrix at ``SELECT_TOL`` on its float32 path), at ``SELECT_TOL``
+on a 410x400 matrix whose float32 path falls back to float64 and on a
+120x127 one scaled by 2^-540, with a floor on completion proxies, and at
+SVT's tolerance from a warm start on a tall and a wide proxy, SVT's shrink
+of a proxy, SVT on a wide 100x140 entry problem, SVT on a problem scaled
+by 2^-60 and 2^+60 (its residual far from the measurements' scale), ADMiRA
+and OMP on a Gaussian problem scaled the same way (their answers mapped
+back by ``linalg.rescale``), an entry sampler's ``apply`` of an F-order
+and a strided matrix and its ``adjoint``, and every CSV the CLI writes
+from a grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase``
+and ``compare`` at 1 and 3 worker threads, ``rip``'s two files, and the
 ``complete --trace-out`` CSV of ADMiRA and SVT.
 """
 
@@ -69,7 +71,8 @@ COMPLETE = ["--n", "20", "--m", "20", "--r", "2", "--max-iter", "40"]
 RIP = ["rip", "--n", "8", "--m", "8", "--r", "2", "--p", "120", "--samples", "40",
        "--pairs", "30", "--seed", "20113"]
 
-# matrices of svd_truncated, each on both sides of GKL_MIN_DIM = 100
+# matrices of svd_truncated, each on both sides of GKL_MIN_DIM = 100 (and
+# square 1000x1000 above SINGLE_MIN_DIM = 400)
 MATRICES = {
     "tall": ((60, 40), (300, 120)),
     "wide": ((40, 60), (120, 300)),
@@ -122,6 +125,9 @@ def matrix(kind: str, shape, rng) -> np.ndarray:
 
 
 def truncations():
+    """``MATRICES`` at both tolerances; then, at ``SELECT_TOL``, a 410x400
+    matrix with singular values 1, 1e-7 and 1e-9, which the float32 path
+    hands back to float64, and a 120x127 Gaussian one scaled by 2^-540."""
     rng = np.random.default_rng(20090106)
     for kind, shapes in MATRICES.items():
         for shape in shapes:
@@ -131,6 +137,12 @@ def truncations():
                     f = linalg.svd_truncated(M, k, tol)
                     emit(f"svd_truncated/{kind}/{shape[0]}x{shape[1]}/{tol_name}/k{k}",
                          sha(*f))
+    qu, _ = np.linalg.qr(rng.standard_normal((410, 3)))
+    qv, _ = np.linalg.qr(rng.standard_normal((400, 3)))
+    f = linalg.svd_truncated((qu * [1.0, 1e-7, 1e-9]) @ qv.T, 3, SELECT_TOL)
+    emit("svd_truncated/fallback/410x400/SELECT_TOL/k3", sha(*f))
+    f = linalg.svd_truncated(np.ldexp(rng.standard_normal((120, 127)), -540), 4, SELECT_TOL)
+    emit("svd_truncated/scaled/120x127/2^-540/SELECT_TOL/k4", sha(*f))
 
 
 def floored():
