@@ -137,8 +137,8 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf, start
     returned factor count can be smaller than ``k`` (zero for a zero matrix).
 
     Either path runs on ``M`` scaled by a power of two into a safe range
-    (see ``SCALE_RANGE``), so ``svd_truncated(2^e M)`` gives ``U``, ``2^e
-    sigma`` and ``V`` at any finite scale; a sigma past the double range is
+    (see ``SCALE_RANGE``), ``floor`` with it, so ``svd_truncated(2^e M)``
+    gives ``U``, ``2^e sigma`` and ``V`` at any finite scale; a sigma past the double range is
     a ``ValueError``. At a ``tol`` of at least ``SINGLE_MIN_TOL`` and from
     ``SINGLE_MIN_DIM`` rows and columns, the kernel's products read a
     float32 copy of ``M``; the triplets it returns are checked once against
@@ -176,6 +176,9 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf, start
     if kmax < GKL_MIN_DIM:
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
         return _finalize_triplets(U, s, Vt.T, k, e)
+    if e:  # the floor is compared with the Ritz values of X
+        with np.errstate(over="ignore"):  # past the range, it is above every sigma
+            floor = np.ldexp(floor, -e)
     if copy is not None:
         if e:
             copy[...] = X

@@ -17,7 +17,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .atoms import AtomExpansion, AtomSet, assemble, vectorize
-from .linalg import SINGLE_MIN_DIM
 
 __all__ = [
     "MeasurementOperator",
@@ -164,16 +163,12 @@ class EntrySampler(MeasurementOperator):
         return np.take(self._check_matrix(X), self.flat)
 
     def scratch(self, t: int) -> np.ndarray:
-        # the proxy, with selection's float32 copy of it past its end from
-        # SINGLE_MIN_DIM on, and then the two gathers: never alive at once
-        size = self.m * self.n
-        if min(self.m, self.n) >= SINGLE_MIN_DIM:
-            size += (size + 1) // 2
-        return np.empty(max(size, 2 * self.p * t))
+        # the proxy (with selection's float32 copy past it when there is
+        # room) and the two gathers are never alive at once
+        return np.empty(max(self.m * self.n, 2 * self.p * t))
 
     def adjoint(self, y, work=None) -> np.ndarray:
-        size = self.m * self.n
-        Z = (np.empty(size) if work is None else work)[:size].reshape(self.m, self.n)
+        Z = (self.scratch(0) if work is None else work)[:self.m * self.n].reshape(self.m, self.n)
         Z.fill(0.0)  # zeroing mapped memory costs less than faulting in fresh pages
         np.put(Z, self.flat, self._check_vector(y))
         return Z

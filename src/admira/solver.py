@@ -141,8 +141,8 @@ def admira_step(op, b, expansion: AtomExpansion, residual, rank: int,
     set (at most 3r atoms total), re-fits over the merged span, truncates
     back to rank r, and returns the new ``(expansion, residual)``. A zero
     proxy cannot make progress and returns ``None``. ``work``, from
-    ``op.scratch(3 * rank)``, holds the proxy and selection's float32 copy
-    of it, and then the fit's gathers.
+    ``op.scratch(3 * rank)``, holds the proxy (and selection's float32 copy
+    of it, when there is room), and then the fit's gathers.
     """
     selection = leading_atoms(proxy(op, residual, work), 2 * rank, work)
     if len(selection) == 0:

@@ -290,6 +290,21 @@ class TestSvt:
         assert res.iterations == len(res.trace)
         assert all(np.isfinite(row.rel_residual) for row in res.trace)
 
+    @pytest.mark.parametrize("e", [-600, 40, 600])
+    def test_krylov_shrink_exact_at_any_scale(self, e):
+        # SVT does not unit-scale its measurements, so the Krylov shrink of
+        # 2^e Y by 2^e tau must be the exact 2^e multiple of Y's, cold and warm
+        tau = 1.0
+        Y, prev = near_tau_problem((120, 130), tau, [1.3, 1.25, 1.2, 1.1], 0.99 * tau, 2,
+                                   1e-3, seed=0)
+        for start in (empty_expansion(120, 130), prev):
+            want = baselines._shrink_expansion(Y, tau, 2, start)
+            got = baselines._shrink_expansion(np.ldexp(Y, e), np.ldexp(tau, e), 2, start)
+            assert len(want) == 4
+            np.testing.assert_array_equal(got.coeffs, np.ldexp(want.coeffs, e))
+            np.testing.assert_array_equal(got.atoms.left, want.atoms.left)
+            np.testing.assert_array_equal(got.atoms.right, want.atoms.right)
+
     def test_tiny_measurements_rejected(self, rng):
         # the first kick tau / (step * sigma_1) is too large for a double
         op = EntrySampler.random(20, 20, 200, seed=1)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import admira
-from admira import linalg
+from admira import baselines, linalg
 from admira.atoms import DUPLICATE_TOL
 from admira.linalg import frobenius_norm, least_squares_minnorm, rescale, svd_truncated, unit_scale
 
@@ -556,21 +556,27 @@ SCALE_SHAPES = {"dense": (50, 47), "float64": (120, 127),
 @given(e=st.integers(-1000, 1000), seed=st.integers(0, 2**31))
 # unscaled, the kernel's dot of the 2^-540 matrix underflows (no triplets
 # came back) and one of the 2^510 matrix overflows (it never stopped), and
-# LAPACK rescales both by factors that are not powers of two
+# LAPACK rescales both by factors that are not powers of two; a floor that
+# reached the kernel unscaled was off by 2^e from its Ritz values
 @example(e=-540, seed=0)
 @example(e=510, seed=0)
+@example(e=40, seed=0)
 def test_exact_at_any_scale(side, e, seed):
-    # entries are multiples of 2^-20 below 2^10 in size, so 2^e M is exact
+    # entries are multiples of 2^-20 below 2^10 in size, so 2^e M is exact;
+    # also SVT's call, at SVT_TOL with a floor between sigma_2 and sigma_3
     shape = SCALE_SHAPES[side]
     assert (min(shape) >= linalg.GKL_MIN_DIM) == (side != "dense")
     assert (min(shape) >= linalg.SINGLE_MIN_DIM) == (side == "float32")
     rng = np.random.default_rng(seed)
     M = np.ldexp(np.round(np.ldexp(rng.standard_normal(shape), 20)), -20)
-    U, sigma, V = svd_truncated(M, 4, linalg.SINGLE_MIN_TOL)
-    got = svd_truncated(np.ldexp(M, e), 4, linalg.SINGLE_MIN_TOL)
-    assert len(sigma) == 4
-    for have, want in zip(got, (U, np.ldexp(sigma, e), V)):
-        np.testing.assert_array_equal(have, want)
+    full = np.linalg.svd(M, compute_uv=False)
+    for tol, floor in ((linalg.SINGLE_MIN_TOL, -np.inf),
+                       (baselines.SVT_TOL, 0.5 * (full[1] + full[2]))):
+        U, sigma, V = svd_truncated(M, 4, tol, floor)
+        got = svd_truncated(np.ldexp(M, e), 4, tol, np.ldexp(floor, e))
+        assert len(sigma) == 4
+        for have, want in zip(got, (U, np.ldexp(sigma, e), V)):
+            np.testing.assert_array_equal(have, want)
 
 
 def kernel_calls(monkeypatch) -> list:

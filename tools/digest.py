@@ -17,11 +17,12 @@ covers the solvers on the benchmark's problems (seeds 1-3),
 1000x1000 matrix at ``SELECT_TOL`` on its float32 path), at ``SELECT_TOL``
 on a 410x400 matrix whose float32 path falls back to float64 and on a
 120x127 one scaled by 2^-540, with a floor on completion proxies, and at
-SVT's tolerance from a warm start on a tall and a wide proxy, SVT's shrink
-of a proxy, SVT on a wide 100x140 entry problem, SVT on a problem scaled
-by 2^-60 and 2^+60 (its residual far from the measurements' scale), ADMiRA
-and OMP on a Gaussian problem scaled the same way (their answers mapped
-back by ``linalg.rescale``), an entry sampler's ``apply`` of an F-order
+SVT's tolerance from a warm start on a tall and a wide proxy (the tall one
+also scaled by 2^-100, floor and all), SVT's shrink of a proxy, SVT on a
+wide 100x140 entry problem, SVT on a problem scaled by 2^-60 and 2^+60
+(its residual far from the measurements' scale), ADMiRA and OMP on a
+Gaussian problem scaled the same way (their answers mapped back by
+``linalg.rescale``), an entry sampler's ``apply`` of an F-order
 and a strided matrix and its ``adjoint``, and every CSV the CLI writes
 from a grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase``
 and ``compare`` at 1 and 3 worker threads, ``rip``'s two files, and the
@@ -149,9 +150,10 @@ def floored():
     """``svd_truncated`` with a floor midway between sigma_2 and sigma_3 of
     the complete-200 and complete-1000 proxies (seed 1); on the complete-200
     one and its top 150 rows (a wide operand), also at ``SVT_TOL`` from the
-    sum of a cold call's top two right vectors; and SVT's cold shrink of the
-    complete-200 proxy scaled to put tau there (SVT's proxies have two
-    triplets above tau and the third near 0.8 tau), asking for 2 + 1."""
+    sum of a cold call's top two right vectors (the square one scaled by
+    2^-100 too, floor and all); and SVT's cold shrink of the complete-200
+    proxy scaled to put tau there (SVT's proxies have two triplets above tau
+    and the third near 0.8 tau), asking for 2 + 1."""
     for n, p in ((200, 8000), (1000, 200_000)):
         prob = harness.gen_problem(n, n, 2, p, seed=1)
         Y = prob.operator.adjoint(prob.b)
@@ -164,6 +166,9 @@ def floored():
             for rows in (200, 150):
                 f = linalg.svd_truncated(Y[:rows], 3, baselines.SVT_TOL, mid, start)
                 emit(f"svd_truncated/proxy/{rows}x{n}/start/k3", sha(*f))
+            f = linalg.svd_truncated(np.ldexp(Y, -100), 3, baselines.SVT_TOL, np.ldexp(mid, -100),
+                                     start)
+            emit(f"svd_truncated/proxy/{n}x{n}/start/2^-100/k3", sha(*f))
             tau = baselines.SVT_TAU_SCALE * n
             exp = baselines._shrink_expansion(Y * (tau / mid), tau, 3, empty_expansion(n, n))
             emit("svt_shrink/complete-200/seed1",
