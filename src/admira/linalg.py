@@ -85,11 +85,15 @@ SINGLE_MIN_DIM = 400
 # hold only with sigma_k above SINGLE_MIN_SIGMA * sigma_1
 SINGLE_MIN_SIGMA = 1e-3
 
-# the float64 check reads M in blocks of CHECK_BLOCK entries, each block for
-# both products while it is in cache (ms at 1000^2, k = 4: 0.44 in blocks of
-# 2^16 or 2^17, 0.97 in one GEMM, which also packs M into 0.5 MB more of
-# BLAS buffers; one GEMV takes 0.23)
-CHECK_BLOCK = 2**16
+# row blocks of at most BLOCK_ENTRIES entries (512 KB of doubles) let one
+# read from memory serve several products while the block is in cache (see
+# `_row_blocks`). The float64 check of the float32 path reads M this way
+# (ms at 1000^2, k = 4: 0.44 in blocks of 2^16 or 2^17, 0.97 in one GEMM,
+# which also packs M into 0.5 MB more of BLAS buffers; one GEMV takes 0.23),
+# and so do the completion fit's gathers and least squares (ms per call on
+# the 2e5 x 6 design of complete-1000, whole arrays -> blocks: the two gathers
+# and their product 4.5 -> 3.5, least_squares_minnorm 6.5 -> 5.1)
+BLOCK_ENTRIES = 2**16
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -100,6 +104,14 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
+
+
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Slices that cut ``n`` rows of ``width`` entries each into blocks of at
+    most ``BLOCK_ENTRIES`` entries (at least one row); the last may be
+    shorter. Rows that fit one block give the one slice ``0:n``."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def _finalize_triplets(U, s, V, k, e: int = 0):
@@ -161,9 +173,10 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf, start
     start : array_like, shape (n,), optional
         Warm Krylov start, near the top right singular vectors; a zero one is ignored.
     work : float64 array, optional
-        Scratch whose part past its first m n entries may hold the float32
-        copy (the solver's ``op.scratch``, whose head holds ``M``); without
-        room there, or without ``work``, the copy is a new array.
+        Scratch whose part past its first m n entries holds the float32
+        copy (the solver's ``op.scratch``, whose head holds ``M`` and which
+        always has the room); without room there, or without ``work``, the
+        copy is a new array.
     """
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
@@ -234,16 +247,15 @@ def _krylov(A, X, k, tol, floor, start) -> tuple:
 def _holds(X, U, s, V, tol: float) -> bool:
     """Whether float32-path triplets of ``X`` hold in float64: sigma_k above
     ``SINGLE_MIN_SIGMA * sigma_1``, and each residual within ``tol * sigma_1``.
-    ``X V`` and ``U^T X`` are formed together, ``CHECK_BLOCK`` entries of X
-    at a time, so each block is read from memory once."""
+    ``X V`` and ``U^T X`` are formed together, one row block of X at a
+    time (`_row_blocks`), so each block is read from memory once."""
     if not s[-1] > SINGLE_MIN_SIGMA * s[0]:
         return False
     XV, UX = np.empty(U.shape), np.zeros(V.T.shape)
-    rows = max(1, CHECK_BLOCK // X.shape[1])
-    for i in range(0, X.shape[0], rows):
-        block = X[i:i + rows]
-        np.matmul(block, V, out=XV[i:i + rows])
-        UX += U[i:i + rows].T @ block
+    for rows in _row_blocks(*X.shape):
+        block = X[rows]
+        np.matmul(block, V, out=XV[rows])
+        UX += U[rows].T @ block
     res = np.maximum(np.linalg.norm(XV - U * s, axis=0),
                      np.linalg.norm(UX - s[:, None] * V.T, axis=1))
     return bool(res.max() <= tol * s[0])
@@ -359,25 +371,44 @@ def least_squares_minnorm(Phi, b) -> np.ndarray:
     A tall design whose Gram matrix ``G = Phi.T @ Phi`` has a condition
     number below ``GRAM_COND_MAX`` is fitted from ``G x = Phi.T @ b`` and one
     refinement step ``x += G^-1 Phi.T (b - Phi x)`` (Björck's corrected
-    seminormal equations, with the Gram in place of a QR factor): four
-    passes over ``Phi`` in place of its SVD, and the SVD's coefficients to
-    about 1e-13 relative. Any other design goes to ``np.linalg.lstsq``,
-    whose numerical rank counts the singular values >= ``DEFAULT_RANK_TOL``
-    times the largest one; the minimizer with the smallest 2-norm is
-    returned, so rank-deficient or duplicated columns are handled rather
-    than rejected. ``b = 0`` returns the zero vector.
+    seminormal equations, with the Gram in place of a QR factor), the SVD's
+    coefficients to about 1e-13 relative. It reads ``Phi`` in two passes of
+    row blocks (`_row_blocks`), each block for all of its products while it
+    is in cache: the finiteness check, ``G`` and ``Phi.T @ b``, then the
+    refinement's ``Phi x`` and ``Phi.T (b - Phi x)``; a design of at most
+    ``BLOCK_ENTRIES`` entries is one block, and its products are whole-array
+    ones. Any other design goes to ``np.linalg.lstsq``, whose numerical rank
+    counts the singular values >= ``DEFAULT_RANK_TOL`` times the largest
+    one; the minimizer with the smallest 2-norm is returned, so
+    rank-deficient or duplicated columns are handled rather than rejected.
+    ``b = 0`` returns the zero vector.
     """
-    A = as_matrix(Phi, "Phi")
+    A = np.asarray(Phi, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"Phi must be 2-dimensional, got shape {A.shape}")
     y = np.asarray(b, dtype=float).ravel()
     if y.shape[0] != A.shape[0]:
         raise ValueError(f"b has length {y.shape[0]}, expected {A.shape[0]}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("b contains non-finite entries")
-    if 0 < A.shape[1] <= A.shape[0]:
-        G = A.T @ A
-        if np.linalg.cond(G) < GRAM_COND_MAX:
-            x = np.linalg.solve(G, A.T @ y)
-            return x + np.linalg.solve(G, A.T @ (y - A @ x))
+    tall = 0 < A.shape[1] <= A.shape[0]
+    blocks = _row_blocks(*A.shape)
+    G = c = None
+    for rows in blocks:
+        block = A[rows]
+        if not np.isfinite(block).all():
+            raise ValueError("Phi contains non-finite entries")
+        if not np.isfinite(y[rows]).all():
+            raise ValueError("b contains non-finite entries")
+        if tall:
+            g, h = block.T @ block, block.T @ y[rows]
+            G, c = (g, h) if G is None else (G + g, c + h)
+    if tall and np.linalg.cond(G) < GRAM_COND_MAX:
+        x = np.linalg.solve(G, c)
+        r = None
+        for rows in blocks:
+            block = A[rows]
+            h = block.T @ (y[rows] - block @ x)
+            r = h if r is None else r + h
+        return x + np.linalg.solve(G, r)
     x, *_ = np.linalg.lstsq(A, y, rcond=DEFAULT_RANK_TOL)
     return x
 

@@ -16,6 +16,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from . import linalg
 from .atoms import AtomExpansion, AtomSet, assemble, vectorize
 
 __all__ = [
@@ -163,12 +164,17 @@ class EntrySampler(MeasurementOperator):
         return np.take(self._check_matrix(X), self.flat)
 
     def scratch(self, t: int) -> np.ndarray:
-        # the proxy (with selection's float32 copy past it when there is
-        # room) and the two gathers are never alive at once
-        return np.empty(max(self.m * self.n, 2 * self.p * t))
+        """The proxy and selection's float32 copy past it (mn + ceil(mn / 2)
+        doubles), or the (p, t) design and one block of gathered right rows
+        (at most ``linalg.BLOCK_ENTRIES`` entries, or one row of t); they
+        are never alive at once. The size does not fall as t does, so it
+        holds the calls on fewer atoms too."""
+        mn, pt = self.m * self.n, self.p * t
+        return np.empty(max(mn + (mn + 1) // 2, pt + min(pt, max(linalg.BLOCK_ENTRIES, t))))
 
     def adjoint(self, y, work=None) -> np.ndarray:
-        Z = (self.scratch(0) if work is None else work)[:self.m * self.n].reshape(self.m, self.n)
+        mn = self.m * self.n
+        Z = (np.empty(mn) if work is None else work)[:mn].reshape(self.m, self.n)
         Z.fill(0.0)  # zeroing mapped memory costs less than faulting in fresh pages
         np.put(Z, self.flat, self._check_vector(y))
         return Z
@@ -180,13 +186,20 @@ class EntrySampler(MeasurementOperator):
     def apply_atoms(self, aset: AtomSet, work=None) -> np.ndarray:
         self._check_atoms(aset)
         t = len(aset)
-        size = 2 * self.p * t
-        a, c = (np.empty(size) if work is None else work)[:size].reshape(2, self.p, t)
+        blocks = linalg._row_blocks(self.p, t)
+        size, held = self.p * t, blocks[0].stop * t
+        out, right = ((np.empty(size), np.empty(held)) if work is None
+                      else (work[:size], work[size:size + held]))
+        out, right = out.reshape(self.p, t), right.reshape(blocks[0].stop, t)
+        # a row block at a time, so the right rows are multiplied in while in cache;
         # np.take gathers rows several times faster than fancy indexing; the indices are
         # checked and read-only, so "clip" never clips ("raise" buffers instead of out)
-        np.take(aset.left, self.rows, axis=0, out=a, mode="clip")
-        np.take(aset.right, self.cols, axis=0, out=c, mode="clip")
-        return np.multiply(a, c, out=a)
+        for rows in blocks:
+            a, c = out[rows], right[:rows.stop - rows.start]
+            np.take(aset.left, self.rows[rows], axis=0, out=a, mode="clip")
+            np.take(aset.right, self.cols[rows], axis=0, out=c, mode="clip")
+            np.multiply(a, c, out=a)
+        return out
 
 
 # operator kinds by name, each built from (m, n, p, seed)

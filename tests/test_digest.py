@@ -20,7 +20,7 @@ def test_digest_sections_run(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     code = ("import digest; print('openblas-core', digest.core()); digest.truncations(); "
             "digest.floored(); digest.wide_svt(); digest.scaled_svt(); digest.scaled_greedy(); "
-            "digest.sampler(); digest.cli_csvs(); digest.cli_traces()")
+            "digest.sampler(); digest.blocked(); digest.cli_csvs(); digest.cli_traces()")
     run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -28,7 +28,8 @@ def test_digest_sections_run(tmp_path):
     blas = harness._openblas()
     assert core == f"openblas-core {'unknown' if blas is None else blas[2]().decode()}"
     for name in ("cli/complete/trace/svt", "svt/wide/100x140",
-                 "svd_truncated/proxy/200x200/start/k3", "svd_truncated/proxy/150x200/start/k3"):
+                 "svd_truncated/proxy/200x200/start/k3", "svd_truncated/proxy/150x200/start/k3",
+                 "least_squares_minnorm/30001x6", "entry/apply_atoms/p11000"):
         assert name in run.stdout
     assert lines and all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
     names = [line.split()[0] for line in lines]

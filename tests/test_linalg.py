@@ -453,6 +453,31 @@ def lstsq(Phi, b):
     return np.linalg.lstsq(Phi, b, rcond=linalg.DEFAULT_RANK_TOL)[0]
 
 
+def assert_within_error_bound(seed, p, t, log_cond, misfit, scale):
+    """A drawn design below the Gram cut-off is fitted as accurately as a
+    backward-stable solve, against the exact solution in Fractions."""
+    # misfit: residual norm over fit norm, up to 100
+    rng = np.random.default_rng(seed)
+    t = min(t, p)
+    Phi = conditioned_design(rng, p, t, log_cond) * 2.0 ** scale
+    fit = Phi @ rng.standard_normal(t)
+    noise = rng.standard_normal(p)
+    noise -= Phi @ lstsq(Phi, noise)
+    if np.linalg.norm(noise) > 0:
+        fit += misfit * np.linalg.norm(fit) * noise / np.linalg.norm(noise)
+    assume(np.linalg.cond(Phi.T @ Phi) < linalg.GRAM_COND_MAX)
+    exact = least_squares_exact(Phi, fit)
+    x = least_squares_minnorm(Phi, fit)
+    err = np.linalg.norm([float(Fraction(xi) - ei) for xi, ei in zip(x.tolist(), exact)])
+    # the least-squares error model: eps * (kappa + kappa^2 * rho) * ||x*||,
+    # rho = ||b - Phi x*|| / ||Phi x*||
+    want = np.array([float(e) for e in exact])
+    kappa = np.linalg.cond(Phi)
+    rho = np.linalg.norm(fit - Phi @ want) / np.linalg.norm(Phi @ want)
+    eps = np.finfo(float).eps
+    assert err <= 2 * eps * (kappa + kappa**2 * rho) * np.linalg.norm(want)
+
+
 class TestLeastSquaresPaths:
     """Below the cut-off the Gram path is as accurate as a backward-stable
     least-squares solve; above it, lstsq runs."""
@@ -464,26 +489,7 @@ class TestLeastSquaresPaths:
     # lstsq itself is 1.14e-12 from the exact solution here, the Gram path 8.2e-14
     @example(seed=975, p=9, t=3, log_cond=1.3545, misfit=27.0, scale=0)
     def test_within_error_bound_below_cutoff(self, seed, p, t, log_cond, misfit, scale):
-        # misfit: residual norm over fit norm, up to 100
-        rng = np.random.default_rng(seed)
-        t = min(t, p)
-        Phi = conditioned_design(rng, p, t, log_cond) * 2.0 ** scale
-        fit = Phi @ rng.standard_normal(t)
-        noise = rng.standard_normal(p)
-        noise -= Phi @ lstsq(Phi, noise)
-        if np.linalg.norm(noise) > 0:
-            fit += misfit * np.linalg.norm(fit) * noise / np.linalg.norm(noise)
-        assume(np.linalg.cond(Phi.T @ Phi) < linalg.GRAM_COND_MAX)
-        exact = least_squares_exact(Phi, fit)
-        x = least_squares_minnorm(Phi, fit)
-        err = np.linalg.norm([float(Fraction(xi) - ei) for xi, ei in zip(x.tolist(), exact)])
-        # the least-squares error model: eps * (kappa + kappa^2 * rho) * ||x*||,
-        # rho = ||b - Phi x*|| / ||Phi x*||
-        want = np.array([float(e) for e in exact])
-        kappa = np.linalg.cond(Phi)
-        rho = np.linalg.norm(fit - Phi @ want) / np.linalg.norm(Phi @ want)
-        eps = np.finfo(float).eps
-        assert err <= 2 * eps * (kappa + kappa**2 * rho) * np.linalg.norm(want)
+        assert_within_error_bound(seed, p, t, log_cond, misfit, scale)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**31), p=st.integers(2, 60), t=st.integers(2, 12),
@@ -508,6 +514,80 @@ class TestLeastSquaresPaths:
         assume(Phi.shape[1] > p or np.linalg.cond(Phi.T @ Phi) >= linalg.GRAM_COND_MAX)
         b = rng.standard_normal(p)
         np.testing.assert_array_equal(least_squares_minnorm(Phi, b), lstsq(Phi, b))
+
+
+# blocks of 64 entries: 5 to 64 rows of a design up to 12 columns wide
+SMALL_BLOCK = 64
+
+
+class TestBlockedLeastSquares:
+    """Designs over many row blocks, with the block shrunk to SMALL_BLOCK."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31), p=st.integers(1, 400), t=st.integers(1, 12),
+           log_cond=st.floats(0.0, 2.5), misfit=st.floats(0.0, 100.0),
+           scale=st.integers(-40, 40))
+    @example(seed=1, p=16, t=4, log_cond=1.0, misfit=1.0, scale=0)  # one whole block
+    @example(seed=2, p=32, t=4, log_cond=1.0, misfit=1.0, scale=0)  # two whole blocks
+    @example(seed=3, p=395, t=7, log_cond=2.0, misfit=30.0, scale=3)  # 44 blocks, ragged
+    def test_within_error_bound(self, seed, p, t, log_cond, misfit, scale):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "BLOCK_ENTRIES", SMALL_BLOCK)
+            assert_within_error_bound(seed, p, t, log_cond, misfit, scale)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 1, 50, 95, 99])
+    def test_nonfinite_in_any_block_raises(self, monkeypatch, rng, bad, row):
+        # 100 x 4 in blocks of 16 rows: the first, a middle and the ragged last block
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", SMALL_BLOCK)
+        Phi = rng.standard_normal((100, 4))
+        b = rng.standard_normal(100)
+        bad_b = b.copy()
+        bad_b[row] = bad
+        with pytest.raises(ValueError, match="^b contains non-finite entries$"):
+            least_squares_minnorm(Phi, bad_b)
+        Phi[row, row % 4] = bad
+        with pytest.raises(ValueError, match="^Phi contains non-finite entries$"):
+            least_squares_minnorm(Phi, b)
+
+    @pytest.mark.parametrize("shape, log_cond", [((100, 0), 0.0), ((50, 70), 0.0),
+                                                 ((300, 6), 6.0), ((1, 0), 0.0)])
+    def test_other_designs_are_lstsq(self, monkeypatch, rng, shape, log_cond):
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", SMALL_BLOCK)
+        p, t = shape
+        if 0 < t <= p:
+            Phi = conditioned_design(rng, p, t, log_cond)
+            assert np.linalg.cond(Phi.T @ Phi) >= linalg.GRAM_COND_MAX
+        else:
+            Phi = rng.standard_normal(shape)
+        b = rng.standard_normal(p)
+        np.testing.assert_array_equal(least_squares_minnorm(Phi, b), lstsq(Phi, b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**31), t=st.integers(1, 12), data=st.data())
+    def test_one_block_is_the_whole_array_formula(self, seed, t, data):
+        # a design of at most BLOCK_ENTRIES entries makes the unblocked calls
+        p = data.draw(st.integers(t, linalg.BLOCK_ENTRIES // t))
+        rng = np.random.default_rng(seed)
+        Phi = conditioned_design(rng, p, t, 1.0)
+        b = rng.standard_normal(p)
+        G = Phi.T @ Phi
+        x = np.linalg.solve(G, Phi.T @ b)
+        want = x + np.linalg.solve(G, Phi.T @ (b - Phi @ x))
+        np.testing.assert_array_equal(least_squares_minnorm(Phi, b), want)
+
+    def test_allocates_a_block_not_the_design(self, rng):
+        # complete-1000's design shape: the whole-array passes allocated a
+        # 1.2 MB finiteness mask and two 1.6 MB vectors
+        Phi = rng.standard_normal((200_000, 6))
+        b = Phi @ rng.standard_normal(6) + rng.standard_normal(200_000)
+        tracemalloc.start()
+        try:
+            least_squares_minnorm(Phi, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * linalg.BLOCK_ENTRIES
 
 
 class TestNorms:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admira.atoms import AtomExpansion, AtomSet, assemble, empty_expansion
+from admira import linalg
+from admira.atoms import AtomExpansion, AtomSet, assemble, empty_expansion, leading_atoms
 from admira.operators import OPERATOR_KINDS, EntrySampler, GaussianOperator
 
 
@@ -289,7 +290,7 @@ class TestScratch:
     @pytest.mark.parametrize("t", [1, 6])
     def test_gather_without_work_allocates_its_result(self, t, rng):
         # a 4000^2 sampler with p = 4e5: the m*n scratch array would be 128 MB,
-        # the (p, t) result and its 2*p*t gather buffer are a few MB
+        # the (p, t) result a few MB and its buffer of right rows one block
         m = n = 4000
         flat = np.arange(400_000) * 40
         op = EntrySampler(m, n, *np.divmod(flat, n))
@@ -302,6 +303,99 @@ class TestScratch:
             finally:
                 tracemalloc.stop()
             assert peak <= 4 * op.p * t * 8
+
+    def test_adjoint_without_work_allocates_its_result(self, rng):
+        op = EntrySampler.random(400, 400, 8000, seed=7)
+        y = rng.standard_normal(op.p)
+        tracemalloc.start()
+        try:
+            op.adjoint(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the m x n result and np.put's p-entry temporary; scratch(0) is 1.5 m n
+        assert op.m * op.n * 8 <= peak < (op.m * op.n + op.p) * 8 + 4096
+
+    @pytest.mark.parametrize("n, p, size", [
+        (1000, 200_000, 1_500_000),  # complete-1000: the proxy and its float32 copy
+        (200, 8000, 96_000),  # complete-200: the design and one whole second gather
+        (150, 2980, 35_760),  # sweep-threads at p/d_r = 5
+        (400, 8000, 240_000),
+    ])
+    def test_scratch_size(self, n, p, size):
+        flat = np.arange(p) * (n * n // p)
+        assert EntrySampler(n, n, *np.divmod(flat, n)).scratch(6).size == size
+
+    def test_scratch_holds_every_smaller_call(self, rng):
+        # the size never falls as t grows; (p + BLOCK_ENTRIES // t) t doubles
+        # would: 181 samples of 362 atoms need one more than of 363
+        op = EntrySampler.random(20, 15, 181, seed=11)
+        sizes = [op.scratch(t).size for t in range(400)]
+        assert sizes == sorted(sizes)
+        s = random_expansion(op.m, op.n, 362, rng).atoms
+        want = s.left[op.rows, :] * s.right[op.cols, :]
+        assert np.array_equal(op.apply_atoms(s, op.scratch(363)), want)
+
+    def test_selection_copy_lives_in_work(self):
+        # 400^2 at p = 8000, where 2 p 3r falls short of 1.5 m n: the float32
+        # path's copy of the proxy has room in the solver's work array
+        op = EntrySampler.random(400, 400, 8000, seed=8)
+        rng = np.random.default_rng(8)
+        truth = rng.standard_normal((400, 2)) @ rng.standard_normal((2, 400))
+        work = op.scratch(6)
+        M = op.adjoint(op.apply(truth), work)
+        tracemalloc.start()
+        try:
+            exp = leading_atoms(M, 4, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(exp) == 4 and min(op.m, op.n) >= linalg.SINGLE_MIN_DIM
+        assert peak < op.m * op.n * 4
+
+    def test_gathers_with_work_allocate_less_than_a_block(self, rng):
+        op = EntrySampler.random(1000, 1000, 200_000, seed=9)
+        atoms = random_expansion(op.m, op.n, 6, rng).atoms
+        work = op.scratch(6)
+        tracemalloc.start()
+        try:
+            op.apply_atoms(atoms, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * linalg.BLOCK_ENTRIES
+
+
+class TestBlockedGathers:
+    # the sampler gathers and multiplies a row block of BLOCK_ENTRIES entries
+    # at a time; every block count must give fancy indexing's bits
+
+    @pytest.mark.parametrize("t", [1, 6])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_equal_fancy_indexing_across_blocks(self, t, extra, rng):
+        rows = linalg.BLOCK_ENTRIES // t
+        p = 3 * rows + 5 if extra is None else rows + extra
+        op = EntrySampler.random(500, 400, p, seed=10)
+        s = random_expansion(op.m, op.n, t, rng).atoms
+        want = s.left[op.rows, :] * s.right[op.cols, :]
+        for work in (None, op.scratch(t), np.full_like(op.scratch(t + 1), np.nan)):
+            got = op.apply_atoms(s, work)
+            assert got.flags.c_contiguous and np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 200), t=st.integers(0, 12), t_max=st.integers(0, 12),
+           seed=st.integers(0, 2**31))
+    def test_small_blocks(self, p, t, t_max, seed):
+        # blocks of 64 entries, and a work array for t_max >= t atoms
+        t_max = max(t, t_max)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "BLOCK_ENTRIES", 64)
+            op = EntrySampler.random(20, 15, p, seed)
+            rng = np.random.default_rng(seed)
+            s = random_expansion(op.m, op.n, t, rng).atoms
+            want = s.left[op.rows, :] * s.right[op.cols, :]
+            for work in (None, np.full_like(op.scratch(t_max), np.nan)):
+                assert np.array_equal(op.apply_atoms(s, work), want)
 
 
 class TestExpansionPaths:

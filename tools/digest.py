@@ -23,7 +23,8 @@ wide 100x140 entry problem, SVT on a problem scaled by 2^-60 and 2^+60
 (its residual far from the measurements' scale), ADMiRA and OMP on a
 Gaussian problem scaled the same way (their answers mapped back by
 ``linalg.rescale``), an entry sampler's ``apply`` of an F-order
-and a strided matrix and its ``adjoint``, and every CSV the CLI writes
+and a strided matrix and its ``adjoint``, least squares and a sampler's
+gathers over several row blocks, and every CSV the CLI writes
 from a grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase``
 and ``compare`` at 1 and 3 worker threads, ``rip``'s two files, and the
 ``complete --trace-out`` CSV of ADMiRA and SVT.
@@ -214,6 +215,21 @@ def sampler():
     emit("entry/adjoint", sha(op.adjoint(rng.standard_normal(op.p))))
 
 
+def blocked():
+    """``least_squares_minnorm`` on a 30001x6 design, three row blocks of
+    ``linalg.BLOCK_ENTRIES`` entries with a ragged last one, and a sampler's
+    ``apply_atoms`` of 6 atoms at p = 11000, whose rows cross one block
+    boundary, with and without a work array."""
+    rng = np.random.default_rng(20117)
+    Phi = rng.standard_normal((30001, 6))
+    emit("least_squares_minnorm/30001x6", sha(linalg.least_squares_minnorm(
+        Phi, Phi @ rng.standard_normal(6) + rng.standard_normal(30001))))
+    op = admira.EntrySampler.random(400, 300, 11000, seed=20118)
+    atoms = admira.leading_atoms(rng.standard_normal((400, 300)), 6).atoms
+    emit("entry/apply_atoms/p11000", sha(op.apply_atoms(atoms),
+                                         op.apply_atoms(atoms, op.scratch(6))))
+
+
 def run_cli(args, flags):
     """Run ``admira`` on ``args`` with each output flag in ``flags`` naming a
     temporary file; returns the files' bytes in flag order."""
@@ -273,6 +289,7 @@ def main() -> None:
     scaled_svt()
     scaled_greedy()
     sampler()
+    blocked()
     cli_csvs()
     cli_traces()
 
