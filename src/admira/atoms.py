@@ -50,12 +50,8 @@ class AtomSet:
         right = np.asarray(right, dtype=float)
         if left.ndim != 2 or right.ndim != 2 or left.shape[1] != right.shape[1]:
             raise ValueError("left/right factor shapes are inconsistent")
-        if left.shape[1]:
-            norms_ok = (
-                np.abs(np.linalg.norm(left, axis=0) - 1.0).max() <= UNIT_TOL
-                and np.abs(np.linalg.norm(right, axis=0) - 1.0).max() <= UNIT_TOL
-            )
-            if not norms_ok:
+        for factor in (left, right):
+            if not np.abs(np.linalg.norm(factor, axis=0) - 1.0).max(initial=0.0) <= UNIT_TOL:
                 raise ValueError("atom factors must have unit norm columns")
         self.left = left
         self.right = right
@@ -153,8 +149,6 @@ def truncate_expansion(exp: AtomExpansion, r: int) -> AtomExpansion:
     """
     if r < 1:
         raise ValueError("r must be positive")
-    if len(exp) == 0:
-        return exp
     aset = exp.atoms
     Ql, Rl = np.linalg.qr(aset.left)
     Qr, Rr = np.linalg.qr(aset.right)

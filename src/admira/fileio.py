@@ -77,10 +77,10 @@ def _operator_check(operator: GaussianOperator) -> str:
 
 
 def save_observed_entries(path, sampler: EntrySampler, values) -> None:
-    """Write one ``row col value`` triple per line (1-based indices)."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.shape[0] != sampler.p:
-        raise ValueError(f"expected {sampler.p} values, got {values.shape[0]}")
+    """Write one ``row col value`` triple per line (1-based indices); the
+    values go through ``sampler.check_measurements`` first, so a wrong
+    count or a non-finite value writes no file."""
+    values = sampler.check_measurements(values)
     with open(path, "w", encoding="utf-8") as fh:
         for r, c, v in zip(sampler.rows, sampler.cols, values):
             fh.write(f"{r + 1} {c + 1} {format_number(float(v))}\n")
@@ -115,16 +115,16 @@ def save_problem(path, operator, b) -> None:
     """Write a Gaussian-operator problem as key=value lines plus measurements.
 
     The operator is stored as seed and dimensions only, so it must have been
-    built from an integer seed.
+    built from an integer seed. ``b`` goes through the operator's
+    ``check_measurements``, so a wrong count or a non-finite value writes no
+    file.
     """
     if not isinstance(operator, GaussianOperator):
         raise ValueError("problem files store Gaussian operators; use observed-entry "
                          "triples for samplers")
     if operator.seed is None:
         raise ValueError("operator has no stored seed and cannot be serialized")
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != operator.p:
-        raise ValueError(f"expected {operator.p} measurements, got {b.shape[0]}")
+    b = operator.check_measurements(b)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("kind=gaussian\n")
         fh.write(f"m={operator.m}\n")
@@ -137,7 +137,9 @@ def save_problem(path, operator, b) -> None:
 
 
 def load_problem(path):
-    """Read a problem file and check its operator; returns (operator, b)."""
+    """Read a problem file and check its operator; returns (operator, b).
+    The measurements are checked as the solvers check them, by the rebuilt
+    operator's ``check_measurements``."""
     meta, b = {}, []
     for key, value in read_key_values(path):
         if key == "b":
@@ -154,9 +156,7 @@ def load_problem(path):
     if meta["check"] != _operator_check(op):
         raise ValueError(f"{path}: check={meta['check']} does not match the operator "
                          "rebuilt from m, n, p and seed")
-    if len(b) != op.p:
-        raise ValueError(f"expected {op.p} measurements, found {len(b)}")
-    return op, np.array(b)
+    return op, op.check_measurements(b)
 
 
 def save_trace(path, result) -> None:

@@ -35,10 +35,12 @@ DEFAULT_RANK_TOL = 1e-10
 GRAM_COND_MAX = 1e3
 
 # a Krylov top-k selection takes 16-24 Lanczos steps of a few NumPy calls
-# each at atoms.SELECT_TOL (24-36 at GKL_TOL); below this min(m, n) one LAPACK
-# SVD of the whole matrix costs less (GKL at SELECT_TOL / dense time on
-# p = 0.2 m n completion proxies, top 4 triplets, one BLAS thread of a 2-core
-# x86-64 Xeon VM: 1.2-1.9 at 50, 0.9-1.6 at 70, 0.4-0.7 at 85-100, 0.2 at 150)
+# each at atoms.SELECT_TOL (24-36 at GKL_TOL); below this min(m, n), one
+# LAPACK SVD of the whole matrix is truncated instead (GKL at SELECT_TOL /
+# dense time on p = 0.2 m n completion proxies, top 4 triplets, one BLAS
+# thread of a 2-core x86-64 Xeon VM: 1.2-1.9 at 50, 0.9-1.6 at 70, 0.4-0.7
+# at 85-100, 0.2 at 150). The cut sits above the crossover, near 70; it
+# waits for a workload between 70 and 99 to place it
 GKL_MIN_DIM = 100
 
 # svd_truncated's default stop: every requested Ritz residual below GKL_TOL *
@@ -62,8 +64,8 @@ GKL_CLOSE = 1e-8
 GKL_SEED = 20090106
 
 # svd_truncated reads M as given while ||M||_F^2 lies in [1/SCALE_RANGE,
-# SCALE_RANGE] (or M is zero), where neither the kernel's float32 products
-# nor its float64 squares come near over- or underflow; any other M goes in
+# SCALE_RANGE], where neither the kernel's float32 products nor its float64
+# squares come near over- or underflow; any other M, zero included, goes in
 # through unit_scale (a dot product of 2^-540 M underflows, one of 2^510 M
 # overflows, and LAPACK rescales by factors that are not powers of two)
 SCALE_RANGE = 2.0**60
@@ -115,11 +117,12 @@ def _row_blocks(n: int, width: int) -> list[slice]:
 
 
 def _finalize_triplets(U, s, V, k, e: int = 0):
-    """The top k triplets without negligible ones, each pair (u_j, v_j)
-    flipped so the first nonzero entry of u_j is positive; the kept sigmas
-    are mapped back from the scale ``2^-e`` that `unit_scale` took."""
+    """The top k triplets without negligible ones (none for k = 0 or a zero
+    sigma_1), each pair (u_j, v_j) flipped so the first nonzero entry of u_j
+    is positive; the kept sigmas are mapped back from the scale ``2^-e``
+    that `unit_scale` took."""
     s = np.asarray(s[:k], dtype=float)
-    if s[0] <= 0.0:
+    if not s.size or s[0] <= 0.0:
         return np.zeros((U.shape[0], 0)), np.zeros(0), np.zeros((V.shape[0], 0))
     keep = s > NEGLIGIBLE_SIGMA * s[0]
     # boolean indexing copies, so the flips leave the inputs alone; each kept
@@ -203,15 +206,15 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf, start
 
 def _scaled(A, x) -> tuple[np.ndarray, int]:
     """``(A, 0)`` while the sum of squares of ``x``, ``A`` or its float32
-    copy, lies in [1/SCALE_RANGE, SCALE_RANGE] or A is zero, else
-    `unit_scale(A)`; a ``ValueError`` when A holds a NaN or an infinity."""
+    copy, lies in [1/SCALE_RANGE, SCALE_RANGE], else `unit_scale(A)` (a zero
+    A at e = 0); a ``ValueError`` when A holds a NaN or an infinity."""
     with np.errstate(over="ignore"):
         squares = float(np.vdot(x, x))
     if 1.0 / SCALE_RANGE <= squares <= SCALE_RANGE:
         return A, 0
     if not math.isfinite(squares) and not np.isfinite(A).all():
         raise ValueError("matrix contains non-finite entries")
-    return (A, 0) if squares == 0.0 and not A.any() else unit_scale(A)
+    return unit_scale(A)
 
 
 def _single_copy(A, work) -> np.ndarray:
@@ -376,11 +379,11 @@ def least_squares_minnorm(Phi, b) -> np.ndarray:
     row blocks (`_row_blocks`), each block for all of its products while it
     is in cache: the finiteness check, ``G`` and ``Phi.T @ b``, then the
     refinement's ``Phi x`` and ``Phi.T (b - Phi x)``; a design of at most
-    ``BLOCK_ENTRIES`` entries is one block, and its products are whole-array
-    ones. Any other design goes to ``np.linalg.lstsq``, whose numerical rank
-    counts the singular values >= ``DEFAULT_RANK_TOL`` times the largest
-    one; the minimizer with the smallest 2-norm is returned, so
-    rank-deficient or duplicated columns are handled rather than rejected.
+    ``BLOCK_ENTRIES`` entries is one block. Any other design goes to
+    ``np.linalg.lstsq``, whose numerical rank counts the singular values >=
+    ``DEFAULT_RANK_TOL`` times the largest one; the minimizer with the
+    smallest 2-norm is returned, so rank-deficient or duplicated columns are
+    handled rather than rejected.
     ``b = 0`` returns the zero vector.
     """
     A = np.asarray(Phi, dtype=float)
@@ -391,7 +394,7 @@ def least_squares_minnorm(Phi, b) -> np.ndarray:
         raise ValueError(f"b has length {y.shape[0]}, expected {A.shape[0]}")
     tall = 0 < A.shape[1] <= A.shape[0]
     blocks = _row_blocks(*A.shape)
-    G = c = None
+    G = c = r = 0.0
     for rows in blocks:
         block = A[rows]
         if not np.isfinite(block).all():
@@ -399,15 +402,13 @@ def least_squares_minnorm(Phi, b) -> np.ndarray:
         if not np.isfinite(y[rows]).all():
             raise ValueError("b contains non-finite entries")
         if tall:
-            g, h = block.T @ block, block.T @ y[rows]
-            G, c = (g, h) if G is None else (G + g, c + h)
+            G += block.T @ block
+            c += block.T @ y[rows]
     if tall and np.linalg.cond(G) < GRAM_COND_MAX:
         x = np.linalg.solve(G, c)
-        r = None
         for rows in blocks:
             block = A[rows]
-            h = block.T @ (y[rows] - block @ x)
-            r = h if r is None else r + h
+            r += block.T @ (y[rows] - block @ x)
         return x + np.linalg.solve(G, r)
     x, *_ = np.linalg.lstsq(A, y, rcond=DEFAULT_RANK_TOL)
     return x
@@ -418,8 +419,9 @@ def frobenius_norm(M) -> float:
 
 
 def unit_scale(v) -> tuple[np.ndarray, int]:
-    """``(v / 2^e, e)``, exact, with ``max|v / 2^e|`` in [0.5, 1): no norm of it overflows."""
-    e = int(np.frexp(np.abs(v).max())[1])
+    """``(v / 2^e, e)``, exact, with ``max|v / 2^e|`` in [0.5, 1): no norm of it
+    overflows; a zero or empty ``v`` comes back at e = 0."""
+    e = int(np.frexp(np.abs(v).max(initial=0.0))[1])
     return np.ldexp(v, -e), e
 
 

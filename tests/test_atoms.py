@@ -41,6 +41,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             AtomExpansion(basis_atom(2, 2, 0, 0), np.zeros(2))
 
+    def test_set_of_no_atoms(self):
+        aset = AtomSet(np.zeros((4, 0)), np.zeros((3, 0)))
+        assert (len(aset), aset.m, aset.n) == (0, 4, 3)
+
     def test_set_requires_equal_atom_counts(self):
         with pytest.raises(ValueError, match="factor shapes are inconsistent"):
             AtomSet(np.eye(3, 2), np.eye(3, 1))
@@ -319,8 +323,10 @@ class TestTruncateExpansion:
         assert np.linalg.matrix_rank(assemble(out)) <= 2
 
     def test_empty_expansion(self):
-        out = truncate_expansion(empty_expansion(3, 3), 2)
-        assert len(out) == 0
+        out = truncate_expansion(empty_expansion(4, 3), 2)
+        assert out.atoms.left.shape == (4, 0) and out.atoms.right.shape == (3, 0)
+        assert out.coeffs.shape == (0,)
+        np.testing.assert_array_equal(assemble(out), np.zeros((4, 3)))
 
     def test_nonpositive_rank_rejected(self):
         exp = AtomExpansion(basis_atom(3, 3, 0, 0), np.ones(1))

@@ -187,11 +187,13 @@ class TestGridFiles:
 
 
 def test_import_leaves_file_layer_unloaded():
-    # only the CLI writes files: the library alone loads neither module
+    # only the CLI writes files: the library alone loads neither module; the
+    # harness imports its process pool only when it runs one
     src = os.path.dirname(os.path.dirname(admira.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, admira\n"
-            "print([m for m in ('admira.fileio', 'admira.cli') if m in sys.modules])")
+            "print([m for m in ('admira.fileio', 'admira.cli', 'concurrent.futures',\n"
+            "                   'multiprocessing') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -72,6 +72,14 @@ class TestObservedEntries:
         with pytest.raises(ValueError):
             fileio.save_observed_entries(tmp_path / "x.txt", op, [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_value_writes_no_file(self, tmp_path, bad):
+        op = EntrySampler.random(3, 3, 4, seed=0)
+        path = tmp_path / "x.txt"
+        with pytest.raises(ValueError, match="^measurements contain non-finite entries$"):
+            fileio.save_observed_entries(path, op, [1.0, bad, 2.0, 3.0])
+        assert not path.exists()
+
 
 class TestProblemFiles:
     def test_gaussian_roundtrip(self, tmp_path):
@@ -87,14 +95,15 @@ class TestProblemFiles:
         with pytest.raises(ValueError):
             fileio.save_problem(tmp_path / "p.txt", op, np.zeros(4))
 
-    @pytest.mark.parametrize("seed, count, expect", [
-        (None, 25, "operator has no stored seed"),
-        (9, 24, "expected 25 measurements, got 24"),
-    ], ids=["unseeded_operator", "short_b"])
-    def test_save_rejected(self, tmp_path, seed, count, expect):
+    @pytest.mark.parametrize("seed, b, expect", [
+        (None, np.zeros(25), "operator has no stored seed"),
+        (9, np.zeros(24), "expected measurement length 25, got 24"),
+        (9, np.insert(np.zeros(24), 3, np.nan), "measurements contain non-finite entries"),
+    ], ids=["unseeded_operator", "short_b", "nan_b"])
+    def test_save_rejected(self, tmp_path, seed, b, expect):
         path = tmp_path / "p.txt"
         with pytest.raises(ValueError, match=expect):
-            fileio.save_problem(path, GaussianOperator(7, 6, 25, seed), np.zeros(count))
+            fileio.save_problem(path, GaussianOperator(7, 6, 25, seed), b)
         assert not path.exists()
 
     def test_missing_key(self, tmp_path):
@@ -129,7 +138,18 @@ class TestProblemFiles:
         lines = path.read_text().splitlines()
         assert lines[-1].startswith("b=")
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="expected 25 measurements, found 24"):
+        with pytest.raises(ValueError, match="expected measurement length 25, got 24"):
+            fileio.load_problem(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_measurement_refused_on_load(self, tmp_path, bad):
+        prob = gen_problem(7, 6, 2, 25, kind="gaussian", seed=9)
+        path = tmp_path / "prob.txt"
+        fileio.save_problem(path, prob.operator, prob.b)
+        lines = path.read_text().splitlines()
+        lines[-2] = f"b={bad}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^measurements contain non-finite entries$"):
             fileio.load_problem(path)
 
 

@@ -98,6 +98,19 @@ class TestGenProblem:
         with pytest.raises(ValueError, match="dB gives non-finite noise"):
             gen_problem(12, 12, 2, 100, snr_meas_db=snr, seed=0)
 
+    def test_snr_of_zero_measurements_refused(self, monkeypatch):
+        # an operator blind to the truth leaves no signal to scale noise to
+        class Blind:
+            def __init__(self, m, n, p, seed):
+                self.p = p
+
+            def apply(self, X):
+                return np.zeros(self.p)
+
+        monkeypatch.setitem(harness.OPERATOR_KINDS, "blind", Blind)
+        with pytest.raises(ValueError, match="^cannot set a measurement SNR for zero"):
+            gen_problem(6, 6, 1, 10, kind="blind", snr_meas_db=30.0, seed=0)
+
     def test_infinite_snr_is_noiseless(self):
         infinite = gen_problem(6, 6, 1, 10, snr_meas_db=math.inf, seed=0)
         np.testing.assert_array_equal(infinite.b, gen_problem(6, 6, 1, 10, seed=0).b)
@@ -290,6 +303,11 @@ class TestSeeding:
         assert derive_seed(5, "trial", 3) == derive_seed(5, "trial", 3)
         assert derive_seed(5, "trial", 3) != derive_seed(5, "trial", 4)
         assert derive_seed(5, "a") != derive_seed(5, "b")
+
+    def test_bool_keys_hash_as_strings(self):
+        # True == 1 in Python, but a flag and a count name different substreams
+        assert derive_seed(1, True) != derive_seed(1, 1)
+        assert derive_seed(1, True) == derive_seed(1, "True")
 
     def test_rng_streams_independent(self):
         a = derive_rng(9, "x").standard_normal(4)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import admira
 from admira import baselines, linalg
-from admira.atoms import DUPLICATE_TOL
+from admira.atoms import DUPLICATE_TOL, SELECT_TOL
 from admira.linalg import frobenius_norm, least_squares_minnorm, rescale, svd_truncated, unit_scale
 
 from oracles import least_squares_exact, reconstruct, singular_values_charpoly
@@ -111,6 +111,17 @@ class TestSvdTruncated:
     def test_zero_matrix(self):
         U, sigma, V = svd_truncated(np.zeros((3, 4)), 2)
         assert U.shape == (3, 0) and sigma.shape == (0,) and V.shape == (4, 0)
+
+    def test_zero_matrix_on_the_float32_path(self, monkeypatch):
+        # the float32 triplets fail the check, and the float64 rerun finds none
+        calls = kernel_calls(monkeypatch)
+        U, sigma, V = svd_truncated(np.zeros((450, 420)), 2, SELECT_TOL)
+        assert U.shape == (450, 0) and sigma.shape == (0,) and V.shape == (420, 0)
+        assert len(calls) == 2
+
+    def test_empty_operand_has_no_valid_k(self):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 0\], got 1$"):
+            svd_truncated(np.zeros((0, 5)), 1)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -441,6 +452,10 @@ class TestLeastSquaresMinnorm:
         with pytest.raises(ValueError, match="b contains non-finite entries"):
             least_squares_minnorm(np.eye(2), [1.0, np.nan])
 
+    def test_rejects_a_one_dimensional_design(self):
+        with pytest.raises(ValueError, match=r"^Phi must be 2-dimensional, got shape \(3,\)$"):
+            least_squares_minnorm(np.ones(3), np.ones(3))
+
 
 def conditioned_design(rng, p, t, log_cond):
     """p x t design with singular values log-spaced over ``10**log_cond``."""
@@ -597,6 +612,15 @@ class TestNorms:
     def test_zero(self):
         assert frobenius_norm(np.zeros((3, 2))) == 0.0
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match=r"^matrix must be 2-dimensional, got shape \(3,\)$"):
+            frobenius_norm(np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_entries(self, bad):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            frobenius_norm([[1.0, bad]])
+
     def test_ones_matrix(self):
         # sigma = (2, 0) by the characteristic-polynomial oracle
         np.testing.assert_allclose(frobenius_norm(np.ones((2, 2))), 2.0)
@@ -615,6 +639,12 @@ class TestScaleRule:
         y, e = unit_scale(v)
         assert 0.5 <= np.abs(y).max() < 1.0
         np.testing.assert_array_equal(rescale(y, e), v)
+
+    @pytest.mark.parametrize("v", [np.zeros(3), np.zeros((2, 0))], ids=["zero", "empty"])
+    def test_zero_and_empty_come_back_at_zero_scale(self, v):
+        y, e = unit_scale(v)
+        assert e == 0
+        np.testing.assert_array_equal(y, v)
 
     @pytest.mark.filterwarnings("error")
     def test_rescale_past_the_range_is_one_error(self):

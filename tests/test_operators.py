@@ -1,3 +1,5 @@
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -449,3 +451,12 @@ class TestExpansionPaths:
         np.testing.assert_allclose(
             op.apply_expansion(exp), assemble(exp)[op.rows, op.cols], atol=1e-14
         )
+
+
+def test_library_calls_no_hash_based_unique():
+    # np.unique hashes its input, 30-40x slower than a sort and an adjacent
+    # compare on 2e5 integers; the samplers' set-up checks duplicates by sorting
+    src = pathlib.Path(linalg.__file__).parent
+    calls = [path.name for path in sorted(src.glob("*.py"))
+             if re.search(r"\bunique\s*\(", path.read_text(encoding="utf-8"))]
+    assert calls == []

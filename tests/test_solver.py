@@ -295,6 +295,16 @@ class TestAdmiraSolve:
         with pytest.raises(ValueError, match="truth has shape"):
             admira_solve(op, b, AdmiraConfig(rank=1), truth=np.ones((1, 6)))
 
+    @pytest.mark.parametrize("truth, expect", [
+        (np.ones(36), r"^truth must be 2-dimensional, got shape \(36,\)$"),
+        (np.full((6, 6), np.nan), "^truth contains non-finite entries$"),
+    ], ids=["vector", "nan"])
+    def test_truth_checked_as_a_matrix(self, rng, truth, expect):
+        op = GaussianOperator(6, 6, 30, seed=16)
+        b = op.apply(rank_r_matrix(6, 6, 1, rng))
+        with pytest.raises(ValueError, match=expect):
+            admira_solve(op, b, AdmiraConfig(rank=1), truth=truth)
+
 
 def scaled_problem(seed):
     # a well-sampled (p = 4 * m * n) 10x10 rank-2 problem

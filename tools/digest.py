@@ -5,33 +5,32 @@ Two checkouts give bit-identical outputs when their digests diff clean:
     diff <(PYTHONPATH=/tmp/parent/src python3 tools/digest.py) \\
          <(PYTHONPATH=src python3 tools/digest.py)
 
-The script takes no options. It pins BLAS to one thread before NumPy
-loads, imports ``admira`` from ``PYTHONPATH`` and prints that module's
-path on stderr, so a run shows which library it digested. Its first line,
-``openblas-core <name>``, names the OpenBLAS kernel set the bits hold on
-(OpenBLAS picks its kernels by CPU, and they round differently), so a diff
-across machines explains itself. A trace is hashed by its values, not by
-its record type, so a field added to ``TraceRow`` changes no line. It
-covers the solvers on the benchmark's problems (seeds 1-3),
-``svd_truncated`` on both sides of ``GKL_MIN_DIM`` at both tolerances (the
-1000x1000 matrix at ``SELECT_TOL`` on its float32 path), at ``SELECT_TOL``
-on a 410x400 matrix whose float32 path falls back to float64 and on a
-120x127 one scaled by 2^-540, with a floor on completion proxies, and at
-SVT's tolerance from a warm start on a tall and a wide proxy (the tall one
-also scaled by 2^-100, floor and all), SVT's shrink of a proxy, SVT on a
-wide 100x140 entry problem, SVT on a problem scaled by 2^-60 and 2^+60
-(its residual far from the measurements' scale), ADMiRA and OMP on a
-Gaussian problem scaled the same way (their answers mapped back by
-``linalg.rescale``), an entry sampler's ``apply`` of an F-order
-and a strided matrix and its ``adjoint``, least squares and a sampler's
-gathers over several row blocks, and every CSV the CLI writes
+The script takes no options. It pins BLAS to one thread before NumPy loads,
+imports ``admira`` from ``PYTHONPATH`` and prints that module's path on
+stderr, so a run shows which library it digested. Its first line,
+``openblas-core <name>``, names the OpenBLAS kernel set the bits hold on,
+as the harness's OpenBLAS reader reports it (OpenBLAS picks its kernels by
+CPU, and they round differently), so a diff across machines explains
+itself. A trace is hashed by its values, not by its record type, so a field
+added to ``TraceRow`` changes no line. It covers the solvers on the
+benchmark's problems (seeds 1-3), ``svd_truncated`` on both sides of
+``GKL_MIN_DIM`` at both tolerances (the 1000x1000 matrix at ``SELECT_TOL``
+on its float32 path), at ``SELECT_TOL`` on a 410x400 matrix whose float32
+path falls back to float64 and on a 120x127 one scaled by 2^-540, with a
+floor on completion proxies, and at SVT's tolerance from a warm start on a
+tall and a wide proxy (the tall one also scaled by 2^-100, floor and all),
+SVT's shrink of a proxy, SVT on a wide 100x140 entry problem, SVT on a
+problem scaled by 2^-60 and 2^+60 (its residual far from the measurements'
+scale), ADMiRA and OMP on a Gaussian problem scaled the same way (their
+answers mapped back by ``linalg.rescale``), an entry sampler's ``apply`` of
+an F-order and a strided matrix and its ``adjoint``, least squares and a
+sampler's gathers over several row blocks, and every CSV the CLI writes
 from a grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase``
 and ``compare`` at 1 and 3 worker threads, ``rip``'s two files, and the
 ``complete --trace-out`` CSV of ADMiRA and SVT.
 """
 
 import contextlib
-import ctypes
 import hashlib
 import os
 import pathlib
@@ -264,24 +263,10 @@ def cli_traces():
             emit(f"cli/complete/trace/{algorithm}", sha(trace))
 
 
-def core() -> str:
-    """The kernel set of NumPy's bundled OpenBLAS, or ``unknown`` without it.
-    Read here, not through ``harness._openblas``, so that the script runs on
-    a checkout whose harness does not return the reader."""
-    libdir = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libdir.glob("libscipy_openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
-            read = getattr(lib, name, None)
-            if read is not None:
-                read.argtypes, read.restype = [], ctypes.c_char_p
-                return read().decode()
-    return "unknown"
-
-
 def main() -> None:
     print(admira.__file__, file=sys.stderr)
-    print("openblas-core", core(), flush=True)
+    blas = harness._openblas()
+    print("openblas-core", "unknown" if blas is None else blas[2]().decode(), flush=True)
     solves()
     truncations()
     floored()
