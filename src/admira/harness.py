@@ -15,6 +15,7 @@ import functools
 import glob
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -217,11 +218,39 @@ def _trial(n, m, r, p, kind, snr_meas_db, algorithm, seed, max_iter, residual_to
     return run_trial(prob, algorithm, max_iter, residual_tol)
 
 
+_workers = None  # this process's trial workers: (pid, count, executor, finalizer)
+_workers_lock = threading.Lock()
+
+
+def _pool(count):
+    """The executor for trials on ``count`` workers, kept for later calls with
+    that count; another count, a dead worker or another process gets a new one."""
+    global _workers
+    # imported here, so that importing the harness loads no multiprocessing (~1 MB)
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.util import Finalize
+    if _workers is None or _workers[:2] != (os.getpid(), count) or _workers[2]._broken:
+        _drop_pool()
+        pool = ProcessPoolExecutor(count, initializer=_pin_blas)
+        # at exit before the queues' feeders stop (priority 10), in multiprocessing children too
+        _workers = (os.getpid(), count, pool, Finalize(pool, pool.shutdown, exitpriority=11))
+    return _workers[2]
+
+
+def _drop_pool():
+    """Shut down this process's trial workers and wait for them to exit."""
+    global _workers
+    if _workers is not None:
+        _workers[3]()
+    _workers = None
+
+
 def _run_cases(label, cases, trials, seed, threads, max_iter, residual_tol):
     """``trials`` reports per case ``(n, m, r, p, kind, snr_meas_db, algorithm,
     key)``, one list per case in case order. Trial t solves the problem seeded
-    by ``derive_seed(seed, label, *key, t)`` on up to ``threads`` worker
-    processes, so the reports do not depend on the worker count."""
+    by ``derive_seed(seed, label, *key, t)`` on up to ``threads`` workers, so the
+    reports do not depend on their count. The workers start once per process,
+    serve later calls with the same count, and keep their memory until exit."""
     if not cases:
         raise ValueError(f"the {label} grid is empty: each list needs at least one value")
     if trials < 1:
@@ -236,12 +265,8 @@ def _run_cases(label, cases, trials, seed, threads, max_iter, residual_tol):
         if workers == 1:
             reports = [_trial(*task) for task in tasks]
         else:
-            # imported here: multiprocessing would add ~1 MB to every process
-            # that imports the harness, solves alone included
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
-                reports = list(pool.map(_trial, *zip(*tasks)))
+            with _workers_lock:
+                reports = list(_pool(workers).map(_trial, *zip(*tasks)))
     finally:
         if old is not None:
             _openblas()[1](old)

@@ -188,15 +188,20 @@ class TestGridFiles:
 
 def test_import_leaves_file_layer_unloaded():
     # only the CLI writes files: the library alone loads neither module; the
-    # harness imports its process pool only when it runs one
+    # harness imports its process pool only when it runs one, never for a
+    # serial grid
     src = os.path.dirname(os.path.dirname(admira.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, admira\n"
-            "print([m for m in ('admira.fileio', 'admira.cli', 'concurrent.futures',\n"
-            "                   'multiprocessing') if m in sys.modules])")
+            "def loaded():\n"
+            "    return [m for m in ('admira.fileio', 'admira.cli', 'concurrent.futures',\n"
+            "                        'multiprocessing') if m in sys.modules]\n"
+            "print(loaded())\n"
+            "admira.run_sweep(12, 12, 1, [4.0], trials=2, seed=1, threads=1)\n"
+            "print(loaded())")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n") == ["[]", "[]", ""]
 
 
 class TestCompareRip:

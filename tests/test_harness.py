@@ -2,6 +2,11 @@ import concurrent.futures
 import functools
 import math
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -241,6 +246,38 @@ class TestCompareTable:
             compare_table(12, 12, [], 100, trials=1, seed=0)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The (worker count, mp_context) of every pool the harness makes during
+    the test. The harness keeps its pool across calls, so the test starts and
+    ends with none: an earlier test's pool would never call the factory."""
+    harness._drop_pool()
+    made = []
+
+    def pool(max_workers, **kwargs):
+        # refuse before starting any process, should a cap be lost
+        assert max_workers <= 4
+        made.append((max_workers, kwargs.get("mp_context")))
+        return ProcessPoolExecutor(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    yield made
+    harness._drop_pool()
+
+
+def _alive(pid):
+    return os.path.exists(f"/proc/{pid}")
+
+
+def _children():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _sweep_in_child(conn):
+    conn.send(run_sweep(12, 12, 1, [4.0], trials=2, seed=61, threads=2))
+    conn.close()
+
+
 class TestWorkerPool:
     # 100x100 problems select on the Krylov path, where BLAS does the work
     @pytest.mark.parametrize("experiment", [
@@ -272,30 +309,87 @@ class TestWorkerPool:
         finally:
             put(before)
 
-    def test_worker_error_reaches_caller(self):
+    def test_worker_error_reaches_caller(self, pools):
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_sweep(12, 12, 1, [4.0], trials=2, seed=55, algorithm="nope", threads=2)
+        serial = run_sweep(12, 12, 1, [4.0], trials=2, seed=55)
+        assert run_sweep(12, 12, 1, [4.0], trials=2, seed=55, threads=2) == serial
+        assert pools == [(2, None)]
 
-    def test_workers_capped_at_task_count(self, monkeypatch):
-        started = []
-
-        def pool(max_workers, **kwargs):
-            # refuse before starting any process, should the cap be lost
-            assert max_workers <= 2
-            started.append(max_workers)
-            return ProcessPoolExecutor(max_workers, **kwargs)
-
+    def test_workers_capped_at_task_count(self, pools):
         serial = run_sweep(12, 12, 1, [4.0], trials=2, seed=56)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
         assert run_sweep(12, 12, 1, [4.0], trials=2, seed=56, threads=64) == serial
-        assert started == [2]
+        assert pools == [(2, None)]
 
-    def test_spawned_workers_give_identical_rows(self, monkeypatch):
+    def test_spawned_workers_give_identical_rows(self, monkeypatch, pools):
         serial = run_sweep(12, 12, 1, [4.0, 6.0], trials=2, seed=57)
         spawn = multiprocessing.get_context("spawn")
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            functools.partial(ProcessPoolExecutor, mp_context=spawn))
+                            functools.partial(concurrent.futures.ProcessPoolExecutor,
+                                              mp_context=spawn))
         assert run_sweep(12, 12, 1, [4.0, 6.0], trials=2, seed=57, threads=2) == serial
+        assert pools == [(2, spawn)]
+
+    def test_same_count_reuses_pool(self, pools):
+        sweep = run_sweep(12, 12, 1, [4.0], trials=2, seed=58)
+        table = compare_table(12, 12, [1], 144, trials=1, seed=58)
+        assert run_sweep(12, 12, 1, [4.0], trials=2, seed=58, threads=2) == sweep
+        assert compare_table(12, 12, [1], 144, trials=1, seed=58, threads=2) == table
+        assert pools == [(2, None)]
+
+    def test_other_count_replaces_pool(self, pools):
+        serial = run_sweep(12, 12, 1, [4.0], trials=3, seed=59)
+        assert run_sweep(12, 12, 1, [4.0], trials=3, seed=59, threads=2) == serial
+        old = _children()
+        assert run_sweep(12, 12, 1, [4.0], trials=3, seed=59, threads=3) == serial
+        assert pools == [(2, None), (3, None)]
+        assert len(old) == 2 and not any(map(_alive, old))
+
+    def test_killed_worker_replaced(self, pools):
+        serial = run_sweep(12, 12, 1, [4.0], trials=2, seed=60)
+        assert run_sweep(12, 12, 1, [4.0], trials=2, seed=60, threads=2) == serial
+        victim = min(_children())
+        os.kill(victim, signal.SIGKILL)
+        # the pool reaps its workers once it has marked itself broken
+        deadline = time.monotonic() + 30
+        while _alive(victim) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _alive(victim)
+        assert run_sweep(12, 12, 1, [4.0], trials=2, seed=60, threads=2) == serial
+        assert pools == [(2, None), (2, None)]
+
+    def test_forked_child_makes_its_own_pool(self, pools):
+        serial = run_sweep(12, 12, 1, [4.0], trials=2, seed=61)
+        assert run_sweep(12, 12, 1, [4.0], trials=2, seed=61, threads=2) == serial
+        fork = multiprocessing.get_context("fork")
+        reader, writer = fork.Pipe(duplex=False)
+        child = fork.Process(target=_sweep_in_child, args=(writer,))
+        child.start()
+        try:
+            writer.close()
+            assert reader.poll(60)
+            assert reader.recv() == serial
+            # the child shuts its own pool down, or its exit would wait on it
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert run_sweep(12, 12, 1, [4.0], trials=2, seed=61, threads=2) == serial
+        assert pools == [(2, None)]
+
+    def test_process_exits_cleanly_and_stops_workers(self):
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        code = ("import multiprocessing\n"
+                "from admira.harness import run_sweep\n"
+                "run_sweep(12, 12, 1, [4.0], trials=2, seed=62, threads=2)\n"
+                "print(*[child.pid for child in multiprocessing.active_children()])")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert out.stderr == ""
+        pids = out.stdout.split()
+        assert len(pids) == 2 and not any(map(_alive, pids))
 
 
 class TestSeeding:
