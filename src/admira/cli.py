@@ -2,12 +2,14 @@
 
 Subcommands: gen, solve, complete, sweep, phase, compare, rip. Any flag can
 also come from a ``key=value`` config file passed with ``--config``
-(flags override the file).
+(flags override the file). Each command lays out the CSVs it writes, header
+and rows, and hands them to ``fileio.write_csv``; the library returns data.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 
@@ -60,7 +62,9 @@ def cmd_solve(args):
         fileio.save_dense_matrix(args.out, result.matrix())
         print(f"wrote solution to {args.out}")
     if args.trace_out:
-        fileio.save_trace(args.trace_out, result)
+        fileio.write_csv(args.trace_out, ["iter", "residual_l2", "rel_residual"],
+                         [[k, row.residual_l2, row.rel_residual]
+                          for k, row in enumerate(result.trace, start=1)])
         print(f"wrote trace to {args.trace_out}")
     last = result.trace[-1].rel_residual if result.trace else 0.0
     print(f"{args.alg}: stop={result.stop_reason} "
@@ -106,10 +110,13 @@ def cmd_rip(args):
     report = (ripcheck.restricted_orthogonality_check(op, max(args.r, 2), args.pairs, args.seed)
               if args.pairs_out else None)
     samples = args.r * args.samples
-    fileio.save_rip_estimate(args.out, args.r, delta_hat, samples, args.seed)
+    fileio.write_csv(args.out, ["r", "delta_hat", "samples", "seed"],
+                     [[args.r, delta_hat, samples, args.seed]])
     print(f"delta_hat(r={args.r}) >= {delta_hat:.6f} from {samples} samples; wrote {args.out}")
     if report:
-        fileio.save_orthogonality_pairs(args.pairs_out, report)
+        fileio.write_csv(args.pairs_out, ["pair_id", "lhs", "rhs_sqrt2", "rhs_1"],
+                         [[i, lhs, math.sqrt(2.0) * b, b]
+                          for i, (lhs, b) in enumerate(zip(report.lhs, report.bound))])
         print(f"orthogonality: max_ratio={report.max_ratio:.4f} "
               f"violations(sqrt2)={report.violations_sqrt2} "
               f"violations(1)={report.violations_1}; wrote {args.pairs_out}")

@@ -1,5 +1,6 @@
-"""Line-oriented file formats: full-precision CSV, observed-entry triples,
-operator specs, problem files, and solver traces.
+"""Line-oriented file formats: full-precision numbers and CSV, ``key=value``
+lines, observed-entry triples, problem files, and dense matrices. Which
+columns a CSV holds is the CLI's to decide; this module only writes them.
 
 Formats are deliberately plain text. Observed entries are ``row col value``
 triples with 1-based indices; Gaussian operators serialize as seed plus
@@ -24,9 +25,6 @@ __all__ = [
     "load_observed_entries",
     "save_problem",
     "load_problem",
-    "save_trace",
-    "save_rip_estimate",
-    "save_orthogonality_pairs",
     "save_dense_matrix",
 ]
 
@@ -157,31 +155,6 @@ def load_problem(path):
         raise ValueError(f"{path}: check={meta['check']} does not match the operator "
                          "rebuilt from m, n, p and seed")
     return op, op.check_measurements(b)
-
-
-def save_trace(path, result) -> None:
-    """Export a solver trace as CSV; the error column appears only if known."""
-    with_error = any(row.error_fro is not None for row in result.trace)
-    header = ["iter", "residual_l2", "rel_residual"] + (["error_fro"] if with_error else [])
-    rows = []
-    for k, row in enumerate(result.trace, start=1):
-        out = [k, row.residual_l2, row.rel_residual]
-        if with_error:
-            out.append(row.error_fro)
-        rows.append(out)
-    write_csv(path, header, rows)
-
-
-def save_rip_estimate(path, r, delta_hat, samples, seed) -> None:
-    """Export one isometry-constant estimate as ``r,delta_hat,samples,seed``."""
-    write_csv(path, ["r", "delta_hat", "samples", "seed"], [[r, delta_hat, samples, seed]])
-
-
-def save_orthogonality_pairs(path, report) -> None:
-    """Export per-pair orthogonality checks as ``pair_id,lhs,rhs_sqrt2,rhs_1``."""
-    rows = [[i, lhs, float(np.sqrt(2.0) * b), b]
-            for i, (lhs, b) in enumerate(zip(report.lhs, report.bound))]
-    write_csv(path, ["pair_id", "lhs", "rhs_sqrt2", "rhs_1"], rows)
 
 
 def save_dense_matrix(path, X) -> None:

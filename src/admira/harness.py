@@ -213,6 +213,23 @@ def _pin_blas() -> int | None:
     return old
 
 
+def _start_worker() -> None:
+    """Pin BLAS in a trial worker, and end the worker within 0.5 s once its
+    parent at start is gone, so a killed caller leaves no worker holding its
+    pipes open. That parent is the caller under the fork and spawn start
+    methods, and under forkserver the server, which outlives a killed caller.
+    A death signal would fire when the forking *thread* ends."""
+    _pin_blas()
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _trial(n, m, r, p, kind, snr_meas_db, algorithm, seed, max_iter, residual_tol):
     prob = gen_problem(n, m, r, p, kind=kind, snr_meas_db=snr_meas_db, seed=seed)
     return run_trial(prob, algorithm, max_iter, residual_tol)
@@ -231,7 +248,7 @@ def _pool(count):
     from multiprocessing.util import Finalize
     if _workers is None or _workers[:2] != (os.getpid(), count) or _workers[2]._broken:
         _drop_pool()
-        pool = ProcessPoolExecutor(count, initializer=_pin_blas)
+        pool = ProcessPoolExecutor(count, initializer=_start_worker)
         # at exit before the queues' feeders stop (priority 10), in multiprocessing children too
         _workers = (os.getpid(), count, pool, Finalize(pool, pool.shutdown, exitpriority=11))
     return _workers[2]
@@ -250,7 +267,8 @@ def _run_cases(label, cases, trials, seed, threads, max_iter, residual_tol):
     key)``, one list per case in case order. Trial t solves the problem seeded
     by ``derive_seed(seed, label, *key, t)`` on up to ``threads`` workers, so the
     reports do not depend on their count. The workers start once per process,
-    serve later calls with the same count, and keep their memory until exit."""
+    serve later calls with the same count, and keep their memory until the
+    process exits; they exit with it, within half a second if it is killed."""
     if not cases:
         raise ValueError(f"the {label} grid is empty: each list needs at least one value")
     if trials < 1:

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -202,6 +204,20 @@ def test_import_leaves_file_layer_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.split("\n") == ["[]", "[]", ""]
+
+
+def test_only_the_cli_lays_out_csvs():
+    # a CSV's columns are chosen where it is written, so no library module
+    # may call write_csv: the CLI builds every header and row
+    callers = set()
+    for path in pathlib.Path(admira.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "write_csv":
+                    callers.add(path.name)
+    assert callers == {"cli.py"}
 
 
 class TestCompareRip:

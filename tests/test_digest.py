@@ -25,7 +25,8 @@ def test_digest_sections_run(tmp_path):
     core, *lines = run.stdout.splitlines()
     blas = harness._openblas()
     assert core == f"openblas-core {'unknown' if blas is None else blas[2]().decode()}"
-    for name in ("cli/complete/trace/svt", "svt/wide/100x140",
+    for name in ("cli/rip/estimate", "cli/rip/pairs", "cli/complete/trace/admira",
+                 "cli/complete/trace/svt", "svt/wide/100x140",
                  "svd_truncated/proxy/200x200/start/k3", "svd_truncated/proxy/150x200/start/k3",
                  "least_squares_minnorm/30001x6", "entry/apply_atoms/p11000"):
         assert name in run.stdout

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from admira import fileio
+from admira.cli import main
 from admira.harness import gen_problem, solve
 from admira.operators import EntrySampler, GaussianOperator
 from admira.ripcheck import estimate_delta, restricted_orthogonality_check
+from admira.seeding import derive_seed
 from admira.solver import AdmiraConfig, admira_solve
 
 from oracles import load_dense_matrix
@@ -167,48 +169,45 @@ class TestKeyValues:
 
 
 class TestTraceExport:
-    def test_with_truth_column(self, tmp_path):
-        prob = gen_problem(8, 8, 1, 64, kind="entry", seed=1)
-        res = admira_solve(prob.operator, prob.b, AdmiraConfig(rank=1), truth=prob.x_true)
-        path = tmp_path / "trace.csv"
-        fileio.save_trace(path, res)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iter,residual_l2,rel_residual,error_fro"
-        assert len(lines) == res.iterations + 1
+    # the CLI lays out the trace; these read back the file a command writes
+    @staticmethod
+    def write_trace(tmp_path, algorithm, kind, p, seed):
+        problem, trace = tmp_path / "problem.txt", tmp_path / "trace.csv"
+        assert main(["gen", "--kind", kind, "--n", "8", "--m", "8", "--r", "1", "--p", str(p),
+                     "--seed", str(seed), "--out", str(problem)]) == 0
+        source = (["solve", "--problem", str(problem)] if kind == "gaussian" else
+                  ["complete", "--obs", str(problem), "--n", "8", "--m", "8"])
+        assert main(source + ["--r", "1", "--alg", algorithm, "--max-iter", "30",
+                              "--trace-out", str(trace)]) == 0
+        return trace
 
     def test_without_truth_column(self, tmp_path):
-        prob = gen_problem(8, 8, 1, 64, kind="entry", seed=1)
-        res = admira_solve(prob.operator, prob.b, AdmiraConfig(rank=1))
-        path = tmp_path / "trace.csv"
-        fileio.save_trace(path, res)
-        assert path.read_text().splitlines()[0] == "iter,residual_l2,rel_residual"
+        trace = self.write_trace(tmp_path, "admira", "entry", 64, 1)
+        assert trace.read_text().splitlines()[0] == "iter,residual_l2,rel_residual"
 
     @pytest.mark.parametrize("algorithm, kind", [
         ("admira", "entry"), ("omp", "gaussian"), ("svt", "entry")])
     def test_rows_number_and_read_back(self, tmp_path, algorithm, kind):
-        # the writer numbers the rows 1..N; every value parses back exactly
+        # the rows are numbered 1..N, and every value parses back exactly to
+        # the trace of the same solve run in-process
+        trace = self.write_trace(tmp_path, algorithm, kind, 40, 2)
         prob = gen_problem(8, 8, 1, 40, kind=kind, seed=2)
-        if algorithm == "admira":
-            res = admira_solve(prob.operator, prob.b, AdmiraConfig(rank=1), truth=prob.x_true)
-        else:
-            res = solve(algorithm, prob.operator, prob.b, 1, max_iter=30)
-        path = tmp_path / "trace.csv"
-        fileio.save_trace(path, res)
-        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        res = solve(algorithm, prob.operator, prob.b, 1, max_iter=30)
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
         assert res.iterations >= 2
         assert [int(row[0]) for row in rows] == list(range(1, res.iterations + 1))
-        with_error = algorithm == "admira"
         assert [[float(x) for x in row[1:]] for row in rows] == [
-            [t.residual_l2, t.rel_residual] + ([t.error_fro] if with_error else [])
-            for t in res.trace]
+            [t.residual_l2, t.rel_residual] for t in res.trace]
 
 
 class TestReportExports:
+    # the CSVs of the rip command, read back against the in-process reports
     def test_rip_estimate_csv(self, tmp_path):
-        op = GaussianOperator(6, 6, 100, seed=2)
-        delta_hat = estimate_delta(op, 2, 50, seed=3)
         path = tmp_path / "rip.csv"
-        fileio.save_rip_estimate(path, 2, delta_hat, 100, 3)
+        assert main(["rip", "--kind", "gaussian", "--m", "6", "--n", "6", "--p", "100",
+                     "--r", "2", "--samples", "50", "--seed", "3", "--out", str(path)]) == 0
+        op = GaussianOperator(6, 6, 100, derive_seed(3, "rip-op"))
+        delta_hat = estimate_delta(op, 2, 50, 3)
         lines = path.read_text().splitlines()
         assert lines[0] == "r,delta_hat,samples,seed"
         fields = lines[1].split(",")
@@ -216,10 +215,12 @@ class TestReportExports:
         assert float(fields[1]) == delta_hat
 
     def test_pairs_csv(self, tmp_path):
-        op = GaussianOperator(6, 6, 150, seed=4)
-        rep = restricted_orthogonality_check(op, 2, 10, seed=5)
         path = tmp_path / "pairs.csv"
-        fileio.save_orthogonality_pairs(path, rep)
+        assert main(["rip", "--kind", "gaussian", "--m", "6", "--n", "6", "--p", "150",
+                     "--r", "2", "--samples", "10", "--pairs", "10", "--seed", "5",
+                     "--out", str(tmp_path / "rip.csv"), "--pairs-out", str(path)]) == 0
+        op = GaussianOperator(6, 6, 150, derive_seed(5, "rip-op"))
+        rep = restricted_orthogonality_check(op, 2, 10, 5)
         lines = path.read_text().splitlines()
         assert lines[0] == "pair_id,lhs,rhs_sqrt2,rhs_1"
         rows = [[float(x) for x in line.split(",")] for line in lines[1:]]

@@ -269,6 +269,15 @@ def _alive(pid):
     return os.path.exists(f"/proc/{pid}")
 
 
+def _running(pid):
+    """``pid`` is a live process: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 def _children():
     return {child.pid for child in multiprocessing.active_children()}
 
@@ -390,6 +399,31 @@ class TestWorkerPool:
         assert out.stderr == ""
         pids = out.stdout.split()
         assert len(pids) == 2 and not any(map(_alive, pids))
+
+    def test_killed_process_leaves_no_worker(self, tmp_path):
+        # the pids go to a file: a surviving worker would hold stdout open
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        path = tmp_path / "pids"
+        code = ("import multiprocessing, os, signal, sys\n"
+                "from admira.harness import run_sweep\n"
+                "run_sweep(12, 12, 1, [4.0, 8.0], trials=2, seed=63, threads=2)\n"
+                "with open(sys.argv[1], 'w') as fh:\n"
+                "    print(*[child.pid for child in multiprocessing.active_children()], file=fh)\n"
+                "os.kill(os.getpid(), signal.SIGKILL)")
+        run = subprocess.run([sys.executable, "-c", code, str(path)],
+                             env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL, timeout=120)
+        assert run.returncode == -signal.SIGKILL
+        pids = [int(pid) for pid in path.read_text().split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 5
+        try:
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestSeeding:
