@@ -214,17 +214,15 @@ def _pin_blas() -> int | None:
 
 
 def _start_worker() -> None:
-    """Pin BLAS in a trial worker, and end the worker within 0.5 s once its
-    parent at start is gone, so a killed caller leaves no worker holding its
-    pipes open. That parent is the caller under the fork and spawn start
-    methods, and under forkserver the server, which outlives a killed caller.
-    A death signal would fire when the forking *thread* ends."""
+    """Pin BLAS in a trial worker, and end the worker once the process that
+    started it is gone (multiprocessing's parent sentinel), so a killed caller
+    leaves no worker holding its pipes open. Under fork, a child that the
+    caller forks after the pool started holds the sentinel open until it ends."""
+    from multiprocessing import parent_process
     _pin_blas()
-    parent = os.getppid()
 
     def watch():
-        while os.getppid() == parent:
-            time.sleep(0.5)
+        parent_process().join()
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()
@@ -268,7 +266,7 @@ def _run_cases(label, cases, trials, seed, threads, max_iter, residual_tol):
     by ``derive_seed(seed, label, *key, t)`` on up to ``threads`` workers, so the
     reports do not depend on their count. The workers start once per process,
     serve later calls with the same count, and keep their memory until the
-    process exits; they exit with it, within half a second if it is killed."""
+    process exits; they exit with it, also if it is killed."""
     if not cases:
         raise ValueError(f"the {label} grid is empty: each list needs at least one value")
     if trials < 1:

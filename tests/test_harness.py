@@ -282,6 +282,10 @@ def _children():
     return {child.pid for child in multiprocessing.active_children()}
 
 
+# the start methods of Linux; forkserver is Python 3.14's default there
+METHODS = ["fork", "spawn", "forkserver"]
+
+
 def _sweep_in_child(conn):
     conn.send(run_sweep(12, 12, 1, [4.0], trials=2, seed=61, threads=2))
     conn.close()
@@ -318,6 +322,18 @@ class TestWorkerPool:
         finally:
             put(before)
 
+    def test_missing_openblas_pins_nothing(self, monkeypatch, pools):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness.glob, "glob", lambda pattern: [])
+            assert harness._openblas.__wrapped__() is None
+        serial = run_sweep(12, 12, 1, [4.0], trials=2, seed=64)
+        # the pool starts under the patch, so its workers fork with it
+        monkeypatch.setattr(harness, "_openblas", lambda: None)
+        assert harness._pin_blas() is None
+        assert run_sweep(12, 12, 1, [4.0], trials=2, seed=64) == serial
+        assert run_sweep(12, 12, 1, [4.0], trials=2, seed=64, threads=2) == serial
+        assert pools == [(2, None)]
+
     def test_worker_error_reaches_caller(self, pools):
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_sweep(12, 12, 1, [4.0], trials=2, seed=55, algorithm="nope", threads=2)
@@ -330,14 +346,15 @@ class TestWorkerPool:
         assert run_sweep(12, 12, 1, [4.0], trials=2, seed=56, threads=64) == serial
         assert pools == [(2, None)]
 
-    def test_spawned_workers_give_identical_rows(self, monkeypatch, pools):
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_spawned_workers_give_identical_rows(self, monkeypatch, pools, method):
         serial = run_sweep(12, 12, 1, [4.0, 6.0], trials=2, seed=57)
-        spawn = multiprocessing.get_context("spawn")
+        context = multiprocessing.get_context(method)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             functools.partial(concurrent.futures.ProcessPoolExecutor,
-                                              mp_context=spawn))
+                                              mp_context=context))
         assert run_sweep(12, 12, 1, [4.0, 6.0], trials=2, seed=57, threads=2) == serial
-        assert pools == [(2, spawn)]
+        assert pools == [(2, context)]
 
     def test_same_count_reuses_pool(self, pools):
         sweep = run_sweep(12, 12, 1, [4.0], trials=2, seed=58)
@@ -388,34 +405,45 @@ class TestWorkerPool:
         assert run_sweep(12, 12, 1, [4.0], trials=2, seed=61, threads=2) == serial
         assert pools == [(2, None)]
 
-    def test_process_exits_cleanly_and_stops_workers(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_process_exits_cleanly_and_stops_workers(self, method):
         src = os.path.dirname(os.path.dirname(harness.__file__))
-        code = ("import multiprocessing\n"
+        code = ("import multiprocessing, sys\n"
                 "from admira.harness import run_sweep\n"
-                "run_sweep(12, 12, 1, [4.0], trials=2, seed=62, threads=2)\n"
-                "print(*[child.pid for child in multiprocessing.active_children()])")
-        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                "if __name__ == '__main__':\n"
+                "    multiprocessing.set_start_method(sys.argv[1])\n"
+                "    run_sweep(12, 12, 1, [4.0], trials=2, seed=62, threads=2)\n"
+                "    print(*[child.pid for child in multiprocessing.active_children()])")
+        out = subprocess.run([sys.executable, "-c", code, method],
+                             env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True, timeout=120)
         assert out.stderr == ""
         pids = out.stdout.split()
         assert len(pids) == 2 and not any(map(_alive, pids))
 
-    def test_killed_process_leaves_no_worker(self, tmp_path):
-        # the pids go to a file: a surviving worker would hold stdout open
+    @pytest.mark.parametrize("method", METHODS)
+    def test_killed_process_leaves_no_worker(self, tmp_path, method):
+        # the pids go to a file: a surviving worker would hold stdout open;
+        # under forkserver the server must end too
         src = os.path.dirname(os.path.dirname(harness.__file__))
         path = tmp_path / "pids"
-        code = ("import multiprocessing, os, signal, sys\n"
+        code = ("import multiprocessing, multiprocessing.forkserver, os, signal, sys\n"
                 "from admira.harness import run_sweep\n"
-                "run_sweep(12, 12, 1, [4.0, 8.0], trials=2, seed=63, threads=2)\n"
-                "with open(sys.argv[1], 'w') as fh:\n"
-                "    print(*[child.pid for child in multiprocessing.active_children()], file=fh)\n"
-                "os.kill(os.getpid(), signal.SIGKILL)")
-        run = subprocess.run([sys.executable, "-c", code, str(path)],
+                "if __name__ == '__main__':\n"
+                "    multiprocessing.set_start_method(sys.argv[2])\n"
+                "    run_sweep(12, 12, 1, [4.0, 8.0], trials=2, seed=63, threads=2)\n"
+                "    pids = [child.pid for child in multiprocessing.active_children()]\n"
+                "    if sys.argv[2] == 'forkserver':\n"
+                "        pids.append(multiprocessing.forkserver._forkserver._forkserver_pid)\n"
+                "    with open(sys.argv[1], 'w') as fh:\n"
+                "        print(*pids, file=fh)\n"
+                "    os.kill(os.getpid(), signal.SIGKILL)")
+        run = subprocess.run([sys.executable, "-c", code, str(path), method],
                              env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL, timeout=120)
         assert run.returncode == -signal.SIGKILL
         pids = [int(pid) for pid in path.read_text().split()]
-        assert len(pids) == 2
+        assert len(pids) == (3 if method == "forkserver" else 2)
         deadline = time.monotonic() + 5
         try:
             while any(map(_running, pids)) and time.monotonic() < deadline:
