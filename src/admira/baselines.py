@@ -110,7 +110,8 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
         else:
             phi = op.apply_atoms(selection.atoms)[:, 0]
             exp = _mp_append(exp, selection.atoms, float(phi @ residual / (phi @ phi)))
-        residual = y - op.apply_expansion(exp)
+        residual = op.apply_expansion(exp)
+        np.subtract(y, residual, out=residual)
         res = float(np.linalg.norm(residual))
         rel = res / b_norm
         trace.append(TraceRow(float(rescale(res, e, "the residual norm")), rel))
@@ -206,7 +207,8 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     for _ in range(config.max_iter):
         # the shrunk rank rarely rises by more than one per iteration
         exp = _shrink_expansion(sampler.adjoint(z), tau, len(exp) + 1, exp)
-        residual = y - sampler.apply_expansion(exp)
+        residual = sampler.apply_expansion(exp)
+        np.subtract(y, residual, out=residual)
         res = _norm(residual)
         rel = res / b_norm
         trace.append(TraceRow(res, rel))

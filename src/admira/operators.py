@@ -5,9 +5,10 @@ low-rank matrices) and entry samplers (matrix completion). Operators are
 immutable after construction, so apply/adjoint calls are thread-safe.
 
 ``adjoint``, ``apply_atoms`` and ``apply_expansion`` take an optional ``work``
-array from ``scratch(t)`` and may return a view of it, valid until its next
-use. It belongs to the caller: operators never keep one, so they stay
-immutable, and sharing one between threads is the caller's error.
+array from ``scratch(t)``, the caller's: operators keep none, so they stay
+immutable, and sharing one between threads is the caller's error. The first two
+may return a view of it, valid until its next use; ``apply_expansion`` returns a
+new vector, never a view of it, so solvers write their residual into that vector.
 """
 
 from __future__ import annotations
@@ -124,8 +125,10 @@ class EntrySampler(MeasurementOperator):
     The adjoint zero-fills measurements back onto the observed positions, so
     ``apply(adjoint(y)) == y`` and ``adjoint(apply(X))`` masks X by the
     sample set. Expansion-aware paths never materialize the dense matrix.
-    The sampler keeps read-only copies of its integer indices and their flat
-    index ``rows * n + cols``, which ``apply`` and ``adjoint`` read.
+    It builds its indices and their flat index ``rows * n + cols`` once, as
+    private writeable ``intp`` arrays that only it hands to NumPy (which
+    copies read-only index arrays); ``rows``, ``cols`` and ``flat`` are
+    read-only views of them.
     """
 
     kind = "entry"
@@ -137,31 +140,40 @@ class EntrySampler(MeasurementOperator):
         rows, cols = rows.ravel().astype(np.intp), cols.ravel().astype(np.intp)
         if rows.shape != cols.shape:
             raise ValueError("rows and cols must have equal length")
-        super().__init__(m, n, rows.shape[0])
+        self._shape(m, n, rows.shape[0])
         if rows.min(initial=0) < 0 or rows.max(initial=0) >= self.m:
             raise ValueError("row index out of range")
         if cols.min(initial=0) < 0 or cols.max(initial=0) >= self.n:
             raise ValueError("column index out of range")
-        if self.m * self.n > np.iinfo(np.intp).max:
-            raise ValueError(f"a {self.m}x{self.n} matrix has more entries than np.intp holds")
         flat = rows * self.n + cols
         if not np.diff(np.sort(flat)).all():  # a sort: the hash-based unique is 30-40x slower
             raise ValueError("sample positions must be distinct")
-        rows.flags.writeable = cols.flags.writeable = flat.flags.writeable = False
-        self.rows, self.cols, self.flat = rows, cols, flat
+        self._hold(rows, cols, flat)
+
+    def _shape(self, m, n, p) -> None:
+        super().__init__(m, n, p)
+        if self.m * self.n > np.iinfo(np.intp).max:
+            raise ValueError(f"a {self.m}x{self.n} matrix has more entries than np.intp holds")
+
+    def _hold(self, rows, cols, flat) -> None:
+        self._rows, self._cols, self._flat = rows, cols, flat
+        self.rows, self.cols, self.flat = rows.view(), cols.view(), flat.view()
+        self.rows.flags.writeable = self.cols.flags.writeable = self.flat.flags.writeable = False
 
     @classmethod
     def random(cls, m, n, p, seed) -> "EntrySampler":
         """Sample p positions uniformly without replacement, seeded."""
         if p > m * n:
             raise ValueError(f"cannot sample {p} distinct entries from a {m}x{n} matrix")
-        rng = np.random.default_rng(seed)
-        flat = rng.choice(m * n, size=p, replace=False)
-        rows, cols = np.divmod(flat, n)
-        return cls(m, n, rows, cols)
+        op = cls.__new__(cls)
+        op._shape(m, n, p)
+        # distinct positions in [0, mn): none of the constructor's checks can fail
+        flat = np.random.default_rng(seed).choice(op.m * op.n, size=op.p, replace=False)
+        op._hold(*np.divmod(flat, op.n), flat)
+        return op
 
     def apply(self, X) -> np.ndarray:
-        return np.take(self._check_matrix(X), self.flat)
+        return np.take(self._check_matrix(X), self._flat)
 
     def scratch(self, t: int) -> np.ndarray:
         """The proxy and selection's float32 copy past it (mn + ceil(mn / 2)
@@ -176,7 +188,7 @@ class EntrySampler(MeasurementOperator):
         mn = self.m * self.n
         Z = (np.empty(mn) if work is None else work)[:mn].reshape(self.m, self.n)
         Z.fill(0.0)  # zeroing mapped memory costs less than faulting in fresh pages
-        np.put(Z, self.flat, self._check_vector(y))
+        np.put(Z, self._flat, self._check_vector(y))
         return Z
 
     def apply_expansion(self, exp: AtomExpansion, work=None) -> np.ndarray:
@@ -193,11 +205,11 @@ class EntrySampler(MeasurementOperator):
         out, right = out.reshape(self.p, t), right.reshape(blocks[0].stop, t)
         # a row block at a time, so the right rows are multiplied in while in cache;
         # np.take gathers rows several times faster than fancy indexing; the indices are
-        # checked and read-only, so "clip" never clips ("raise" buffers instead of out)
+        # in range and private, so "clip" never clips ("raise" buffers instead of out)
         for rows in blocks:
             a, c = out[rows], right[:rows.stop - rows.start]
-            np.take(aset.left, self.rows[rows], axis=0, out=a, mode="clip")
-            np.take(aset.right, self.cols[rows], axis=0, out=c, mode="clip")
+            np.take(aset.left, self._rows[rows], axis=0, out=a, mode="clip")
+            np.take(aset.right, self._cols[rows], axis=0, out=c, mode="clip")
             np.multiply(a, c, out=a)
         return out
 

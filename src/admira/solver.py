@@ -149,7 +149,8 @@ def admira_step(op, b, expansion: AtomExpansion, residual, rank: int,
         return None
     merged = merge(selection.atoms, expansion.atoms)
     truncated = truncate_expansion(restricted_least_squares(op, b, merged, work), rank)
-    return truncated, b - op.apply_expansion(truncated, work)
+    measured = op.apply_expansion(truncated, work)
+    return truncated, np.subtract(b, measured, out=measured)
 
 
 def admira_solve(op, b, config: AdmiraConfig, truth=None) -> AdmiraResult:

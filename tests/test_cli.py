@@ -333,6 +333,9 @@ class TestUserErrors:
         (["complete", "--obs", "{tmp}/huge.txt", "--r", "1"], "past the double range"),
         (["complete", "--obs", "{tmp}/big.txt", "--r", "1"],
          "big.txt:1: an index is past the integer range"),
+        (["rip", "--kind", "entry", "--m", "10000000000", "--n", "10000000000", "--r", "1",
+          "--p", "5", "--samples", "1"],
+         "a 10000000000x10000000000 matrix has more entries than np.intp holds"),
     ], ids=["gen_rank", "gen_p_and_ratio", "gen_no_p", "sweep_rank", "missing_obs",
             "missing_config", "gen_memory_budget",
             "sweep_svt_gaussian", "sweep_zero_trials", "sweep_negative_trials",
@@ -342,7 +345,8 @@ class TestUserErrors:
             "phase_threshold_nan", "sweep_ratio_nan", "gen_ratio_negative",
             "gen_snr_overflow", "sweep_snr_overflow", "gen_snr_minus_inf",
             "sweep_tol_exponent", "sweep_negative_ratio_list", "complete_svt_tiny",
-            "complete_svt_huge", "complete_huge", "complete_index_overflow"])
+            "complete_svt_huge", "complete_huge", "complete_index_overflow",
+            "rip_entry_index_overflow"])
     def test_library_errors_end_in_one_line(self, tmp_path, args, expect):
         (tmp_path / "obs.txt").write_text("1 1 1.0\n1 2 2.0\n2 1 3.0\n")
         (tmp_path / "tiny.txt").write_text("1 1 1e-312\n1 2 2e-312\n2 1 3e-312\n")

@@ -29,6 +29,7 @@ def test_digest_sections_run(tmp_path):
                  "cli/complete/trace/svt", "svt/wide/100x140",
                  "svd_truncated/proxy/200x200/start/k3", "svd_truncated/proxy/150x200/start/k3",
                  "least_squares_minnorm/30001x6", "entry/apply_atoms/p11000",
+                 "entry/gen_problem/complete-1000/seed1",
                  "cli/sweep/threads3", "cli/phase/threads3", "cli/compare/threads3"):
         assert name in run.stdout
     assert lines and all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

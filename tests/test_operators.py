@@ -143,13 +143,51 @@ class TestEntrySampler:
         assert not np.shares_memory(op.flat, r) and not np.shares_memory(op.flat, c)
 
     def test_indices_read_only(self):
-        op = EntrySampler(3, 3, [0, 1], [0, 1])
-        with pytest.raises(ValueError, match="read-only"):
-            op.rows[0] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            op.cols[0] = 0
-        with pytest.raises(ValueError, match="read-only"):
-            op.flat[0] = 1
+        for op in (EntrySampler(3, 3, [0, 1], [0, 1]), EntrySampler.random(3, 3, 2, seed=4)):
+            with pytest.raises(ValueError, match="read-only"):
+                op.rows[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                op.cols[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                op.flat[0] = 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 40), n=st.integers(1, 40), data=st.data(),
+           seed=st.integers(0, 2**32))
+    def test_random_equals_the_checked_constructor(self, m, n, data, seed):
+        # random builds from its own draw and skips the constructor's checks;
+        # the constructor must accept that draw and build the same arrays
+        p = data.draw(st.integers(1, m * n + 2))
+        if p > m * n:
+            with pytest.raises(ValueError, match=f"cannot sample {p} distinct entries "
+                                                 f"from a {m}x{n} matrix"):
+                EntrySampler.random(m, n, p, seed)
+            return
+        op = EntrySampler.random(m, n, p, seed)
+        ref = EntrySampler(m, n, op.rows, op.cols)
+        assert (op.m, op.n, op.p) == (ref.m, ref.n, ref.p) == (m, n, p)
+        for sampler in (op, ref):
+            for name in ("rows", "cols", "flat"):
+                public, private = getattr(sampler, name), getattr(sampler, "_" + name)
+                assert np.array_equal(public, getattr(ref, name))
+                assert public.dtype == private.dtype == np.intp
+                # NumPy is handed the writeable array; readers get a view of it
+                assert not public.flags.writeable and private.flags.writeable
+                assert public.base is private and np.shares_memory(public, private)
+        flat = np.sort(op.flat)
+        assert flat[0] >= 0 and flat[-1] < m * n and np.diff(flat).all()
+        assert np.array_equal(op.flat, op.rows * n + op.cols)
+
+    @pytest.mark.parametrize("m, n, p, expect", [
+        (2, 2, 5, "cannot sample 5 distinct entries from a 2x2 matrix"),
+        (0, 3, 1, "cannot sample 1 distinct entries from a 0x3 matrix"),
+        (3, 3, 0, "m, n and p must be positive"),
+        (10**10, 10**10, 5, "a 10000000000x10000000000 matrix has more entries than "
+                            "np.intp holds"),
+    ])
+    def test_random_refusals(self, m, n, p, expect):
+        with pytest.raises(ValueError, match=re.escape(expect)):
+            EntrySampler.random(m, n, p, seed=1)
 
     def test_shape_past_the_index_range_rejected(self):
         # rows * n would wrap to 0 for both positions, so they looked like one
@@ -354,6 +392,46 @@ class TestScratch:
             tracemalloc.stop()
         assert len(exp) == 4 and min(op.m, op.n) >= linalg.SINGLE_MIN_DIM
         assert peak < op.m * op.n * 4
+
+    def test_adjoint_with_work_allocates_no_index_copy(self, rng):
+        # np.put copies a read-only index array on every call (1.6 MB here),
+        # so the sampler hands it a writeable one
+        op = EntrySampler.random(1000, 1000, 200_000, seed=9)
+        y, work = rng.standard_normal(op.p), op.scratch(6)
+        op.adjoint(y, work)
+        tracemalloc.start()
+        try:
+            op.adjoint(y, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_apply_allocates_only_its_result(self, rng):
+        # np.take copies a read-only index array on every call, which would
+        # make the peak two p-vectors
+        op = EntrySampler.random(1000, 1000, 200_000, seed=9)
+        X = rng.standard_normal((op.m, op.n))
+        tracemalloc.start()
+        try:
+            op.apply(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * op.p * 8
+
+    @pytest.mark.parametrize("kind", OPERATOR_KINDS)
+    def test_apply_expansion_returns_a_new_vector(self, kind, rng):
+        # solvers subtract the measurements from it in place
+        op = OPERATOR_KINDS[kind](6, 5, 14, 3)
+        b = rng.standard_normal(op.p)
+        for t in (0, 1, 3):
+            exp = random_expansion(op.m, op.n, t, rng)
+            work = op.scratch(3)
+            for w in (None, work):
+                got = op.apply_expansion(exp, w)
+                assert got.shape == (op.p,) and not np.shares_memory(got, b)
+                assert work is None or not np.shares_memory(got, work)
 
     def test_gathers_with_work_allocate_less_than_a_block(self, rng):
         op = EntrySampler.random(1000, 1000, 200_000, seed=9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -164,6 +166,25 @@ class TestAdmiraStep:
             assert len(merged) <= 3 * r
             assert len(expansion) <= r
             assert np.linalg.matrix_rank(assemble(expansion)) <= r
+
+    def test_step_after_the_first_allocates_one_vector(self, rng):
+        # complete-1000's shape: the residual is written into the measured
+        # vector, and no index array is copied, so one p-vector is allocated
+        op = EntrySampler.random(1000, 1000, 200_000, seed=3)
+        b = op.apply(rank_r_matrix(1000, 1000, 2, rng))
+        work = op.scratch(6)
+        expansion, residual = admira_step(op, b, empty_expansion(1000, 1000), b, 2, work)
+        b_copy = b.copy()
+        tracemalloc.start()
+        try:
+            expansion, new = admira_step(op, b, expansion, residual, 2, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * op.p * 8
+        assert not np.shares_memory(new, b) and not np.shares_memory(new, work)
+        assert np.array_equal(b, b_copy)
+        np.testing.assert_array_equal(new, b - op.apply_expansion(expansion))
 
     def test_first_step_reduces_residual(self):
         # regression over recorded seeds: one step always makes progress here

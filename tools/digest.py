@@ -23,7 +23,8 @@ SVT's shrink of a proxy, SVT on a wide 100x140 entry problem, SVT on a
 problem scaled by 2^-60 and 2^+60 (its residual far from the measurements'
 scale), ADMiRA and OMP on a Gaussian problem scaled the same way (their
 answers mapped back by ``linalg.rescale``), an entry sampler's ``apply`` of
-an F-order and a strided matrix and its ``adjoint``, least squares and a
+an F-order and a strided matrix and its ``adjoint``, the complete-1000
+set-up's samples, measurements and truth, least squares and a
 sampler's gathers over several row blocks, and every CSV the CLI writes
 from a grid or a diagnostic: ``sweep`` (the determinism gate's), ``phase``
 and ``compare`` at 1 and 3 worker threads, ``rip``'s two files, and the
@@ -205,13 +206,19 @@ def scaled_greedy():
 
 def sampler():
     """A 37x23 sampler's ``apply`` of an F-order and a strided matrix, and
-    its ``adjoint``."""
+    its ``adjoint``; then the samples, measurements and truth of the
+    complete-1000 set-up (seed 1), so a set-up change that moves one sample
+    shows here and not only in the solves built on it."""
     op = admira.EntrySampler.random(37, 23, 300, seed=20114)
     rng = np.random.default_rng(20115)
     X = np.asfortranarray(rng.standard_normal((37, 23)))
     strided = rng.standard_normal((75, 69))[1::2, ::3]
     emit("entry/apply", sha(op.apply(X), op.apply(strided)))
     emit("entry/adjoint", sha(op.adjoint(rng.standard_normal(op.p))))
+    prob = harness.gen_problem(1000, 1000, 2, 200_000, seed=1)
+    op = prob.operator
+    emit("entry/gen_problem/complete-1000/seed1",
+         sha(op.rows, op.cols, op.flat, prob.b, prob.x_true))
 
 
 def blocked():
