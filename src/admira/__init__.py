@@ -19,7 +19,6 @@ from .atoms import (
 from .baselines import (
     PursuitConfig,
     SvtConfig,
-    UnsupportedOperatorError,
     rank_one_pursuit,
     svt_solve,
 )
@@ -52,7 +51,6 @@ from .solver import (
     TraceRow,
     admira_solve,
     admira_step,
-    proxy,
     restricted_least_squares,
 )
 

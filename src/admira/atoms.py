@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _finalize_triplets, svd_truncated
+from .linalg import _as_2d, _finalize_triplets, svd_truncated
 
 __all__ = [
     "AtomSet",
@@ -107,8 +107,8 @@ def leading_atoms(M, k: int, work=None) -> AtomExpansion:
     m n doubles when it has room (see `svd_truncated`). The atoms share no
     memory with ``M`` or ``work``.
     """
-    # svd_truncated checks that M is 2-d and finite and that k >= 1
-    A = np.asarray(M, dtype=float)
+    # svd_truncated checks that M is finite and that k >= 1
+    A = _as_2d(M)
     U, sigma, V = svd_truncated(A, min(k, min(A.shape)), SELECT_TOL, work=work)
     return AtomExpansion(AtomSet(U, V), sigma)
 

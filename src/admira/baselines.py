@@ -33,7 +33,6 @@ __all__ = [
     "SvtConfig",
     "rank_one_pursuit",
     "svt_solve",
-    "UnsupportedOperatorError",
 ]
 
 
@@ -45,10 +44,6 @@ SVT_TAU_SCALE = 5.0
 
 # the shrink's Krylov stop (20 Gate 2 SVT solves: the same 5989 iterations, 5.6 s -> 3.4 s)
 SVT_TOL = 1e-6
-
-
-class UnsupportedOperatorError(TypeError):
-    """Algorithm does not support this measurement operator kind."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,7 @@ def rank_one_pursuit(op, b, config: PursuitConfig) -> AdmiraResult:
     y, e = unit_scale(op.check_measurements(b))
     b_norm = float(np.linalg.norm(y))
     exp = empty_expansion(op.m, op.n)
-    residual = y.copy()
+    residual = y
     trace: list[TraceRow] = []
     stop = MAX_ITER
 
@@ -171,13 +166,11 @@ def svt_solve(sampler, b, config: SvtConfig | None = None) -> AdmiraResult:
     Maintains a dual variable supported on the observed entries, held as
     its length-p vector z of sampled values; each iteration shrinks the
     singular values of ``A*(z)``, its zero-filled matrix, by ``tau`` and
-    takes a gradient step on the residual. Requires an entry-sampling
-    operator.
+    takes a gradient step on the residual. Any operator but an entry
+    sampler is a ``ValueError``.
     """
     if not isinstance(sampler, EntrySampler):
-        raise UnsupportedOperatorError(
-            "singular value thresholding requires an entry-sampling operator"
-        )
+        raise ValueError("singular value thresholding requires an entry-sampling operator")
     config = config or SvtConfig()
     y = sampler.check_measurements(b)
 

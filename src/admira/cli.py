@@ -14,7 +14,6 @@ import re
 import sys
 
 from . import fileio, harness, ripcheck
-from .baselines import UnsupportedOperatorError
 from .operators import OPERATOR_KINDS, EntrySampler
 from .seeding import derive_seed
 
@@ -237,7 +236,7 @@ def main(argv=None) -> int:
         cfg = dict(fileio.read_key_values(known.config)) if known.config else {}
         args = build_parser(cfg).parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError, MemoryError, UnsupportedOperatorError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         raise SystemExit(f"admira: {' '.join(str(exc).split())}") from None
 
 

@@ -98,11 +98,17 @@ SINGLE_MIN_SIGMA = 1e-3
 BLOCK_ENTRIES = 2**16
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate and convert ``M`` to a 2-d float array with finite entries."""
+def _as_2d(M, name: str = "matrix") -> np.ndarray:
+    """``M`` as a float array; a ``ValueError`` unless it is 2-d."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
+    return A
+
+
+def as_matrix(M, name: str = "matrix") -> np.ndarray:
+    """Validate and convert ``M`` to a 2-d float array with finite entries."""
+    A = _as_2d(M, name)
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
@@ -181,9 +187,7 @@ def svd_truncated(M, k: int, tol: float = GKL_TOL, floor: float = -np.inf, start
         always has the room); without room there, or without ``work``, the
         copy is a new array.
     """
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"matrix must be 2-dimensional, got shape {A.shape}")
+    A = _as_2d(M)
     kmax = min(A.shape)
     copy = _single_copy(A, work) if tol >= SINGLE_MIN_TOL and kmax >= SINGLE_MIN_DIM else None
     X, e = _scaled(A, A if copy is None else copy)
@@ -386,9 +390,7 @@ def least_squares_minnorm(Phi, b) -> np.ndarray:
     handled rather than rejected.
     ``b = 0`` returns the zero vector.
     """
-    A = np.asarray(Phi, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"Phi must be 2-dimensional, got shape {A.shape}")
+    A = _as_2d(Phi, "Phi")
     y = np.asarray(b, dtype=float).ravel()
     if y.shape[0] != A.shape[0]:
         raise ValueError(f"b has length {y.shape[0]}, expected {A.shape[0]}")

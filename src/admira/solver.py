@@ -29,7 +29,6 @@ __all__ = [
     "AdmiraConfig",
     "AdmiraResult",
     "TraceRow",
-    "proxy",
     "admira_step",
     "restricted_least_squares",
     "admira_solve",
@@ -115,7 +114,8 @@ class AdmiraResult:
 
 def proxy(op, residual, work=None) -> np.ndarray:
     """Proxy matrix ``A*(b - A xhat)`` steering the atom selection, from the
-    residual ``b - A xhat`` the loop already holds."""
+    residual ``b - A xhat`` the loop already holds. Not exported: it is a
+    module-level name so that perfbench's traced run can wrap ``solver.proxy``."""
     return op.adjoint(residual, work)
 
 
@@ -124,10 +124,9 @@ def restricted_least_squares(op, b, aset: AtomSet, work=None) -> AtomExpansion:
 
     Column j of the design matrix is the measurement of atom j; the
     coefficients are the minimum-norm minimizer, so duplicated or
-    numerically dependent atoms are harmless.
+    numerically dependent atoms are harmless. An empty set gives the empty
+    expansion, whose measurement is zero.
     """
-    if len(aset) == 0:
-        raise ValueError("atom set must be non-empty")
     Phi = op.apply_atoms(aset, work)
     coeffs = least_squares_minnorm(Phi, b)
     return AtomExpansion(aset, coeffs)

@@ -62,6 +62,11 @@ class TestLeadingAtoms:
         with pytest.raises(ValueError):
             leading_atoms(np.eye(3), 0)
 
+    def test_non_matrix_rejected(self):
+        # checked before the shape is read, with svd_truncated's message
+        with pytest.raises(ValueError, match=r"^matrix must be 2-dimensional, got shape \(\)$"):
+            leading_atoms(np.float64(3.0), 1)
+
     def test_zero_matrix_empty(self):
         exp = leading_atoms(np.zeros((2, 2)), 5)
         assert len(exp) == 0

@@ -8,7 +8,6 @@ from admira.atoms import SELECT_TOL, AtomExpansion, AtomSet, empty_expansion, le
 from admira.baselines import (
     PursuitConfig,
     SvtConfig,
-    UnsupportedOperatorError,
     rank_one_pursuit,
     svt_solve,
 )
@@ -138,7 +137,8 @@ class TestRankOnePursuit:
 class TestSvt:
     def test_requires_sampler(self):
         op = GaussianOperator(4, 4, 10, seed=1)
-        with pytest.raises(UnsupportedOperatorError):
+        with pytest.raises(ValueError, match="^singular value thresholding requires an "
+                                             "entry-sampling operator$"):
             svt_solve(op, np.zeros(10))
 
     def test_zero_measurements(self):

@@ -220,6 +220,21 @@ def test_only_the_cli_lays_out_csvs():
     assert callers == {"cli.py"}
 
 
+def test_the_library_refuses_with_value_or_memory_errors():
+    # cli.main turns a ValueError, OSError or MemoryError into one line, so the
+    # library raises only ValueError, and MemoryError for the Gaussian
+    # operator's memory budget; only the CLI raises SystemExit
+    offenders = []
+    for path in pathlib.Path(admira.__file__).parent.glob("*.py"):
+        allowed = {"ValueError", "MemoryError"} | ({"SystemExit"} if path.name == "cli.py" else set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 class TestCompareRip:
     def test_compare_schema(self, tmp_path):
         out = tmp_path / "cmp.csv"

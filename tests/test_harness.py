@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from admira import harness
-from admira.baselines import UnsupportedOperatorError
 from admira.harness import (
     compare_table,
     degrees_of_freedom,
@@ -160,7 +159,8 @@ class TestRunTrial:
 
     def test_svt_requires_sampler(self):
         prob = gen_problem(6, 6, 1, 40, kind="gaussian", seed=13)
-        with pytest.raises(UnsupportedOperatorError):
+        with pytest.raises(ValueError, match="^singular value thresholding requires an "
+                                             "entry-sampling operator$"):
             run_trial(prob, "svt")
 
     def test_unknown_algorithm(self):

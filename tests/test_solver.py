@@ -9,7 +9,7 @@ from admira.atoms import AtomSet, assemble, empty_expansion, leading_atoms, merg
 from admira.baselines import PursuitConfig, SvtConfig, rank_one_pursuit
 from admira.harness import gen_problem, solve
 from admira.linalg import unit_scale
-from admira.operators import EntrySampler, GaussianOperator
+from admira.operators import OPERATOR_KINDS, EntrySampler, GaussianOperator
 from admira.seeding import derive_seed
 from admira.solver import (
     CONVERGED,
@@ -129,10 +129,16 @@ class TestRestrictedLeastSquares:
         c = restricted_least_squares(op, b, doubled)
         np.testing.assert_allclose(assemble(c), assemble(a), atol=1e-10)
 
-    def test_empty_set_rejected(self):
-        op = GaussianOperator(3, 3, 5, seed=0)
-        with pytest.raises(ValueError):
-            restricted_least_squares(op, np.zeros(5), empty_expansion(3, 3).atoms)
+    @pytest.mark.parametrize("kind", ["gaussian", "entry"])
+    @pytest.mark.parametrize("with_work", [False, True])
+    def test_empty_set_fits_the_empty_expansion(self, kind, with_work, rng):
+        # a (p, 0) design fits an empty coefficient vector; its measurement is zero
+        op = OPERATOR_KINDS[kind](3, 3, 5, 0)
+        work = op.scratch(3) if with_work else None
+        fit = restricted_least_squares(op, rng.standard_normal(5), empty_expansion(3, 3).atoms, work)
+        assert len(fit) == 0 and fit.coeffs.shape == (0,)
+        np.testing.assert_array_equal(op.apply_expansion(fit, work), np.zeros(5))
+        np.testing.assert_array_equal(assemble(fit), np.zeros((3, 3)))
 
 
 class TestAdmiraStep:
